@@ -27,7 +27,7 @@ from .linalg import make_rng, spawn_rngs
 from .metrics import MetricsRecord, accuracy, class_geometry
 from .train import Schedule, bench_pipeline, fit, train_epoch_pipelined, train_epoch_sequential
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "ALNetwork", "BPNetwork", "Component", "ComponentPlan", "Dataset",

@@ -297,14 +297,14 @@ def component_gradients(c: Component, s_prev: Matrix, t_prev: Matrix):
 
     Flow 1 sends d(mse1) through b then f, with t_i treated as a constant.
     Flow 2 sends d(mse2) through h then g. Gradients with respect to the
-    inputs s_prev / t_prev are computed and discarded: they would belong
-    to the previous component, which never sees them.
+    inputs s_prev / t_prev are not computed at all: they would belong to
+    the previous component, which never sees them.
     """
     s_i, t_i, bridged, recon, rec = _forward_full(c, s_prev, t_prev, train=True)
     grad_s_i = c.b.backward(mse_loss_grad(bridged, t_i))
-    c.f.backward(grad_s_i)
+    c.f.backward(grad_s_i, input_grad=False)
     grad_t_i = c.h.backward(mse_loss_grad(recon, t_prev))
-    c.g.backward(grad_t_i)
+    c.g.backward(grad_t_i, input_grad=False)
     return s_i, t_i, rec
 
 
@@ -437,7 +437,7 @@ def net_param_items(net: ALNetwork) -> list[tuple[str, Matrix]]:
 
 
 def net_set_params(net: ALNetwork, arrays: list[Matrix]) -> None:
-    """Assign tensors in net_param_items order."""
+    """Assign copies of the tensors, in net_param_items order."""
     items = net_param_items(net)
     if len(items) != len(arrays):
         raise ShapeError(
@@ -454,8 +454,8 @@ def net_set_params(net: ALNetwork, arrays: list[Matrix]) -> None:
         if W.shape != layer.W.shape or bias.reshape(1, -1).shape != layer.bias.shape:
             raise ShapeError(
                 f"parameter shape mismatch: {W.shape} vs {layer.W.shape}")
-        layer.W = np.asarray(W, dtype=layer.W.dtype)
-        layer.bias = np.asarray(bias, dtype=layer.bias.dtype).reshape(1, -1)
+        layer.W = np.array(W, dtype=layer.W.dtype)
+        layer.bias = np.array(bias, dtype=layer.bias.dtype).reshape(1, -1)
 
 
 # finite-difference harnesses ------------------------------------------

@@ -108,7 +108,7 @@ class BPNetwork:
     def train_batch(self, x: Matrix, y_onehot: Matrix) -> float:
         out = self.forward(x, train=True)
         loss, grad = self.loss_and_grad(out, y_onehot)
-        self.stack.backward(grad)
+        self.stack.backward(grad, input_grad=False)
         self.opt.step()
         return loss
 
@@ -146,14 +146,15 @@ def bp_param_items(net: BPNetwork) -> list[tuple[str, Matrix]]:
 
 
 def bp_set_params(net: BPNetwork, arrays: list[Matrix]) -> None:
+    """Assign copies of the tensors, in bp_param_items order."""
     layers = net.stack.layers
     if len(arrays) != 2 * len(layers):
         raise ConfigError(
             f"expected {2 * len(layers)} tensors, got {len(arrays)}")
     for i, layer in enumerate(layers):
-        layer.W = np.asarray(arrays[2 * i], dtype=layer.W.dtype)
-        layer.bias = np.asarray(arrays[2 * i + 1],
-                                dtype=layer.bias.dtype).reshape(1, -1)
+        layer.W = np.array(arrays[2 * i], dtype=layer.W.dtype)
+        layer.bias = np.array(arrays[2 * i + 1],
+                              dtype=layer.bias.dtype).reshape(1, -1)
 
 
 def bp_train_epoch(net: BPNetwork, X: Matrix, y_onehot: Matrix,

@@ -3,8 +3,12 @@
 The building block is ``DenseLayer`` (affine + activation) and ``MLPBlock``
 (a chain of dense layers). Blocks cache forward intermediates only in
 training mode; ``backward`` replays the chain rule exactly and leaves
-parameter gradients on each layer. ``BlockAdam`` then applies Adam with
-bias correction per parameter tensor.
+parameter gradients on each layer, and skips the block's input gradient
+when the caller discards it. ``BlockAdam`` then applies Adam with bias
+correction per parameter tensor, in place: the layer's tensors and the
+moments are overwritten, and the result is bit-identical to the textbook
+formula evaluated with fresh arrays, because every operation runs in the
+same order. Layers therefore own their tensors and copy any they are given.
 
 ``finite_diff_loss_grads`` / ``grad_check_block`` implement the central
 finite-difference oracle used throughout the test suite: relative errors
@@ -37,27 +41,39 @@ def _vectorize(fn):
 @_vectorize
 def elu(x):
     """Exponential linear unit with alpha = 1: x for x > 0, exp(x) - 1 below."""
-    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+    neg = np.minimum(x, 0.0)
+    return np.where(x > 0, x, np.expm1(neg, out=neg))
 
 
 @_vectorize
 def elu_grad(x):
-    return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
+    d = np.minimum(x, 0.0)
+    np.exp(d, out=d)
+    np.copyto(d, 1.0, where=x > 0)
+    return d
 
 
 @_vectorize
 def sigmoid(x):
-    """Logistic function, computed piecewise so large |x| cannot overflow."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function with one exp that cannot overflow.
+
+    With e = exp(-|x|), where(x >= 0, 1, e) / (1 + e) is 1/(1 + exp(-x))
+    for x >= 0 and exp(x)/(1 + exp(x)) below, the two branches of the
+    classic overflow-safe form, so the result is bit-identical to it.
+    -|x| is taken as minimum(x, -x), which returns x itself where x is
+    NaN, so a NaN keeps its sign as it does in the two-branch form.
+    """
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    np.add(e, 1.0, out=e)
+    return np.divide(out, e, out=out)
 
 
 def sigmoid_grad_from_output(out):
-    return out * (1.0 - out)
+    d = 1.0 - out
+    return np.multiply(out, d, out=d)
 
 
 def softmax(z: Matrix) -> Matrix:
@@ -83,7 +99,8 @@ class _Elu:
         return elu(z)
 
     def backward(self, grad_out, z, out):
-        return grad_out * elu_grad(z)
+        d = elu_grad(z)
+        return np.multiply(grad_out, d, out=d)
 
 
 class _Sigmoid:
@@ -93,7 +110,8 @@ class _Sigmoid:
         return sigmoid(z)
 
     def backward(self, grad_out, z, out):
-        return grad_out * sigmoid_grad_from_output(out)
+        d = sigmoid_grad_from_output(out)
+        return np.multiply(grad_out, d, out=d)
 
 
 class _Softmax:
@@ -114,9 +132,10 @@ ACTIVATIONS = {a.name: a for a in (_Identity(), _Elu(), _Sigmoid(), _Softmax())}
 class DenseLayer:
     """Affine map plus activation.
 
-    W has shape (fan_in, fan_out), bias (1, fan_out). Forward in training
-    mode caches (input, pre-activation, output) for the backward pass;
-    evaluation-mode forward clears the cache.
+    W has shape (fan_in, fan_out), bias (1, fan_out). A given W or bias is
+    copied, because the optimizer updates the layer's tensors in place.
+    Forward in training mode caches (input, pre-activation, output) for the
+    backward pass; evaluation-mode forward clears the cache.
     """
 
     def __init__(self, fan_in: int, fan_out: int, activation: str = "identity",
@@ -128,12 +147,14 @@ class DenseLayer:
             if rng is None:
                 raise ValueError("need an rng when W is not given")
             W = he_normal_init(fan_in, fan_out, rng)
-        W = np.asarray(W, dtype=DTYPE)
+        else:
+            W = np.array(W, dtype=DTYPE)
         if W.shape != (fan_in, fan_out):
             raise ShapeError(f"W shape {W.shape} != ({fan_in}, {fan_out})")
         if bias is None:
             bias = np.zeros((1, fan_out), dtype=DTYPE)
-        bias = np.asarray(bias, dtype=DTYPE).reshape(1, fan_out)
+        else:
+            bias = np.array(bias, dtype=DTYPE).reshape(1, fan_out)
         self.fan_in = fan_in
         self.fan_out = fan_out
         self.activation = activation
@@ -144,12 +165,15 @@ class DenseLayer:
         self._cache: tuple[Matrix, Matrix, Matrix] | None = None
 
     def forward(self, x: Matrix, train: bool = False) -> Matrix:
-        z = matmul(x, self.W) + self.bias
+        z = matmul(x, self.W)
+        z += self.bias
         out = ACTIVATIONS[self.activation].value(z)
         self._cache = (x, z, out) if train else None
         return out
 
-    def backward(self, grad_out: Matrix) -> Matrix:
+    def backward(self, grad_out: Matrix, input_grad: bool = True) -> Matrix | None:
+        """Leave grad_W / grad_b on the layer and return the gradient with
+        respect to the input, or None when input_grad is False."""
         if self._cache is None:
             raise StateError("backward without a prior training-mode forward")
         x, z, out = self._cache
@@ -159,7 +183,7 @@ class DenseLayer:
         dz = ACTIVATIONS[self.activation].backward(grad_out, z, out)
         self.grad_W = x.T @ dz
         self.grad_b = dz.sum(axis=0, keepdims=True)
-        return dz @ self.W.T
+        return dz @ self.W.T if input_grad else None
 
     def param_count(self) -> int:
         return self.W.size + self.bias.size
@@ -190,10 +214,13 @@ class MLPBlock:
             x = layer.forward(x, train=train)
         return x
 
-    def backward(self, grad_out: Matrix) -> Matrix:
-        for layer in reversed(self.layers):
+    def backward(self, grad_out: Matrix, input_grad: bool = True) -> Matrix | None:
+        """Chain rule through every layer; with input_grad=False the first
+        layer skips the product that only the block's input gradient needs,
+        and None is returned."""
+        for layer in reversed(self.layers[1:]):
             grad_out = layer.backward(grad_out)
-        return grad_out
+        return self.layers[0].backward(grad_out, input_grad)
 
     def param_count(self) -> int:
         return sum(layer.param_count() for layer in self.layers)
@@ -285,25 +312,51 @@ class AdamState:
                    lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_update(param: Matrix, grad: Matrix, state: AdamState) -> Matrix:
-    """One bias-corrected Adam step; returns the new parameter tensor."""
+def adam_update(param: Matrix, grad: Matrix, state: AdamState,
+                scratch: tuple[Matrix, Matrix] | None = None) -> Matrix:
+    """One bias-corrected Adam step, applied in place; returns param.
+
+    param, state.m and state.v are overwritten. The textbook update
+
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+        param - lr*(m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)
+
+    is evaluated one operation at a time in exactly that order, so the
+    result is bit-identical to computing it with fresh arrays. scratch is
+    a pair of param-shaped work arrays; two are allocated when it is None.
+    """
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise ShapeError(
             f"adam_update: param {param.shape}, grad {grad.shape}, "
             f"state {state.m.shape}")
+    if scratch is None:
+        scratch = (np.empty_like(param), np.empty_like(param))
+    s1, s2 = scratch
+    m, v = state.m, state.v
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (grad * grad)
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    return param - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    np.multiply(m, state.beta1, out=m)
+    np.multiply(grad, 1.0 - state.beta1, out=s1)
+    np.add(m, s1, out=m)
+    np.multiply(v, state.beta2, out=v)
+    np.multiply(grad, grad, out=s1)
+    np.multiply(s1, 1.0 - state.beta2, out=s1)
+    np.add(v, s1, out=v)
+    np.divide(m, 1.0 - state.beta1 ** state.t, out=s1)
+    np.multiply(s1, state.lr, out=s1)
+    np.divide(v, 1.0 - state.beta2 ** state.t, out=s2)
+    np.sqrt(s2, out=s2)
+    np.add(s2, state.eps, out=s2)
+    np.divide(s1, s2, out=s1)
+    return np.subtract(param, s1, out=param)
 
 
 class BlockAdam:
     """Adam over every parameter tensor of one MLPBlock.
 
     States are created lazily on the first step so that freshly built
-    networks stay cheap until training actually starts.
+    networks stay cheap until training actually starts. The tensors are
+    updated in place, through one pair of work arrays sized to the
+    block's largest tensor.
     """
 
     def __init__(self, block: MLPBlock, lr: float = 1e-4, beta1: float = 0.9,
@@ -314,6 +367,7 @@ class BlockAdam:
         self.beta2 = beta2
         self.eps = eps
         self._states: dict[tuple[int, str], AdamState] = {}
+        self._work: tuple[Matrix, Matrix] | None = None
 
     def _state(self, key: tuple[int, str], param: Matrix) -> AdamState:
         st = self._states.get(key)
@@ -322,6 +376,13 @@ class BlockAdam:
                                      self.eps)
             self._states[key] = st
         return st
+
+    def _scratch(self, param: Matrix) -> tuple[Matrix, Matrix]:
+        if self._work is None:
+            size = max(p.size for p in self.block.param_arrays())
+            self._work = (np.empty(size, dtype=DTYPE),
+                          np.empty(size, dtype=DTYPE))
+        return tuple(w[:param.size].reshape(param.shape) for w in self._work)
 
     def set_lr(self, lr: float) -> None:
         self.lr = lr
@@ -332,10 +393,11 @@ class BlockAdam:
         for i, layer in enumerate(self.block.layers):
             if layer.grad_W is None or layer.grad_b is None:
                 raise StateError("step without gradients; run backward first")
-            layer.W = adam_update(layer.W, layer.grad_W,
-                                  self._state((i, "W"), layer.W))
-            layer.bias = adam_update(layer.bias, layer.grad_b,
-                                     self._state((i, "b"), layer.bias))
+            adam_update(layer.W, layer.grad_W, self._state((i, "W"), layer.W),
+                        self._scratch(layer.W))
+            adam_update(layer.bias, layer.grad_b,
+                        self._state((i, "b"), layer.bias),
+                        self._scratch(layer.bias))
 
 
 # finite differences ---------------------------------------------------

@@ -112,8 +112,10 @@ def run_pipeline(stages, feed, capacity: int = 2,
     (batch_id, payload) with strictly increasing ids. capacity bounds
     each inter-stage queue; depth, when given, caps how many batches are
     in flight anywhere (depth=1 degenerates to fully serial execution).
-    A failing stage drains its input so neighbors never deadlock, and the
-    first failure is re-raised as TrainingError after all workers exit.
+    A failing stage hands back the in-flight token of the batch it failed
+    on, then drains its input, handing back each drained batch's token, so
+    neither its neighbors nor a feeder blocked on the depth cap deadlock.
+    The first failure is re-raised as TrainingError after all workers exit.
     """
     if not stages:
         raise ConfigError("need at least one stage")
@@ -134,6 +136,7 @@ def run_pipeline(stages, feed, capacity: int = 2,
         q_out = queues[i + 1] if i + 1 < n else None
         is_last = q_out is None
         last_id = None
+        held = False       # a batch, and its token, is in this stage
         t_start = time.perf_counter()
         try:
             while True:
@@ -142,6 +145,7 @@ def run_pipeline(stages, feed, capacity: int = 2,
                     if q_out is not None:
                         q_out.put(_STOP)
                     break
+                held = True
                 bid, payload = item
                 if last_id is not None and bid <= last_id:
                     raise TrainingError(
@@ -156,10 +160,13 @@ def run_pipeline(stages, feed, capacity: int = 2,
                         sem.release()
                 else:
                     q_out.put((bid, out))
+                held = False
         except BaseException as e:
             errors.append((i, e))
             # Keep neighbors moving: swallow the rest of the input and
             # hand the in-flight tokens back so the feeder can stop.
+            if held and sem is not None:
+                sem.release()
             while True:
                 item = q_in.get()
                 if item is _STOP:
@@ -178,16 +185,12 @@ def run_pipeline(stages, feed, capacity: int = 2,
         t.start()
     try:
         for bid, payload in feed:
+            # Every in-flight token comes back, from the last stage or from
+            # a failed one, so this acquire cannot block forever.
+            if sem is not None:
+                sem.acquire()
             if errors:
                 break
-            if sem is not None:
-                acquired = False
-                while not errors:
-                    if sem.acquire(timeout=0.05):
-                        acquired = True
-                        break
-                if not acquired:
-                    break
             queues[0].put((bid, payload))
     finally:
         queues[0].put(_STOP)

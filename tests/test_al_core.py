@@ -378,6 +378,17 @@ def test_param_items_roundtrip():
     assert np.array_equal(ya, yb)
 
 
+def test_set_params_copies_so_training_one_net_leaves_the_other():
+    net = build_network(get_plan("xor"), make_rng(30))
+    other = build_network(get_plan("xor"), make_rng(31))
+    net_set_params(other, [p for _, p in net_param_items(net)])
+    before = [p.copy() for _, p in net_param_items(net)]
+    x = make_rng(32).uniform(size=(4, 2))
+    component_update(other.components[0], x, np.eye(2)[[0, 1, 1, 0]])
+    assert all(np.array_equal(p, q)
+               for (_, p), q in zip(net_param_items(net), before))
+
+
 def test_param_items_names_stable():
     net = build_network(get_plan("xor"), make_rng(33))
     names = [name for name, _ in net_param_items(net)]

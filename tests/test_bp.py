@@ -132,6 +132,19 @@ def test_param_items_roundtrip():
     assert np.array_equal(a.predict(x)[0], b.predict(x)[0])
 
 
+def test_set_params_copies_so_training_one_net_leaves_the_other():
+    a = BPNetwork([3, 5, 2], make_rng(16))
+    b = BPNetwork([3, 5, 2], make_rng(17))
+    bp_set_params(b, [p for _, p in bp_param_items(a)])
+    before = [p.copy() for _, p in bp_param_items(a)]
+    rng = make_rng(18)
+    b.train_batch(rng.uniform(size=(4, 3)), np.eye(2)[[0, 1, 1, 0]])
+    assert all(np.array_equal(p, q)
+               for (_, p), q in zip(bp_param_items(a), before))
+    assert not all(np.array_equal(p, q)
+                   for (_, p), q in zip(bp_param_items(b), before))
+
+
 def test_param_items_wrong_count():
     net = BPNetwork([3, 4, 2], make_rng(19))
     with pytest.raises(ConfigError):

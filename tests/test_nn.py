@@ -76,6 +76,29 @@ def test_sigmoid_grad_from_output():
     assert np.allclose(sigmoid_grad_from_output(out), out * (1 - out))
 
 
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _sigmoid_two_branch(x):
+    # The masked two-exp form the one-exp sigmoid must reproduce bit for bit.
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("scale", [1.0, 5.0, 40.0, 800.0])
+def test_sigmoid_bit_identical_to_two_branch_form(scale):
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                        710.0, -710.0])
+    x = np.concatenate([make_rng(6).normal(0.0, scale, size=4096),
+                        special]).reshape(8, -1)
+    assert _same_bits(sigmoid(x), _sigmoid_two_branch(x))
+
+
 def test_softmax_rows_sum_to_one():
     z = make_rng(9).normal(0.0, 5.0, size=(4, 7))
     p = softmax(z)
@@ -186,6 +209,21 @@ def test_backward_identity_input_grad():
     assert np.allclose(layer.backward(upstream), upstream @ W.T, atol=1e-12)
 
 
+@pytest.mark.parametrize("widths", [[5, 3], [5, 7, 4, 3]])
+def test_backward_without_input_grad_same_param_grads(widths):
+    rng = make_rng(21)
+    block = make_block(widths, "sigmoid", rng, out_activation="elu")
+    x = rng.normal(size=(6, widths[0]))
+    upstream = rng.normal(size=(6, widths[-1]))
+    block.forward(x, train=True)
+    assert block.backward(upstream).shape == x.shape
+    full = [g.copy() for g in block.grad_arrays()]
+    block.forward(x, train=True)
+    assert block.backward(upstream, input_grad=False) is None
+    for a, b in zip(full, block.grad_arrays()):
+        assert _same_bits(a, b)
+
+
 def test_backward_without_forward_raises():
     layer = DenseLayer(2, 2, "identity", rng=make_rng(0))
     with pytest.raises(StateError):
@@ -257,6 +295,61 @@ def test_adam_shape_mismatch():
     state = AdamState.for_param(theta)
     with pytest.raises(ShapeError):
         adam_update(theta, np.zeros((2, 3)), state)
+
+
+def _textbook_adam(param, grad, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    m = b1 * m + (1.0 - b1) * grad
+    v = b2 * v + (1.0 - b2) * (grad * grad)
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    return param - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def test_adam_in_place_bit_identical_to_textbook():
+    rng = make_rng(8)
+    theta = rng.normal(size=(7, 5))
+    ref, m, v = theta.copy(), np.zeros_like(theta), np.zeros_like(theta)
+    state = AdamState.for_param(theta, lr=3e-3)
+    for t in range(1, 13):
+        grad = rng.normal(0.0, 10.0 ** rng.integers(-6, 3), size=theta.shape)
+        out = adam_update(theta, grad, state)
+        ref, m, v = _textbook_adam(ref, grad, m, v, t, lr=3e-3)
+        assert out is theta
+        assert _same_bits(theta, ref)
+        assert _same_bits(state.m, m) and _same_bits(state.v, v)
+
+
+def test_block_adam_bit_identical_to_textbook():
+    # Tensors of four sizes share the block's work arrays.
+    rng = make_rng(10)
+    block = make_block([6, 9, 4], "elu", rng)
+    # A large lr makes the step comparable to the parameters, so a
+    # rounding difference in the step reaches their bits.
+    opt = BlockAdam(block, lr=0.3)
+    refs = [[p.copy(), np.zeros_like(p), np.zeros_like(p)]
+            for p in block.param_arrays()]
+    for t in range(1, 11):
+        for layer in block.layers:
+            layer.grad_W = rng.normal(size=layer.W.shape)
+            layer.grad_b = rng.normal(size=layer.bias.shape)
+        opt.step()
+        for ref, p, g in zip(refs, block.param_arrays(), block.grad_arrays()):
+            param, m, v = ref
+            ref[:] = _textbook_adam(param, g, m, v, t, lr=0.3)
+            assert _same_bits(p, ref[0])
+
+
+def test_adam_step_leaves_constructor_arrays_alone():
+    rng = make_rng(12)
+    W, bias = rng.normal(size=(3, 2)), rng.normal(size=(1, 2))
+    W_before, bias_before = W.copy(), bias.copy()
+    layer = DenseLayer(3, 2, "identity", W=W, bias=bias)
+    block = MLPBlock([layer])
+    out = block.forward(rng.normal(size=(4, 3)), train=True)
+    block.backward(np.ones_like(out))
+    BlockAdam(block, lr=1e-2).step()
+    assert not np.array_equal(layer.W, W_before)
+    assert np.array_equal(W, W_before) and np.array_equal(bias, bias_before)
 
 
 def test_block_adam_requires_gradients():

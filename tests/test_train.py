@@ -1,3 +1,5 @@
+from threading import Thread
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,32 @@ def test_run_pipeline_error_with_depth_cap_no_deadlock():
     with pytest.raises(TrainingError):
         run_pipeline([lambda v: v, boom],
                      ((i, i) for i in range(1, 50)), capacity=1, depth=1)
+
+
+@pytest.mark.parametrize("failing_stage", [0, 1])
+def test_run_pipeline_first_batch_error_depth_one_returns(failing_stage):
+    # With depth=1 the feeder waits for batch 1's token, which only the
+    # failing stage can hand back.
+    def boom(v):
+        raise ValueError(f"boom on {v}")
+
+    stages = [lambda v: v, lambda v: v]
+    stages[failing_stage] = boom
+    raised = []
+
+    def run():
+        try:
+            run_pipeline(stages, ((i, i) for i in range(1, 50)),
+                         capacity=1, depth=1)
+        except TrainingError as e:
+            raised.append(e)
+
+    t = Thread(target=run, daemon=True)
+    t.start()
+    t.join(timeout=10.0)
+    assert not t.is_alive()
+    assert len(raised) == 1
+    assert f"stage {failing_stage + 1} failed: boom on 1" in str(raised[0])
 
 
 def test_run_pipeline_rejects_nonmonotone_ids():
