@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ShapeError
 from .linalg import Matrix, Rng, row_argmax
 from .al_core import NetworkPlan
 from .nn import (
@@ -146,11 +146,19 @@ def bp_param_items(net: BPNetwork) -> list[tuple[str, Matrix]]:
 
 
 def bp_set_params(net: BPNetwork, arrays: list[Matrix]) -> None:
-    """Assign copies of the tensors, in bp_param_items order."""
+    """Assign copies of the tensors, in bp_param_items order. Every shape
+    is checked before any tensor is assigned."""
     layers = net.stack.layers
     if len(arrays) != 2 * len(layers):
         raise ConfigError(
             f"expected {2 * len(layers)} tensors, got {len(arrays)}")
+    for i, layer in enumerate(layers):
+        W, bias = np.shape(arrays[2 * i]), np.shape(arrays[2 * i + 1])
+        if W != layer.W.shape or bias not in (layer.bias.shape,
+                                              layer.bias.shape[1:]):
+            raise ShapeError(
+                f"stack.{i}: parameter shapes {W}, {bias} vs "
+                f"{layer.W.shape}, {layer.bias.shape}")
     for i, layer in enumerate(layers):
         layer.W = np.array(arrays[2 * i], dtype=layer.W.dtype)
         layer.bias = np.array(arrays[2 * i + 1],

@@ -6,7 +6,8 @@ the concatenation of those tensors as little-endian float64 bytes. The
 tensor order is the stable enumeration order of the model (components in
 order, blocks f, g, b, h, per layer W then bias), so a reader needs
 nothing beyond the header. Optimizer moments are not stored: a restored
-model predicts identically but restarts Adam cold.
+model predicts identically but restarts Adam cold. A checkpoint is
+replaced atomically, so a write that fails leaves the previous one.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, TruncatedFileError
+from .fileio import atomic_open
 from .linalg import make_rng
 from .al_core import (
     ALNetwork,
@@ -44,7 +46,7 @@ def _write(path, tag: str, plan: dict | None, seed: int, epoch: int,
     }
     if extra:
         header["extra"] = extra
-    with open(Path(path), "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for _, a in items:
             fh.write(np.ascontiguousarray(a, dtype=_DTYPE).tobytes())

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blas
 from .errors import (
     ConfigError,
     DataError,
@@ -40,7 +41,7 @@ from .bp import build_bp_network, gradcheck_bp, match_effective_params
 from .data import Dataset, load_mnist, mnist_subset, one_hot, synth_blobs, synth_xor
 from .metrics import geometry_report, write_json_summary, write_metrics_csv
 from .nn import grad_check_block, make_block
-from .train import MODES, bench_pipeline, fit
+from .train import MODES, PIPELINE_BLAS_THREADS, bench_pipeline, fit
 
 _DATASETS = ("mnist", "mnist-subset", "blobs", "xor")
 _DEFAULT_PLAN = {"mnist": "desk-mlp", "mnist-subset": "desk-mlp",
@@ -203,6 +204,7 @@ def cmd_train(cfg: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json_summary(out_dir / "config.json", asdict(cfg))
 
+    blas_threads = blas.threads()
     result = fit(model, train_ds, test_ds, mode=cfg.mode, epochs=cfg.epochs,
                  batch_size=cfg.batch_size, rng=shuffle_rng, seed=cfg.seed,
                  lr=cfg.lr, lr_drops=cfg.lr_drops, lr_factor=cfg.lr_factor,
@@ -218,9 +220,16 @@ def cmd_train(cfg: RunConfig) -> int:
         "best_epoch": result.best_epoch,
         "checkpoint": result.checkpoint_path,
         "wall_clock": result.wall_clock,
+        "blas": {
+            "openblas": blas_threads is not None,
+            "default_threads": blas_threads,
+            "pipeline_threads": (None if blas_threads is None
+                                 else PIPELINE_BLAS_THREADS),
+        },
     }
     if result.reports:
         summary["throughput"] = asdict(result.reports[-1])
+        summary["throughput_epochs"] = [asdict(r) for r in result.reports]
     try:
         if cfg.mode == "bp":
             summary["geometry"] = geometry_report(test_ds, bp_net=model)

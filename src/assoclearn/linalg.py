@@ -59,14 +59,38 @@ def _require_2d(name: str, a: Matrix) -> None:
         raise ShapeError(f"{name} must be a 2-D matrix")
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product; raises ShapeError naming both shapes on mismatch."""
+def matmul(a: Matrix, b: Matrix, sliced: bool = False) -> Matrix:
+    """Matrix product; raises ShapeError naming both shapes on mismatch.
+
+    With sliced, the product is sliced_matmul's, whose bits do not
+    depend on the BLAS thread count.
+    """
     _require_2d("a", a)
     _require_2d("b", b)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(
             f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    return a @ b
+    return sliced_matmul(a, b) if sliced else a @ b
+
+
+# OpenBLAS blocks an inner dimension above this width differently in its
+# threaded and one-thread drivers, so a @ b can differ in the last bits
+# between thread counts; up to this width both drivers compute the same
+# sums in the same order.
+K_SLICE = 256
+
+
+def sliced_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b with the inner dimension summed in K_SLICE-wide slices, in
+    order, so the bits are the same at any BLAS thread count. Training
+    uses it for every product, which keeps a pipeline whose stage threads
+    run BLAS on one thread each bit-identical to a sequential run on the
+    default thread count."""
+    k = a.shape[1]
+    out = a[:, :K_SLICE] @ b[:K_SLICE]
+    for lo in range(K_SLICE, k, K_SLICE):
+        out += a[:, lo:lo + K_SLICE] @ b[lo:lo + K_SLICE]
+    return out
 
 
 def _match_shapes(op: str, a: Matrix, b: Matrix) -> None:

@@ -8,7 +8,9 @@ centroids, and the ratio inter/intra grows as clusters tighten and move
 apart. Distances use the Gram-matrix identity, no pairwise Python loops.
 
 CSV rows exclude wall-clock so that a rerun with the same seed produces
-a byte-identical file; timing lives in the JSON summary instead.
+a byte-identical file; timing lives in the JSON summary instead. Both
+files are replaced atomically, so an interrupted write leaves the
+previous file.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .errors import GeometryError, ShapeError
 from .linalg import Matrix
 from .al_core import ALNetwork, component_forward, infer, metafeatures
 from .data import Dataset, one_hot
+from .fileio import atomic_open
 
 
 @dataclass
@@ -187,8 +189,7 @@ def record_row(rec: MetricsRecord, n_components: int) -> list[str]:
 
 def write_metrics_csv(path, records: list[MetricsRecord],
                       n_components: int) -> None:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(csv_header(n_components))
         for rec in records:
@@ -196,6 +197,6 @@ def write_metrics_csv(path, records: list[MetricsRecord],
 
 
 def write_json_summary(path, summary: dict) -> None:
-    with open(Path(path), "w") as fh:
+    with atomic_open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, StateError
-from .linalg import DTYPE, Matrix, Rng, he_normal_init, matmul
+from .linalg import (DTYPE, Matrix, Rng, he_normal_init, matmul,
+                     sliced_matmul)
 
 
 def _vectorize(fn):
@@ -135,7 +136,10 @@ class DenseLayer:
     W has shape (fan_in, fan_out), bias (1, fan_out). A given W or bias is
     copied, because the optimizer updates the layer's tensors in place.
     Forward in training mode caches (input, pre-activation, output) for the
-    backward pass; evaluation-mode forward clears the cache.
+    backward pass; evaluation-mode forward clears the cache. Every product
+    of training (forward, grad_W and input gradient) is sliced_matmul's,
+    so training gives the same bits at any BLAS thread count;
+    evaluation-mode forward keeps the plain product, which is faster.
     """
 
     def __init__(self, fan_in: int, fan_out: int, activation: str = "identity",
@@ -165,7 +169,7 @@ class DenseLayer:
         self._cache: tuple[Matrix, Matrix, Matrix] | None = None
 
     def forward(self, x: Matrix, train: bool = False) -> Matrix:
-        z = matmul(x, self.W)
+        z = matmul(x, self.W, sliced=train)
         z += self.bias
         out = ACTIVATIONS[self.activation].value(z)
         self._cache = (x, z, out) if train else None
@@ -181,9 +185,9 @@ class DenseLayer:
             raise ShapeError(
                 f"upstream gradient shape {grad_out.shape} != {out.shape}")
         dz = ACTIVATIONS[self.activation].backward(grad_out, z, out)
-        self.grad_W = x.T @ dz
+        self.grad_W = sliced_matmul(x.T, dz)
         self.grad_b = dz.sum(axis=0, keepdims=True)
-        return dz @ self.W.T if input_grad else None
+        return sliced_matmul(dz, self.W.T) if input_grad else None
 
     def param_count(self) -> int:
         return self.W.size + self.bias.size

@@ -26,6 +26,7 @@ from threading import Semaphore, Thread
 
 import numpy as np
 
+from . import blas
 from .errors import ConfigError, NumericError, TrainingError
 from .linalg import Matrix, Rng
 from .al_core import ALNetwork, component_update
@@ -37,6 +38,12 @@ from . import checkpoint as ckpt
 _STOP = object()
 
 MODES = ("al-seq", "al-pipe", "bp")
+
+# BLAS threads per pipeline stage during a pipelined epoch. Each stage
+# thread drives BLAS itself, so BLAS's own threads would compete with
+# the stages for the cores; training products are thread-count
+# invariant (linalg.sliced_matmul), so the bits do not change.
+PIPELINE_BLAS_THREADS = 1
 
 
 @dataclass
@@ -194,8 +201,8 @@ def run_pipeline(stages, feed, capacity: int = 2,
             queues[0].put((bid, payload))
     finally:
         queues[0].put(_STOP)
-    for t in threads:
-        t.join()
+        for t in threads:
+            t.join()
     wall = time.perf_counter() - t_wall
     if errors:
         i, e = errors[0]
@@ -242,7 +249,9 @@ def train_epoch_pipelined(net: ALNetwork, X: Matrix, y_onehot: Matrix,
                           batch_size: int, rng: Rng, epoch: int = 0,
                           capacity: int = 2, depth: int | None = None):
     """One epoch with one worker per component; see the module docstring
-    for the equivalence to the sequential loop. Returns
+    for the equivalence to the sequential loop. OpenBLAS runs on
+    PIPELINE_BLAS_THREADS threads for the epoch, and the caller's thread
+    count is restored when the workers have joined, also on failure. Returns
     (MetricsRecord, ThroughputReport); the report's speedup is left None
     (the bench harness fills it by also timing a sequential run)."""
     n = X.shape[0]
@@ -270,7 +279,8 @@ def train_epoch_pipelined(net: ALNetwork, X: Matrix, y_onehot: Matrix,
         for m, idx in enumerate(BatchIterator(n, batch_size, rng), start=1):
             yield m, BatchMessage(m, epoch, X[idx], y_onehot[idx])
 
-    run = run_pipeline(stages, feed(), capacity=capacity, depth=depth)
+    with blas.pinned_threads(PIPELINE_BLAS_THREADS):
+        run = run_pipeline(stages, feed(), capacity=capacity, depth=depth)
     if len(run.results) != n_batches:
         raise TrainingError(
             f"epoch ended with {len(run.results)} of {n_batches} batches")

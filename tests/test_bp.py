@@ -19,7 +19,7 @@ from assoclearn.bp import (
     match_effective_params,
 )
 from assoclearn.data import one_hot, synth_blobs
-from assoclearn.errors import ConfigError, NumericError
+from assoclearn.errors import ConfigError, NumericError, ShapeError
 from assoclearn.linalg import make_rng
 
 
@@ -149,6 +149,20 @@ def test_param_items_wrong_count():
     net = BPNetwork([3, 4, 2], make_rng(19))
     with pytest.raises(ConfigError):
         bp_set_params(net, [np.zeros((3, 4))])
+
+
+def test_param_items_wrong_shape_rejected_and_net_untouched():
+    net = BPNetwork([3, 5, 2], make_rng(19))
+    before = [p.copy() for _, p in bp_param_items(net)]
+    wrong = [np.zeros((4, 6)), np.zeros(6), np.zeros((6, 2)), np.zeros(2)]
+    with pytest.raises(ShapeError, match="stack.0"):
+        bp_set_params(net, wrong)
+    bad_bias = [p.copy() for p in before]
+    bad_bias[3] = np.zeros((1, 3))
+    with pytest.raises(ShapeError, match="stack.1"):
+        bp_set_params(net, bad_bias)
+    assert all(np.array_equal(p, q)
+               for (_, p), q in zip(bp_param_items(net), before))
 
 
 def test_hidden_features_shape_matches_feature_layer():

@@ -120,6 +120,24 @@ def test_pipelined_mode_summary_has_throughput(tmp_path):
     assert len(summary["throughput"]["busy_fraction"]) == 2
 
 
+def test_summary_keeps_every_epoch_report_and_blas_setup(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli(["train", "--dataset", "blobs", "--mode", "al-pipe",
+                    "--epochs", "3", "--seed", "4", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    epochs = summary["throughput_epochs"]
+    assert len(epochs) == 3
+    assert summary["throughput"] == epochs[-1]
+    setup = summary["blas"]
+    assert set(setup) == {"openblas", "default_threads", "pipeline_threads"}
+    if setup["openblas"]:
+        assert setup["default_threads"] >= 1
+        assert setup["pipeline_threads"] == 1
+    else:
+        assert setup["default_threads"] is None
+        assert setup["pipeline_threads"] is None
+
+
 # config resolution ----------------------------------------------------
 
 def test_config_file_with_flag_override(tmp_path):
