@@ -19,28 +19,31 @@ all f blocks upward, the last bridge, then all h blocks downward,
 
     y_hat = (h_1 o ... o h_C o b_C o f_C o ... o f_1)(x).
 
-Parameters on that path are the "effective" set; everything else (all g_i,
-bridges below the top) is "affiliated" and provably cannot change
-``infer`` output.
+``inference_layers`` lists the layers of that path. Their parameters are
+the "effective" set; everything else (all g_i, bridges below the top) is
+"affiliated" and provably cannot change ``infer`` output.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NumericError, PlanError, ShapeError
+from .errors import PlanError, ShapeError
 from .linalg import Matrix, Rng, ensure_finite, row_argmax
 from .nn import (
     BlockAdam,
+    DenseLayer,
     MLPBlock,
     finite_diff_loss_grads,
+    gradcheck,
     make_block,
-    max_rel_error,
     mse_loss,
     mse_loss_grad,
+    param_items,
+    set_params,
 )
 
 
@@ -66,10 +69,6 @@ class ComponentPlan:
     b: list[int]
     h: list[int]
 
-    def to_dict(self) -> dict:
-        return {"f": list(self.f), "g": list(self.g),
-                "b": list(self.b), "h": list(self.h)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "ComponentPlan":
         return cls(f=list(d["f"]), g=list(d["g"]),
@@ -78,28 +77,33 @@ class ComponentPlan:
 
 @dataclass
 class NetworkPlan:
-    """Full architecture description; validate() checks the chaining rules."""
+    """Full architecture description; validate() is the one place that
+    checks the chaining rules."""
 
     name: str
     input_dim: int
     target_dim: int
     components: list[ComponentPlan]
 
-    def validate(self) -> None:
+    def validate(self, first: int = 1) -> None:
+        """Raise PlanError naming the component (numbered from first) at
+        the first rule its widths break."""
         if not self.components:
             raise PlanError(f"plan {self.name!r} has no components")
         prev_s, prev_t = self.input_dim, self.target_dim
-        for i, c in enumerate(self.components, start=1):
+        for i, c in enumerate(self.components, start=first):
             for chain, label in ((c.f, "f"), (c.g, "g"), (c.b, "b"), (c.h, "h")):
                 if len(chain) < 2:
                     raise PlanError(
                         f"component {i}: {label} chain needs >= 2 widths")
+            link = ("" if i == first else
+                    f"components {i - 1} -> {i} do not chain: ")
             if c.f[0] != prev_s:
-                raise PlanError(
-                    f"component {i}: f input {c.f[0]} != incoming s width {prev_s}")
+                raise PlanError(f"{link}component {i}: f input {c.f[0]} "
+                                f"!= incoming s width {prev_s}")
             if c.g[0] != prev_t:
-                raise PlanError(
-                    f"component {i}: g input {c.g[0]} != incoming t width {prev_t}")
+                raise PlanError(f"{link}component {i}: g input {c.g[0]} "
+                                f"!= incoming t width {prev_t}")
             if c.b[0] != c.f[-1]:
                 raise PlanError(
                     f"component {i}: bridge input {c.b[0]} != f output {c.f[-1]}")
@@ -113,9 +117,7 @@ class NetworkPlan:
             prev_s, prev_t = c.f[-1], c.g[-1]
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "input_dim": self.input_dim,
-                "target_dim": self.target_dim,
-                "components": [c.to_dict() for c in self.components]}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkPlan":
@@ -206,23 +208,13 @@ class Component:
 
     def __init__(self, index: int, f: MLPBlock, g: MLPBlock, b: MLPBlock,
                  h: MLPBlock, lr: float = 1e-4):
-        if b.fan_in != f.fan_out:
-            raise PlanError(
-                f"component {index}: bridge input {b.fan_in} != f output "
-                f"{f.fan_out}")
-        if b.fan_out != g.fan_out:
-            raise PlanError(
-                f"component {index}: bridge output {b.fan_out} != g output "
-                f"{g.fan_out}")
-        if h.fan_in != g.fan_out or h.fan_out != g.fan_in:
-            raise PlanError(
-                f"component {index}: h must map {g.fan_out} back to "
-                f"{g.fan_in}, got {h.fan_in} -> {h.fan_out}")
         self.index = index
         self.f = f
         self.g = g
         self.b = b
         self.h = h
+        NetworkPlan(f"component {index}", self.s_in, self.t_in,
+                    [self.plan]).validate(first=index)
         self.opt_f = BlockAdam(f, lr=lr)
         self.opt_g = BlockAdam(g, lr=lr)
         self.opt_b = BlockAdam(b, lr=lr)
@@ -233,16 +225,15 @@ class Component:
         return self.f.fan_in
 
     @property
-    def s_out(self) -> int:
-        return self.f.fan_out
-
-    @property
     def t_in(self) -> int:
         return self.g.fan_in
 
     @property
-    def t_out(self) -> int:
-        return self.g.fan_out
+    def plan(self) -> ComponentPlan:
+        """The width chains of the four blocks."""
+        return ComponentPlan(*([layer.fan_in for layer in blk.layers]
+                               + [blk.fan_out]
+                               for blk in (self.f, self.g, self.b, self.h)))
 
     def blocks(self) -> dict[str, MLPBlock]:
         return {"f": self.f, "g": self.g, "b": self.b, "h": self.h}
@@ -325,21 +316,8 @@ class ALNetwork:
 
     def __init__(self, components: list[Component], input_dim: int,
                  target_dim: int, plan: NetworkPlan | None = None):
-        if not components:
-            raise PlanError("network needs at least one component")
-        if components[0].s_in != input_dim:
-            raise PlanError(
-                f"component 1 expects s width {components[0].s_in}, "
-                f"input_dim is {input_dim}")
-        if components[0].t_in != target_dim:
-            raise PlanError(
-                f"component 1 expects t width {components[0].t_in}, "
-                f"target_dim is {target_dim}")
-        for prev, cur in zip(components, components[1:]):
-            if cur.s_in != prev.s_out or cur.t_in != prev.t_out:
-                raise PlanError(
-                    f"components {prev.index} -> {cur.index} do not chain: "
-                    f"s {prev.s_out} -> {cur.s_in}, t {prev.t_out} -> {cur.t_in}")
+        NetworkPlan("network", input_dim, target_dim,
+                    [c.plan for c in components]).validate()
         self.components = components
         self.input_dim = input_dim
         self.target_dim = target_dim
@@ -368,16 +346,21 @@ def build_network(plan: NetworkPlan, rng: Rng, lr: float = 1e-4) -> ALNetwork:
     return ALNetwork(comps, plan.input_dim, plan.target_dim, plan)
 
 
+def inference_layers(net: ALNetwork) -> list[DenseLayer]:
+    """The one dense stack prediction runs: every f layer upward, the top
+    bridge, then every h layer downward. match_effective_params gives the
+    baseline the same widths."""
+    up = [layer for c in net.components for layer in c.f.layers]
+    down = [layer for c in reversed(net.components) for layer in c.h.layers]
+    return up + net.components[-1].b.layers + down
+
+
 def infer(net: ALNetwork, x: Matrix):
-    """Prediction: all f blocks up, the last bridge, all h blocks down.
-    Returns (y_hat, predicted class per row). Encoders and inner bridges
-    are never evaluated."""
-    s = x
-    for c in net.components:
-        s = c.f.forward(s, train=False)
-    z = net.components[-1].b.forward(s, train=False)
-    for c in reversed(net.components):
-        z = c.h.forward(z, train=False)
+    """Prediction through inference_layers. Returns (y_hat, predicted
+    class per row). Encoders and inner bridges are never evaluated."""
+    z = x
+    for layer in inference_layers(net):
+        z = layer.forward(z, train=False)
     return z, row_argmax(z)
 
 
@@ -389,33 +372,35 @@ def metafeatures(net: ALNetwork, x: Matrix) -> Matrix:
     return s
 
 
+def _named_layers(net: ALNetwork) -> list[tuple[str, DenseLayer]]:
+    """Every layer, in component order, blocks in f, g, b, h order."""
+    return [(f"c{c.index}.{bname}.{li}", layer) for c in net.components
+            for bname, blk in c.blocks().items()
+            for li, layer in enumerate(blk.layers)]
+
+
 def effective_param_count(net: ALNetwork) -> int:
-    """Parameters the inference path uses: every f, every h, the last bridge."""
-    n = sum(c.f.param_count() + c.h.param_count() for c in net.components)
-    return n + net.components[-1].b.param_count()
+    """Parameters of inference_layers."""
+    return sum(layer.param_count() for layer in inference_layers(net))
 
 
 def affiliated_param_count(net: ALNetwork) -> int:
     """Parameters that shape training but never inference: every g and
     every bridge except the last."""
-    n = sum(c.g.param_count() for c in net.components)
-    return n + sum(c.b.param_count() for c in net.components[:-1])
+    return total_param_count(net) - effective_param_count(net)
 
 
 def total_param_count(net: ALNetwork) -> int:
-    return sum(blk.param_count() for c in net.components
-               for blk in c.blocks().values())
+    return sum(layer.param_count() for _, layer in _named_layers(net))
 
 
 def perturb_affiliated(net: ALNetwork, delta: float = 1000.0) -> None:
-    """Shift every affiliated parameter in place by delta."""
-    last = net.n_components - 1
-    for k, c in enumerate(net.components):
-        victims = [c.g] if k == last else [c.g, c.b]
-        for blk in victims:
-            for layer in blk.layers:
-                layer.W = layer.W + delta
-                layer.bias = layer.bias + delta
+    """Shift every parameter outside inference_layers by delta."""
+    used = {id(layer) for layer in inference_layers(net)}
+    for _, layer in _named_layers(net):
+        if id(layer) not in used:
+            layer.W = layer.W + delta
+            layer.bias = layer.bias + delta
 
 
 def clone_network(net: ALNetwork) -> ALNetwork:
@@ -427,35 +412,13 @@ def net_param_items(net: ALNetwork) -> list[tuple[str, Matrix]]:
     """Every parameter tensor with a stable name, in component order,
     blocks in f, g, b, h order, per layer W then bias. The checkpoint
     format and all bit-exactness comparisons rely on this order."""
-    out = []
-    for c in net.components:
-        for bname, blk in c.blocks().items():
-            for li, layer in enumerate(blk.layers):
-                out.append((f"c{c.index}.{bname}.{li}.W", layer.W))
-                out.append((f"c{c.index}.{bname}.{li}.bias", layer.bias))
-    return out
+    return param_items(_named_layers(net))
 
 
 def net_set_params(net: ALNetwork, arrays: list[Matrix]) -> None:
-    """Assign copies of the tensors, in net_param_items order."""
-    items = net_param_items(net)
-    if len(items) != len(arrays):
-        raise ShapeError(
-            f"expected {len(items)} parameter tensors, got {len(arrays)}")
-    flat = []
-    for c in net.components:
-        for blk in c.blocks().values():
-            for layer in blk.layers:
-                flat.append(layer)
-    k = 0
-    for layer in flat:
-        W, bias = arrays[k], arrays[k + 1]
-        k += 2
-        if W.shape != layer.W.shape or bias.reshape(1, -1).shape != layer.bias.shape:
-            raise ShapeError(
-                f"parameter shape mismatch: {W.shape} vs {layer.W.shape}")
-        layer.W = np.array(W, dtype=layer.W.dtype)
-        layer.bias = np.array(bias, dtype=layer.bias.dtype).reshape(1, -1)
+    """Assign copies of the tensors, in net_param_items order; ShapeError,
+    with nothing assigned, on a wrong count or shape."""
+    set_params(_named_layers(net), arrays)
 
 
 # finite-difference harnesses ------------------------------------------
@@ -470,32 +433,29 @@ def _flow2_loss(c: Component, t_prev: Matrix) -> float:
                                 train=False), t_prev)
 
 
+def _grads(*blocks: MLPBlock) -> list[Matrix]:
+    return [g for blk in blocks for g in blk.grad_arrays()]
+
+
+def _params(*blocks: MLPBlock) -> list[Matrix]:
+    return [p for blk in blocks for p in blk.param_arrays()]
+
+
 def gradcheck_component_flows(c: Component, s_prev: Matrix, t_prev: Matrix,
                               eps: float = 1e-5) -> dict[str, float]:
-    """Compare each flow's analytic gradients against central differences.
+    """gradcheck of each flow's analytic gradients.
 
     Flow 1 differentiates mse1 with t_i frozen at its forward value, over
     the f and b parameters; flow 2 differentiates mse2 over g and h.
     Returns the max floored-relative error per flow.
     """
     component_gradients(c, s_prev, t_prev)
-    flow1_analytic = [np.array(a, copy=True)
-                      for a in c.f.grad_arrays() + c.b.grad_arrays()]
-    flow2_analytic = [np.array(a, copy=True)
-                      for a in c.g.grad_arrays() + c.h.grad_arrays()]
-
     t_i = c.g.forward(t_prev, train=False)
-    flow1_numeric = finite_diff_loss_grads(
-        lambda: _flow1_loss(c, s_prev, t_i),
-        c.f.param_arrays() + c.b.param_arrays(), eps=eps)
-    flow2_numeric = finite_diff_loss_grads(
-        lambda: _flow2_loss(c, t_prev),
-        c.g.param_arrays() + c.h.param_arrays(), eps=eps)
     return {
-        "flow1": max(max_rel_error(a, n)
-                     for a, n in zip(flow1_analytic, flow1_numeric)),
-        "flow2": max(max_rel_error(a, n)
-                     for a, n in zip(flow2_analytic, flow2_numeric)),
+        "flow1": gradcheck(lambda: _flow1_loss(c, s_prev, t_i),
+                           _params(c.f, c.b), _grads(c.f, c.b), eps),
+        "flow2": gradcheck(lambda: _flow2_loss(c, t_prev),
+                           _params(c.g, c.h), _grads(c.g, c.h), eps),
     }
 
 
@@ -510,48 +470,30 @@ def collect_messages(net: ALNetwork, x: Matrix, y_onehot: Matrix):
     return msgs
 
 
-def _trained_obj(c: Component, s_prev: Matrix, t_prev: Matrix,
-                 t_i_frozen: Matrix) -> float:
-    """The local objective exactly as the training flows differentiate
-    it: the associated-loss target t_i is a frozen constant."""
-    return (_flow1_loss(c, s_prev, t_i_frozen) + _flow2_loss(c, t_prev))
-
-
 def gradcheck_cross_component(net: ALNetwork, x: Matrix, y_onehot: Matrix,
                               eps: float = 1e-5) -> dict[str, float]:
-    """Differentiate every component's local objective, as trained, with
-    respect to every parameter in the network.
+    """Differentiate every component's local objective, as trained (t_i
+    frozen), with respect to every parameter in the network.
 
     Training hands component i fixed input arrays, so its objective is a
     function of component i's parameters only; the finite-difference
     gradient with respect to any other component's parameters must vanish.
-    Returns {"cross": max |fd| over foreign parameters, "within": max
-    floored-relative error of own-parameter fd vs the analytic flows}.
+    Returns {"cross": max |fd| over foreign parameters, "within": gradcheck
+    of own-parameter fd vs the analytic flows}.
     """
-    msgs = collect_messages(net, x, y_onehot)
-    cross = 0.0
-    within = 0.0
-    for i, ci in enumerate(net.components):
-        s_prev, t_prev = msgs[i]
+    cross = within = 0.0
+    for ci, (s_prev, t_prev) in zip(net.components,
+                                    collect_messages(net, x, y_onehot)):
         component_gradients(ci, s_prev, t_prev)
-        analytic = {}
-        for name, blk in ci.blocks().items():
-            analytic[name] = [np.array(a, copy=True)
-                              for a in blk.grad_arrays()]
-        t_i_frozen = ci.g.forward(t_prev, train=False)
-        for j, cj in enumerate(net.components):
-            params = [p for blk in cj.blocks().values()
-                      for p in blk.param_arrays()]
-            numeric = finite_diff_loss_grads(
-                lambda: _trained_obj(ci, s_prev, t_prev, t_i_frozen),
-                params, eps=eps)
-            if j != i:
-                cross = max(cross, max(float(np.abs(n).max())
-                                       for n in numeric))
-            else:
-                k = 0
-                for name, blk in cj.blocks().items():
-                    for a in analytic[name]:
-                        within = max(within, max_rel_error(a, numeric[k]))
-                        k += 1
+        t_i = ci.g.forward(t_prev, train=False)
+
+        def obj() -> float:
+            return _flow1_loss(ci, s_prev, t_i) + _flow2_loss(ci, t_prev)
+
+        own = list(ci.blocks().values())
+        within = max(within, gradcheck(obj, _params(*own), _grads(*own), eps))
+        foreign = _params(*(blk for cj in net.components if cj is not ci
+                            for blk in cj.blocks().values()))
+        for n in finite_diff_loss_grads(obj, foreign, eps=eps):
+            cross = max(cross, float(np.abs(n).max()))
     return {"cross": cross, "within": within}

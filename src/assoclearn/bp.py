@@ -13,22 +13,23 @@ with the same loss family the local objectives use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError
 from .linalg import Matrix, Rng, row_argmax
 from .al_core import NetworkPlan
 from .nn import (
     BlockAdam,
     cross_entropy_grad,
     cross_entropy_loss,
-    finite_diff_loss_grads,
+    gradcheck,
     make_block,
-    max_rel_error,
     mse_loss,
     mse_loss_grad,
+    param_items,
+    set_params,
 )
 
 _HEADS = ("softmax", "mse")
@@ -47,8 +48,7 @@ class BPPlan:
     feature_layer: int
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "widths": list(self.widths),
-                "feature_layer": self.feature_layer}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BPPlan":
@@ -137,32 +137,22 @@ def build_bp_network(plan: BPPlan, rng: Rng, lr: float = 1e-4,
                      feature_layer=plan.feature_layer, name=plan.name)
 
 
+def _named_layers(net: BPNetwork):
+    return [(f"stack.{i}", layer) for i, layer in enumerate(net.stack.layers)]
+
+
 def bp_param_items(net: BPNetwork) -> list[tuple[str, Matrix]]:
-    out = []
-    for i, layer in enumerate(net.stack.layers):
-        out.append((f"stack.{i}.W", layer.W))
-        out.append((f"stack.{i}.bias", layer.bias))
-    return out
+    return param_items(_named_layers(net))
 
 
 def bp_set_params(net: BPNetwork, arrays: list[Matrix]) -> None:
-    """Assign copies of the tensors, in bp_param_items order. Every shape
-    is checked before any tensor is assigned."""
+    """Assign copies of the tensors, in bp_param_items order: ConfigError
+    on a wrong count, ShapeError on a wrong shape, nothing assigned."""
     layers = net.stack.layers
     if len(arrays) != 2 * len(layers):
         raise ConfigError(
             f"expected {2 * len(layers)} tensors, got {len(arrays)}")
-    for i, layer in enumerate(layers):
-        W, bias = np.shape(arrays[2 * i]), np.shape(arrays[2 * i + 1])
-        if W != layer.W.shape or bias not in (layer.bias.shape,
-                                              layer.bias.shape[1:]):
-            raise ShapeError(
-                f"stack.{i}: parameter shapes {W}, {bias} vs "
-                f"{layer.W.shape}, {layer.bias.shape}")
-    for i, layer in enumerate(layers):
-        layer.W = np.array(arrays[2 * i], dtype=layer.W.dtype)
-        layer.bias = np.array(arrays[2 * i + 1],
-                              dtype=layer.bias.dtype).reshape(1, -1)
+    set_params(_named_layers(net), arrays)
 
 
 def bp_train_epoch(net: BPNetwork, X: Matrix, y_onehot: Matrix,
@@ -189,17 +179,8 @@ def bp_train_epoch(net: BPNetwork, X: Matrix, y_onehot: Matrix,
 
 def gradcheck_bp(net: BPNetwork, x: Matrix, y_onehot: Matrix,
                  eps: float = 1e-5) -> float:
-    """Max floored-relative error of the full-stack analytic gradient
-    against central differences."""
-    out = net.stack.forward(x, train=True)
-    _, grad = net.loss_and_grad(out, y_onehot)
-    net.stack.backward(grad)
-    analytic = [np.array(g, copy=True) for g in net.stack.grad_arrays()]
-
-    def loss_fn() -> float:
-        return net.loss_and_grad(net.stack.forward(x, train=False),
-                                 y_onehot)[0]
-
-    numeric = finite_diff_loss_grads(loss_fn, net.stack.param_arrays(),
-                                     eps=eps)
-    return max(max_rel_error(a, n) for a, n in zip(analytic, numeric))
+    """gradcheck of the full-stack analytic gradient."""
+    out = net.forward(x, train=True)
+    net.stack.backward(net.loss_and_grad(out, y_onehot)[1])
+    return gradcheck(lambda: net.loss_and_grad(net.forward(x), y_onehot)[0],
+                     net.stack.param_arrays(), net.stack.grad_arrays(), eps)

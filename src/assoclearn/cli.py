@@ -32,6 +32,7 @@ from .errors import (
 from .linalg import make_rng, spawn_rngs
 from .al_core import (
     build_network,
+    collect_messages,
     gradcheck_component_flows,
     gradcheck_cross_component,
     get_plan,
@@ -290,13 +291,10 @@ def cmd_gradcheck(args) -> int:
                  grad_check_block(block, x, target,
                                   inject_fault=args.inject_fault), 1e-4))
 
-    s, t = x, y1
-    for c in net.components:
+    for c, (s, t) in zip(net.components, collect_messages(net, x, y1)):
         errs = gradcheck_component_flows(c, s, t)
         rows.append((f"component {c.index} flow1 (f,b)", errs["flow1"], 1e-4))
         rows.append((f"component {c.index} flow2 (g,h)", errs["flow2"], 1e-4))
-        s = c.f.forward(s, train=False)
-        t = c.g.forward(t, train=False)
 
     cross = gradcheck_cross_component(net, x, y1)
     rows.append(("cross-component |fd| (abs)", cross["cross"], 1e-7))

@@ -32,28 +32,6 @@ def spawn_rngs(seed: int, n: int) -> list[Rng]:
             for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def as_matrix(values) -> Matrix:
-    """Coerce nested lists / arrays to a 2-D float64 matrix."""
-    a = np.asarray(values, dtype=DTYPE)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    return a
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return np.zeros((rows, cols), dtype=DTYPE)
-
-
-def ones(rows: int, cols: int) -> Matrix:
-    return np.ones((rows, cols), dtype=DTYPE)
-
-
-def eye(n: int) -> Matrix:
-    return np.eye(n, dtype=DTYPE)
-
-
 def _require_2d(name: str, a: Matrix) -> None:
     if not isinstance(a, np.ndarray) or a.ndim != 2:
         raise ShapeError(f"{name} must be a 2-D matrix")
@@ -93,57 +71,10 @@ def sliced_matmul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def _match_shapes(op: str, a: Matrix, b: Matrix) -> None:
-    _require_2d("a", a)
-    _require_2d("b", b)
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes differ, {a.shape} vs {b.shape}")
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    _match_shapes("add", a, b)
-    return a + b
-
-
-def sub(a: Matrix, b: Matrix) -> Matrix:
-    _match_shapes("sub", a, b)
-    return a - b
-
-
-def hadamard(a: Matrix, b: Matrix) -> Matrix:
-    _match_shapes("hadamard", a, b)
-    return a * b
-
-
-def scale(a: Matrix, c: float) -> Matrix:
-    _require_2d("a", a)
-    return a * c
-
-
-def transpose(a: Matrix) -> Matrix:
-    _require_2d("a", a)
-    return np.ascontiguousarray(a.T)
-
-
 def row_argmax(a: Matrix) -> np.ndarray:
     """Index of the max entry per row; ties break toward the lowest index."""
     _require_2d("a", a)
     return np.argmax(a, axis=1)
-
-
-def reduce_sum(a: Matrix, axis: int | None = None):
-    _require_2d("a", a)
-    return a.sum(axis=axis)
-
-
-def reduce_mean(a: Matrix, axis: int | None = None):
-    _require_2d("a", a)
-    return a.mean(axis=axis)
-
-
-def reduce_max(a: Matrix, axis: int | None = None):
-    _require_2d("a", a)
-    return a.max(axis=axis)
 
 
 def he_normal_init(rows: int, cols: int, rng: Rng) -> Matrix:

@@ -10,15 +10,18 @@ moments are overwritten, and the result is bit-identical to the textbook
 formula evaluated with fresh arrays, because every operation runs in the
 same order. Layers therefore own their tensors and copy any they are given.
 
-``finite_diff_loss_grads`` / ``grad_check_block`` implement the central
-finite-difference oracle used throughout the test suite: relative errors
-are measured as ``|a - n| / max(1, |a|, |n|)`` so that roundoff-scale
-gradients do not inflate the ratio.
+``param_items`` / ``set_params`` name and assign the tensors of a list of
+named layers; the component network and the baseline both go through them.
+
+``gradcheck`` is the one finite-difference oracle: every gradient check in
+the package compares analytic gradients against ``finite_diff_loss_grads``
+through it, measuring relative errors as ``|a - n| / max(1, |a|, |n|)``
+so that roundoff-scale gradients do not inflate the ratio.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -258,6 +261,36 @@ def make_block(widths: list[int], activation: str, rng: Rng,
     return MLPBlock(layers)
 
 
+# parameters -----------------------------------------------------------
+
+def param_items(named_layers) -> list[tuple[str, Matrix]]:
+    """(name.W, W), (name.bias, bias) for every (name, layer), in order."""
+    out = []
+    for name, layer in named_layers:
+        out.append((f"{name}.W", layer.W))
+        out.append((f"{name}.bias", layer.bias))
+    return out
+
+
+def set_params(named_layers: list, arrays: list[Matrix]) -> None:
+    """Assign copies of the tensors, in param_items order. The count and
+    every shape are checked before any tensor is assigned; a bias may be
+    given as (1, n) or (n,)."""
+    if len(arrays) != 2 * len(named_layers):
+        raise ShapeError(f"expected {2 * len(named_layers)} parameter "
+                         f"tensors, got {len(arrays)}")
+    pairs = list(zip(arrays[::2], arrays[1::2]))
+    for (name, layer), (W, bias) in zip(named_layers, pairs):
+        if np.shape(W) != layer.W.shape or np.shape(bias) not in (
+                layer.bias.shape, layer.bias.shape[1:]):
+            raise ShapeError(
+                f"{name}: parameter shapes {np.shape(W)}, {np.shape(bias)} "
+                f"vs {layer.W.shape}, {layer.bias.shape}")
+    for (_, layer), (W, bias) in zip(named_layers, pairs):
+        layer.W = np.array(W, dtype=layer.W.dtype)
+        layer.bias = np.array(bias, dtype=layer.bias.dtype).reshape(1, -1)
+
+
 # losses ---------------------------------------------------------------
 
 def mse_loss(a: Matrix, b: Matrix) -> float:
@@ -273,10 +306,6 @@ def mse_loss_grad(a: Matrix, b: Matrix) -> Matrix:
     if a.shape != b.shape:
         raise ShapeError(f"mse_loss: shapes differ, {a.shape} vs {b.shape}")
     return 2.0 * (a - b) / a.shape[0]
-
-
-def mse_loss_and_grad(a: Matrix, b: Matrix) -> tuple[float, Matrix]:
-    return mse_loss(a, b), mse_loss_grad(a, b)
 
 
 _CE_EPS = 1e-12
@@ -435,18 +464,20 @@ def max_rel_error(analytic: Matrix, numeric: Matrix) -> float:
     return float((np.abs(analytic - numeric) / denom).max())
 
 
+def gradcheck(loss_fn, params: list[Matrix], analytic: list[Matrix],
+              eps: float = 1e-5) -> float:
+    """Max floored-relative error between the analytic gradients of
+    loss_fn() with respect to params and its central differences."""
+    numeric = finite_diff_loss_grads(loss_fn, params, eps=eps)
+    return max(max_rel_error(a, n) for a, n in zip(analytic, numeric))
+
+
 def grad_check_block(block: MLPBlock, x: Matrix, target: Matrix,
                      eps: float = 1e-5, inject_fault: bool = False) -> float:
-    """Max floored-relative error between analytic and central-difference
-    gradients of the MSE loss of block(x) against target."""
-    out = block.forward(x, train=True)
-    block.backward(mse_loss_grad(out, target))
-    analytic = [np.array(g, copy=True) for g in block.grad_arrays()]
+    """gradcheck of the MSE loss of block(x) against target."""
+    block.backward(mse_loss_grad(block.forward(x, train=True), target))
+    analytic = [g.copy() for g in block.grad_arrays()]
     if inject_fault:
         analytic[0].reshape(-1)[0] += 0.1
-
-    def loss_fn() -> float:
-        return mse_loss(block.forward(x, train=False), target)
-
-    numeric = finite_diff_loss_grads(loss_fn, block.param_arrays(), eps=eps)
-    return max(max_rel_error(a, n) for a, n in zip(analytic, numeric))
+    return gradcheck(lambda: mse_loss(block.forward(x), target),
+                     block.param_arrays(), analytic, eps)

@@ -110,6 +110,11 @@ class PipelineRun:
     lifetime: list[float]
     wall_clock: float
 
+    @property
+    def busy_fraction(self) -> list[float]:
+        """Each stage's busy time over its lifetime."""
+        return [b / max(lf, 1e-12) for b, lf in zip(self.busy, self.lifetime)]
+
 
 def run_pipeline(stages, feed, capacity: int = 2,
                  depth: int | None = None) -> PipelineRun:
@@ -292,8 +297,7 @@ def train_epoch_pipelined(net: ALNetwork, X: Matrix, y_onehot: Matrix,
     report = ThroughputReport(
         wall_clock=run.wall_clock,
         time_units=Schedule(n_batches, C).total_units(),
-        busy_fraction=[b / max(lf, 1e-12)
-                       for b, lf in zip(run.busy, run.lifetime)])
+        busy_fraction=run.busy_fraction)
     return rec, report
 
 
@@ -420,8 +424,7 @@ def bench_pipeline(n_batches: int, components: int, task_cost_ms: float,
     report = ThroughputReport(
         wall_clock=run.wall_clock,
         time_units=sched.total_units(),
-        busy_fraction=[b / max(lf, 1e-12)
-                       for b, lf in zip(run.busy, run.lifetime)],
+        busy_fraction=run.busy_fraction,
         speedup=seq_wall / run.wall_clock)
     return BenchResult(schedule=sched, sequential_wall=seq_wall,
                        report=report)

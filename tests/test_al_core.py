@@ -27,7 +27,7 @@ from assoclearn.al_core import (
     total_param_count,
 )
 from assoclearn.errors import NumericError, PlanError, ShapeError
-from assoclearn.linalg import as_matrix, make_rng
+from assoclearn.linalg import make_rng
 from assoclearn.nn import DenseLayer, MLPBlock
 
 
@@ -89,8 +89,8 @@ def test_forward_hand_oracle():
         one_layer(2, 2, "sigmoid", [[1.0, -0.5], [0.5, 1.0]], [[-0.1, 0.2]]),
         one_layer(2, 2, "sigmoid", [[0.8, 0.2], [-0.3, 0.9]], [[0.05, -0.05]]),
     )
-    s_prev = as_matrix([[1.0, -1.0]])
-    t_prev = as_matrix([[0.0, 1.0]])
+    s_prev = np.array([[1.0, -1.0]])
+    t_prev = np.array([[0.0, 1.0]])
     _, _, rec = component_forward(comp, s_prev, t_prev)
     assert abs(rec.mse1 - 0.196480749989549) < 1e-9
     assert abs(rec.mse2 - 0.474054315117302) < 1e-9
@@ -114,8 +114,8 @@ def test_forward_nonfinite_raises_with_component_index():
     )
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="component 1"):
-            component_forward(comp, as_matrix([[1e200, 1e200]]),
-                              as_matrix([[0.0, 1.0]]))
+            component_forward(comp, np.array([[1e200, 1e200]]),
+                              np.array([[0.0, 1.0]]))
 
 
 # component update and flow separation ---------------------------------
@@ -253,7 +253,7 @@ def test_infer_two_component_hand_oracle():
     c1 = Component(1, diag(2.0), diag(100.0), diag(-55.0), diag(3.0))
     c2 = Component(2, diag(5.0), diag(100.0), diag(7.0), diag(11.0))
     net = ALNetwork([c1, c2], 2, 2)
-    x = as_matrix([[1.0, -2.0]])
+    x = np.array([[1.0, -2.0]])
     y_hat, classes = infer(net, x)
     assert np.allclose(y_hat, [[2310.0, -4620.0]], atol=1e-9)
     assert classes.tolist() == [0]
@@ -341,6 +341,17 @@ def test_plan_roundtrip_through_dict():
     again.validate()
 
 
+def test_component_rejects_bad_bridge_naming_its_index():
+    with pytest.raises(PlanError, match="component 3: bridge input 4"):
+        Component(3, identity_block(3), identity_block(3),
+                  identity_block(4), identity_block(3))
+
+
+def test_network_rejects_input_dim_mismatch():
+    with pytest.raises(PlanError, match="component 1: f input 3"):
+        ALNetwork([identity_component(3)], 4, 3)
+
+
 def test_network_rejects_nonchaining_components():
     a = identity_component(3, index=1)
     b = identity_component(4, index=2)
@@ -400,6 +411,17 @@ def test_set_params_wrong_count():
     net = build_network(get_plan("xor"), make_rng(34))
     with pytest.raises(ShapeError):
         net_set_params(net, [np.zeros((2, 2))])
+
+
+def test_set_params_wrong_shape_assigns_nothing():
+    net = build_network(get_plan("blobs"), make_rng(37))
+    before = [p.tobytes() for _, p in net_param_items(net)]
+    arrays = [p + 1.0 for _, p in net_param_items(net)]
+    assert len(arrays) == 18
+    arrays[16] = np.zeros((3, 3))  # c2.h.0.W
+    with pytest.raises(ShapeError, match="c2.h.0"):
+        net_set_params(net, arrays)
+    assert [p.tobytes() for _, p in net_param_items(net)] == before
 
 
 def test_clone_network_is_independent():

@@ -7,6 +7,8 @@ from assoclearn.al_core import (
     build_network,
     effective_param_count,
     get_plan,
+    inference_layers,
+    plan_names,
 )
 from assoclearn.bp import (
     BPNetwork,
@@ -37,6 +39,19 @@ def test_param_parity_single_component():
     al = build_network(al_plan, make_rng(0))
     bp = build_bp_network(bp_plan, make_rng(1))
     assert bp.param_count() == effective_param_count(al)
+
+
+@pytest.mark.parametrize("name", plan_names())
+def test_inference_layers_are_the_baseline_stack(name):
+    plan = get_plan(name)
+    bp_plan = match_effective_params(plan)
+    net = build_network(plan, make_rng(0))
+    layers = inference_layers(net)
+    widths = [layers[0].fan_in] + [layer.fan_out for layer in layers]
+    effective = effective_param_count(net)
+    del net, layers  # reference-mlp is large; hold one model at a time
+    assert widths == bp_plan.widths
+    assert effective == build_bp_network(bp_plan, make_rng(1)).param_count()
 
 
 def test_param_parity_random_plans():

@@ -18,7 +18,7 @@ from assoclearn.checkpoint import (
     save_al,
     save_bp,
 )
-from assoclearn.errors import DataError, TruncatedFileError
+from assoclearn.errors import DataError, ShapeError, TruncatedFileError
 from assoclearn.linalg import make_rng
 
 
@@ -132,6 +132,20 @@ def test_load_into_wrong_architecture(tmp_path):
     other = build_network(get_plan("xor"), make_rng(13))
     with pytest.raises(DataError, match="tensor names"):
         load_al_into(other, path)
+
+
+def test_load_into_same_names_other_shapes_leaves_net_untouched(tmp_path):
+    # blobs with a wider top-bridge hidden layer: every name matches, and
+    # the first 12 tensors match in shape too, up to c2.b.0
+    plan = get_plan("blobs")
+    plan.components[1].b = [16, 24, 8]
+    path = tmp_path / "model.bin"
+    save_al(path, build_network(plan, make_rng(17)), seed=17, epoch=0)
+    net = al_fixture(18)
+    before = [p.tobytes() for _, p in net_param_items(net)]
+    with pytest.raises(ShapeError, match="c2.b.0"):
+        load_al_into(net, path)
+    assert [p.tobytes() for _, p in net_param_items(net)] == before
 
 
 def test_load_al_needs_plan(tmp_path):

@@ -228,11 +228,25 @@ def test_gradcheck_default_plan_passes(capsys):
     assert "bp full stack" in out
 
 
+def test_gradcheck_single_component_has_no_cross_terms(capsys):
+    assert run_cli(["gradcheck", "--plan", "xor"]) == 0
+    out = capsys.readouterr().out
+    assert "cross-component |fd| (abs): 0.000e+00" in out
+    assert "component 2" not in out
+
+
 def test_gradcheck_inject_fault_exit_4(capsys):
     assert run_cli(["gradcheck", "--inject-fault"]) == 4
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "gradient check FAILED" in out
+
+
+def test_every_public_name_resolves():
+    import assoclearn
+
+    for name in assoclearn.__all__:
+        assert hasattr(assoclearn, name), name
 
 
 def test_console_entry_point_runs():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from assoclearn.errors import ShapeError, StateError
-from assoclearn.linalg import as_matrix, make_rng
+from assoclearn.linalg import make_rng
 from assoclearn.nn import (
     AdamState,
     BlockAdam,
@@ -15,6 +15,7 @@ from assoclearn.nn import (
     elu_grad,
     finite_diff_loss_grads,
     grad_check_block,
+    gradcheck,
     make_block,
     max_rel_error,
     mse_loss,
@@ -42,14 +43,14 @@ def test_elu_negative_oracle():
 
 def test_elu_continuous_and_monotone():
     xs = np.sort(make_rng(3).normal(0.0, 3.0, size=200))
-    ys = elu(as_matrix([xs]))[0]
+    ys = elu(np.array([xs]))[0]
     assert (np.diff(ys) > 0).all()
     eps = 1e-7
     assert abs(elu(eps) - elu(-eps)) < 1e-6
 
 
 def test_elu_grad_matches_branches():
-    x = as_matrix([[-2.0, -0.5, 0.5, 3.0]])
+    x = np.array([[-2.0, -0.5, 0.5, 3.0]])
     g = elu_grad(x)
     expected = np.where(x > 0, 1.0, np.exp(x))
     assert np.allclose(g, expected, atol=1e-12)
@@ -71,7 +72,7 @@ def test_sigmoid_extreme_no_overflow():
 
 
 def test_sigmoid_grad_from_output():
-    x = as_matrix([[0.3, -1.2, 2.0]])
+    x = np.array([[0.3, -1.2, 2.0]])
     out = sigmoid(x)
     assert np.allclose(sigmoid_grad_from_output(out), out * (1 - out))
 
@@ -107,31 +108,31 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_softmax_shift_invariance():
-    z = as_matrix([[1.0, 2.0, 3.0]])
+    z = np.array([[1.0, 2.0, 3.0]])
     assert np.allclose(softmax(z), softmax(z + 100.0), atol=1e-12)
 
 
 # losses ---------------------------------------------------------------
 
 def test_mse_equal_inputs():
-    a = as_matrix([[1.0, 2.0, 3.0]])
+    a = np.array([[1.0, 2.0, 3.0]])
     assert mse_loss(a, a.copy()) == 0.0
 
 
 def test_mse_single_row_oracle():
-    assert mse_loss(as_matrix([[1.0, 2.0]]), as_matrix([[0.0, 0.0]])) == 5.0
+    assert mse_loss(np.array([[1.0, 2.0]]), np.array([[0.0, 0.0]])) == 5.0
 
 
 def test_mse_batch_mean_oracle():
     # per-row losses 5 and 1 average to 3
-    a = as_matrix([[1.0, 2.0], [1.0, 0.0]])
-    b = as_matrix([[0.0, 0.0], [0.0, 0.0]])
+    a = np.array([[1.0, 2.0], [1.0, 0.0]])
+    b = np.array([[0.0, 0.0], [0.0, 0.0]])
     assert mse_loss(a, b) == 3.0
 
 
 def test_mse_grad_formula():
-    a = as_matrix([[1.0, 2.0], [3.0, 4.0]])
-    b = as_matrix([[0.0, 1.0], [1.0, 1.0]])
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    b = np.array([[0.0, 1.0], [1.0, 1.0]])
     assert np.allclose(mse_loss_grad(a, b), 2.0 * (a - b) / 2.0)
 
 
@@ -154,13 +155,13 @@ def test_mse_shape_mismatch():
 
 
 def test_cross_entropy_perfect_prediction():
-    onehot = as_matrix([[0.0, 1.0], [1.0, 0.0]])
+    onehot = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert cross_entropy_loss(onehot, onehot) < 1e-9
 
 
 def test_cross_entropy_grad_direction():
-    probs = as_matrix([[0.25, 0.75]])
-    onehot = as_matrix([[1.0, 0.0]])
+    probs = np.array([[0.25, 0.75]])
+    onehot = np.array([[1.0, 0.0]])
     g = cross_entropy_grad(probs, onehot)
     assert g[0, 0] < 0 and g[0, 1] == 0.0
 
@@ -175,7 +176,7 @@ def test_forward_identity_block():
 
 def test_forward_hand_oracle():
     layer = DenseLayer(2, 1, "elu", W=[[1.0], [1.0]], bias=[[0.0]])
-    assert np.allclose(layer.forward(as_matrix([[1.0, 2.0]])), [[3.0]])
+    assert np.allclose(layer.forward(np.array([[1.0, 2.0]])), [[3.0]])
 
 
 def test_forward_output_shape():
@@ -406,6 +407,20 @@ def test_grad_check_flags_corrupted_gradient():
     x = rng.normal(size=(2, 3))
     target = rng.normal(size=(2, 2))
     assert grad_check_block(block, x, target, inject_fault=True) > 1e-2
+
+
+def test_gradcheck_oracle_flags_a_wrong_gradient():
+    p = make_rng(38).normal(size=(3, 2))
+    saved = p.copy()
+
+    def loss():
+        return float((p * p).sum())
+
+    assert gradcheck(loss, [p], [2.0 * p]) < 1e-8
+    wrong = 2.0 * p
+    wrong[1, 0] += 0.5
+    assert gradcheck(loss, [p], [wrong]) > 0.1
+    assert np.array_equal(p, saved)
 
 
 def test_finite_diff_simple_quadratic():
