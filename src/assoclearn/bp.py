@@ -166,11 +166,11 @@ def bp_train_epoch(net: BPNetwork, X: Matrix, y_onehot: Matrix,
 
     n = X.shape[0]
     total = 0.0
-    for k, idx in enumerate(BatchIterator(n, batch_size, rng)):
+    for m, idx in enumerate(BatchIterator(n, batch_size, rng), start=1):
         loss = net.train_batch(X[idx], y_onehot[idx])
         if not np.isfinite(loss):
             raise NumericError(
-                f"loss diverged at epoch {epoch}, batch {k}")
+                f"loss diverged at epoch {epoch}, batch {m}")
         total += loss * len(idx)
     _, classes = net.predict(X)
     acc = float((classes == row_argmax(y_onehot)).mean())

@@ -1,19 +1,20 @@
 """Sequential and pipelined training loops.
 
-With n mini-batches and C components, a sequential epoch executes n*C
-component tasks one after another. The pipelined epoch runs one worker
-thread per component, connected by bounded FIFO queues: component c
-handles batch m at logical unit u = m + c - 1, so the whole epoch spans
-n + C - 1 units. Every worker runs its forward pass before its own
-parameter update and forwards those pre-update activations, which is
-exactly what the sequential loop hands the next component; the parameter
-trajectory is therefore identical in both modes for any pipeline depth,
-and a queue only changes how much wall-clock overlap the stages get.
+Both AL trainers run one stage list, one stage per component
+(``_component_stages``); a stage trains its component on a batch and
+hands the pre-update outputs to the next. The sequential epoch runs the
+stages inline, n*C component tasks one after another. The pipelined
+epoch gives each stage a worker thread, connected by bounded FIFO
+queues: component c handles batch m at logical unit u = m + c - 1, so
+the whole epoch spans n + C - 1 units. Each component sees the same
+messages in the same order in both modes, so the parameter trajectory
+is identical by construction at any pipeline depth; a queue only
+changes how much wall-clock overlap the stages get.
 
 ``run_pipeline`` is the schedule-agnostic core (stages, bounded queues,
 an optional in-flight cap, monotone batch-id enforcement, error
-propagation); the trainers and the synthetic throughput bench both run
-on it.
+propagation); the pipelined trainer and the synthetic throughput bench
+both run on it.
 """
 
 from __future__ import annotations
@@ -54,12 +55,6 @@ class BatchMessage:
     epoch: int
     s: Matrix
     t: Matrix
-
-    def __post_init__(self):
-        if self.s.shape[0] != self.t.shape[0]:
-            raise TrainingError(
-                f"batch {self.batch_id}: s has {self.s.shape[0]} rows, "
-                f"t has {self.t.shape[0]}")
 
 
 @dataclass
@@ -105,7 +100,7 @@ class ThroughputReport:
 
 @dataclass
 class PipelineRun:
-    results: list
+    completed: int          # batches the last stage finished
     busy: list[float]
     lifetime: list[float]
     wall_clock: float
@@ -137,13 +132,14 @@ def run_pipeline(stages, feed, capacity: int = 2,
         raise ConfigError(f"pipeline depth must be >= 1, got {depth}")
     n = len(stages)
     queues = [Queue(maxsize=capacity) for _ in range(n)]
-    results: list = []
+    completed = 0
     errors: list = []
     busy = [0.0] * n
     lifetime = [0.0] * n
     sem = Semaphore(depth) if depth is not None else None
 
     def worker(i: int) -> None:
+        nonlocal completed
         q_in = queues[i]
         q_out = queues[i + 1] if i + 1 < n else None
         is_last = q_out is None
@@ -167,7 +163,7 @@ def run_pipeline(stages, feed, capacity: int = 2,
                 out = stages[i](payload)
                 busy[i] += time.perf_counter() - t0
                 if is_last:
-                    results.append((bid, out))
+                    completed += 1
                     if sem is not None:
                         sem.release()
                 else:
@@ -212,58 +208,22 @@ def run_pipeline(stages, feed, capacity: int = 2,
     if errors:
         i, e = errors[0]
         raise TrainingError(f"pipeline stage {i + 1} failed: {e}") from e
-    return PipelineRun(results=results, busy=busy, lifetime=lifetime,
+    return PipelineRun(completed=completed, busy=busy, lifetime=lifetime,
                        wall_clock=wall)
 
 
-def train_epoch_sequential(net: ALNetwork, X: Matrix, y_onehot: Matrix,
-                           batch_size: int, rng: Rng, epoch: int = 0,
-                           trace: list | None = None) -> MetricsRecord:
-    """One shuffled pass, batch by batch, component 1 through C.
-
-    Each component trains and then hands its pre-update forward outputs
-    to the next one. When a list is passed as trace, one
-    (task_index, component, batch_id) triple is appended per task.
-    """
-    n = X.shape[0]
-    C = net.n_components
-    sums1 = np.zeros(C)
-    sums2 = np.zeros(C)
-    task = 0
-    for m, idx in enumerate(BatchIterator(n, batch_size, rng), start=1):
-        s, t = X[idx], y_onehot[idx]
-        rows = len(idx)
-        for k, c in enumerate(net.components):
-            try:
-                s, t, rec = component_update(c, s, t)
-            except NumericError as e:
-                raise NumericError(f"epoch {epoch}, batch {m}: {e}") from e
-            task += 1
-            if trace is not None:
-                trace.append((task, c.index, m))
-            sums1[k] += rec.mse1 * rows
-            sums2[k] += rec.mse2 * rows
-    return MetricsRecord(
-        epoch=epoch, mode="al-seq",
-        mse1=[float(v) for v in sums1 / n],
-        mse2=[float(v) for v in sums2 / n],
-        train_loss=float((sums1 + sums2).sum() / n))
+def _feed(X: Matrix, y_onehot: Matrix, batch_size: int, rng: Rng,
+          epoch: int):
+    """(batch_id, BatchMessage) per shuffled mini-batch, ids from 1."""
+    for m, idx in enumerate(BatchIterator(X.shape[0], batch_size, rng),
+                            start=1):
+        yield m, BatchMessage(m, epoch, X[idx], y_onehot[idx])
 
 
-def train_epoch_pipelined(net: ALNetwork, X: Matrix, y_onehot: Matrix,
-                          batch_size: int, rng: Rng, epoch: int = 0,
-                          capacity: int = 2, depth: int | None = None):
-    """One epoch with one worker per component; see the module docstring
-    for the equivalence to the sequential loop. OpenBLAS runs on
-    PIPELINE_BLAS_THREADS threads for the epoch, and the caller's thread
-    count is restored when the workers have joined, also on failure. Returns
-    (MetricsRecord, ThroughputReport); the report's speedup is left None
-    (the bench harness fills it by also timing a sequential run)."""
-    n = X.shape[0]
-    C = net.n_components
-    n_batches = (n + batch_size - 1) // batch_size
-    sums1 = np.zeros(C)
-    sums2 = np.zeros(C)
+def _component_stages(net: ALNetwork, sums1, sums2) -> list:
+    """One stage per component, BatchMessage -> BatchMessage: it trains the
+    component, adds its row-weighted local losses to sums1[k] and sums2[k],
+    and passes on the pre-update outputs."""
 
     def make_stage(k: int, comp):
         def stage(msg: BatchMessage) -> BatchMessage:
@@ -278,27 +238,56 @@ def train_epoch_pipelined(net: ALNetwork, X: Matrix, y_onehot: Matrix,
             return BatchMessage(msg.batch_id, msg.epoch, s, t)
         return stage
 
-    stages = [make_stage(k, c) for k, c in enumerate(net.components)]
+    return [make_stage(k, c) for k, c in enumerate(net.components)]
 
-    def feed():
-        for m, idx in enumerate(BatchIterator(n, batch_size, rng), start=1):
-            yield m, BatchMessage(m, epoch, X[idx], y_onehot[idx])
 
-    with blas.pinned_threads(PIPELINE_BLAS_THREADS):
-        run = run_pipeline(stages, feed(), capacity=capacity, depth=depth)
-    if len(run.results) != n_batches:
-        raise TrainingError(
-            f"epoch ended with {len(run.results)} of {n_batches} batches")
-    rec = MetricsRecord(
-        epoch=epoch, mode="al-pipe",
+def _al_record(mode: str, epoch: int, sums1, sums2, n: int) -> MetricsRecord:
+    return MetricsRecord(
+        epoch=epoch, mode=mode,
         mse1=[float(v) for v in sums1 / n],
         mse2=[float(v) for v in sums2 / n],
         train_loss=float((sums1 + sums2).sum() / n))
+
+
+def train_epoch_sequential(net: ALNetwork, X: Matrix, y_onehot: Matrix,
+                           batch_size: int, rng: Rng,
+                           epoch: int = 0) -> MetricsRecord:
+    """One shuffled pass, batch by batch, through the stages of
+    _component_stages run inline: component 1 through C."""
+    sums1 = np.zeros(net.n_components)
+    sums2 = np.zeros(net.n_components)
+    stages = _component_stages(net, sums1, sums2)
+    for _, msg in _feed(X, y_onehot, batch_size, rng, epoch):
+        for stage in stages:
+            msg = stage(msg)
+    return _al_record("al-seq", epoch, sums1, sums2, X.shape[0])
+
+
+def train_epoch_pipelined(net: ALNetwork, X: Matrix, y_onehot: Matrix,
+                          batch_size: int, rng: Rng, epoch: int = 0,
+                          capacity: int = 2, depth: int | None = None):
+    """One epoch with the stages of train_epoch_sequential, one worker per
+    component; see the module docstring for the equivalence. OpenBLAS runs
+    on PIPELINE_BLAS_THREADS threads for the epoch, and the caller's thread
+    count is restored when the workers have joined, also on failure. Returns
+    (MetricsRecord, ThroughputReport); the report's speedup is left None
+    (the bench harness fills it by also timing a sequential run)."""
+    n_batches = BatchIterator(X.shape[0], batch_size, rng).n_batches()
+    sums1 = np.zeros(net.n_components)
+    sums2 = np.zeros(net.n_components)
+    stages = _component_stages(net, sums1, sums2)
+    with blas.pinned_threads(PIPELINE_BLAS_THREADS):
+        run = run_pipeline(stages,
+                           _feed(X, y_onehot, batch_size, rng, epoch),
+                           capacity=capacity, depth=depth)
+    if run.completed != n_batches:
+        raise TrainingError(
+            f"epoch ended with {run.completed} of {n_batches} batches")
     report = ThroughputReport(
         wall_clock=run.wall_clock,
-        time_units=Schedule(n_batches, C).total_units(),
+        time_units=Schedule(n_batches, net.n_components).total_units(),
         busy_fraction=run.busy_fraction)
-    return rec, report
+    return _al_record("al-pipe", epoch, sums1, sums2, X.shape[0]), report
 
 
 def lr_at_epoch(base_lr: float, drops, factor: float, epoch: int) -> float:

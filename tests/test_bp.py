@@ -123,7 +123,7 @@ def test_divergence_reports_epoch_and_batch():
     net.stack.layers[0].W[:] = np.nan
     X = np.zeros((8, 2))
     y = one_hot(np.zeros(8, dtype=int), 2)
-    with pytest.raises(NumericError, match=r"epoch 3, batch 0"):
+    with pytest.raises(NumericError, match=r"epoch 3, batch 1"):
         bp_train_epoch(net, X, y, 4, make_rng(12), epoch=3)
 
 

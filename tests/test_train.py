@@ -1,22 +1,23 @@
+import weakref
 from threading import Thread
 
 import numpy as np
 import pytest
 
+import assoclearn.train as train_mod
 from assoclearn.al_core import (
     build_network,
     clone_network,
     get_plan,
     net_param_items,
 )
-from assoclearn.bp import BPNetwork
+from assoclearn.bp import BPNetwork, bp_train_epoch
 from assoclearn.checkpoint import load_al
 from assoclearn.data import one_hot, synth_blobs, synth_xor
 from assoclearn.errors import ConfigError, NumericError, TrainingError
 from assoclearn.linalg import make_rng
 from assoclearn.metrics import evaluate_al
 from assoclearn.train import (
-    BatchMessage,
     Schedule,
     bench_pipeline,
     fit,
@@ -60,21 +61,31 @@ def test_schedule_every_pair_exactly_once():
     assert len(set(seen)) == len(seen)
 
 
-def test_batch_message_row_mismatch():
-    with pytest.raises(TrainingError, match="rows"):
-        BatchMessage(1, 0, np.zeros((3, 2)), np.zeros((2, 2)))
-
-
 # sequential trainer ---------------------------------------------------
 
-def test_sequential_losses_finite_and_trace_length():
+def record_updates(monkeypatch, before=None) -> list:
+    """Wrap train.component_update; returns the list it appends each
+    updated component's index to. before(comp, calls), when given, runs
+    ahead of each update."""
+    calls = []
+    update = train_mod.component_update
+
+    def recording(comp, s, t):
+        calls.append(comp.index)
+        if before is not None:
+            before(comp, calls)
+        return update(comp, s, t)
+
+    monkeypatch.setattr(train_mod, "component_update", recording)
+    return calls
+
+
+def test_sequential_losses_finite_and_trace_length(monkeypatch):
     net = build_network(get_plan("blobs"), make_rng(1))
     ds, y1 = blob_setup(seed=2)
-    trace = []
-    rec = train_epoch_sequential(net, ds.X, y1, 8, make_rng(3), epoch=1,
-                                 trace=trace)
-    assert len(trace) == 5 * net.n_components
-    assert trace[0] == (1, 1, 1) and trace[1] == (2, 2, 1)
+    trace = record_updates(monkeypatch)
+    rec = train_epoch_sequential(net, ds.X, y1, 8, make_rng(3), epoch=1)
+    assert trace == list(range(1, net.n_components + 1)) * 5
     assert all(np.isfinite(v) for v in rec.mse1 + rec.mse2)
     assert rec.mode == "al-seq"
 
@@ -90,11 +101,18 @@ def test_sequential_zero_lr_changes_nothing():
 
 
 def test_sequential_divergence_names_batch():
-    net = build_network(get_plan("blobs"), make_rng(7))
-    net.components[0].f.layers[0].W[:] = np.nan
+    # al-seq, al-pipe and bp all number the failing batch from 1
     ds, y1 = blob_setup(seed=8)
-    with pytest.raises(NumericError, match=r"epoch 1, batch 1.*component 1"):
-        train_epoch_sequential(net, ds.X, y1, 8, make_rng(9), epoch=1)
+    for epoch_fn in (train_epoch_sequential, train_epoch_pipelined):
+        net = build_network(get_plan("blobs"), make_rng(7))
+        net.components[0].f.layers[0].W[:] = np.nan
+        with pytest.raises((NumericError, TrainingError),
+                           match=r"epoch 1, batch 1: .*component 1"):
+            epoch_fn(net, ds.X, y1, 8, make_rng(9), epoch=1)
+    bp_net = BPNetwork([8, 16, 4], make_rng(7))
+    bp_net.stack.layers[0].W[:] = np.nan
+    with pytest.raises(NumericError, match=r"epoch 1, batch 1$"):
+        bp_train_epoch(bp_net, ds.X, y1, 8, make_rng(9), epoch=1)
 
 
 def test_xor_single_component_reaches_full_accuracy():
@@ -150,6 +168,30 @@ def test_pipeline_free_depth_matches_sequential_bit_exact():
     assert all(0.0 <= f <= 1.0 for f in report.busy_fraction)
 
 
+def test_pipeline_depth_one_failure_leaves_sequential_state(monkeypatch):
+    # With one batch in flight no stage runs ahead of the failing one: when
+    # component 2 fails on batch 3, component 1 has trained on batches 1-3
+    # and component 2 on batches 1-2, exactly as after the al-seq failure.
+    def nan_on_batch_3(comp, calls):
+        if comp.index == 2 and calls.count(2) == 3:
+            comp.f.layers[0].W[:] = np.nan
+
+    plan = get_plan("blobs")
+    seq_net = build_network(plan, make_rng(45))
+    pipe_net = clone_network(seq_net)
+    ds, y1 = blob_setup(seed=46)
+    record_updates(monkeypatch, nan_on_batch_3)
+    with pytest.raises(NumericError, match=r"epoch 1, batch 3: .*component 2"):
+        train_epoch_sequential(seq_net, ds.X, y1, 8, make_rng(47), epoch=1)
+    record_updates(monkeypatch, nan_on_batch_3)
+    with pytest.raises(TrainingError, match=r"stage 2 failed: epoch 1, batch 3"):
+        train_epoch_pipelined(pipe_net, ds.X, y1, 8, make_rng(47), epoch=1,
+                              capacity=1, depth=1)
+    for (name, a), (_, b) in zip(net_param_items(seq_net),
+                                 net_param_items(pipe_net)):
+        assert a.tobytes() == b.tobytes(), name
+
+
 def test_pipeline_divergence_propagates():
     net = build_network(get_plan("blobs"), make_rng(18))
     net.components[1].f.layers[0].W[:] = np.nan
@@ -161,11 +203,32 @@ def test_pipeline_divergence_propagates():
 # run_pipeline core ----------------------------------------------------
 
 def test_run_pipeline_preserves_order():
-    double = [lambda v: v * 2, lambda v: v + 1]
-    run = run_pipeline(double, ((i, i) for i in range(1, 20)), capacity=3)
-    assert [bid for bid, _ in run.results] == list(range(1, 20))
-    assert [out for _, out in run.results] == [i * 2 + 1
-                                              for i in range(1, 20)]
+    seen = []
+    double = [lambda p: (p[0], p[1] * 2),
+              lambda p: seen.append((p[0], p[1] + 1))]
+    run = run_pipeline(double, ((i, (i, i)) for i in range(1, 20)),
+                       capacity=3)
+    assert [bid for bid, _ in seen] == list(range(1, 20))
+    assert [out for _, out in seen] == [i * 2 + 1 for i in range(1, 20)]
+    assert run.completed == 19
+
+
+def test_run_pipeline_keeps_no_finished_batch():
+    class Out:
+        pass
+
+    refs = []
+
+    def last(v):
+        out = Out()
+        refs.append(weakref.ref(out))
+        return out
+
+    run = run_pipeline([lambda v: v, last], ((i, i) for i in range(1, 9)),
+                       capacity=2)
+    assert len(refs) == 8
+    assert sum(r() is not None for r in refs) == 0
+    assert run.completed == 8
 
 
 def test_run_pipeline_stage_error_no_deadlock():
