@@ -52,6 +52,29 @@ def _write(path, tag: str, plan: dict | None, seed: int, epoch: int,
             fh.write(np.ascontiguousarray(a, dtype=_DTYPE).tobytes())
 
 
+def _tensor_descs(path, header) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every tensor the header declares; DataError when
+    a header field, a name or a shape is missing or malformed."""
+    missing = [k for k in ("tag", "plan", "seed", "epoch", "arrays")
+               if k not in header]
+    if missing:
+        raise DataError(f"{path}: header lacks {', '.join(missing)}")
+    descs = header["arrays"]
+    if not isinstance(descs, list):
+        raise DataError(f"{path}: header 'arrays' is not a list")
+    out = []
+    for i, desc in enumerate(descs):
+        if not (isinstance(desc, dict) and isinstance(desc.get("name"), str)):
+            raise DataError(f"{path}: tensor {i} has no name")
+        name, shape = desc["name"], desc.get("shape")
+        if not (isinstance(shape, list) and all(
+                isinstance(n, int) and n >= 0 for n in shape)):
+            raise DataError(f"{path}: tensor {name} has malformed shape "
+                            f"{shape!r}")
+        out.append((name, tuple(shape)))
+    return out
+
+
 def load_checkpoint(path):
     """Returns (header dict, list of arrays in header order)."""
     path = Path(path)
@@ -63,18 +86,16 @@ def load_checkpoint(path):
             header = json.loads(line)
         except json.JSONDecodeError as e:
             raise DataError(f"{path}: header is not valid JSON: {e}") from e
-        if header.get("format") != _FORMAT:
-            raise DataError(
-                f"{path}: format {header.get('format')!r}, "
-                f"expected {_FORMAT!r}")
+        fmt = header.get("format") if isinstance(header, dict) else None
+        if fmt != _FORMAT:
+            raise DataError(f"{path}: format {fmt!r}, expected {_FORMAT!r}")
         arrays = []
-        for desc in header["arrays"]:
-            shape = tuple(desc["shape"])
+        for name, shape in _tensor_descs(path, header):
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
                 raise TruncatedFileError(
-                    f"{path}: tensor {desc['name']} needs {count * 8} bytes, "
+                    f"{path}: tensor {name} needs {count * 8} bytes, "
                     f"got {len(raw)}")
             arrays.append(np.frombuffer(raw, dtype=_DTYPE).reshape(shape)
                           .astype(np.float64))

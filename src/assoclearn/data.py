@@ -170,9 +170,10 @@ def mnist_subset(train: Dataset, test: Dataset, n_train: int = 6000,
 
 def one_hot(labels, n_classes: int) -> Matrix:
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+    bad = labels[(labels < 0) | (labels >= n_classes)]
+    if bad.size:
         raise DataError(
-            f"label {int(labels.max())} out of range for {n_classes} classes")
+            f"label {int(bad[0])} out of range for {n_classes} classes")
     return np.eye(n_classes, dtype=DTYPE)[labels]
 
 

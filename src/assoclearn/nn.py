@@ -10,6 +10,14 @@ moments are overwritten, and the result is bit-identical to the textbook
 formula evaluated with fresh arrays, because every operation runs in the
 same order. Layers therefore own their tensors and copy any they are given.
 
+The activations select no elements by mask: ELU, its derivative and the
+sigmoid's numerator are written with minimum, maximum and exp in forms
+that equal the two-branch definitions bit for bit, including at +-0,
++-inf and NaN, because each branch's value already lies on the right
+side of the other (expm1(x) >= x for x <= 0, 0 <= exp(-|x|) <= 1, and
+exp(0) is exactly 1). The sigmoid layer overwrites its own
+pre-activation with its output, since its backward pass needs only that.
+
 ``param_items`` / ``set_params`` name and assign the tensors of a list of
 named layers; the component network and the baseline both go through them.
 
@@ -31,48 +39,55 @@ from .linalg import (DTYPE, Matrix, Rng, he_normal_init, matmul,
 
 
 def _vectorize(fn):
-    """Run fn on an array view of x; return a scalar if x was one."""
+    """Run fn(a, out) on an array view a of x; return a scalar if x was one.
+    out, for an array x, is where the result goes; it may be x itself."""
 
-    def wrapped(x):
+    def wrapped(x, out=None):
         a = np.asarray(x, dtype=DTYPE)
-        scalar = a.ndim == 0
-        out = fn(a.reshape(1) if scalar else a)
-        return float(out[0]) if scalar else out
+        if a.ndim == 0:
+            return float(fn(a.reshape(1), None)[0])
+        return fn(a, out)
 
     return wrapped
 
 
 @_vectorize
-def elu(x):
-    """Exponential linear unit with alpha = 1: x for x > 0, exp(x) - 1 below."""
-    neg = np.minimum(x, 0.0)
-    return np.where(x > 0, x, np.expm1(neg, out=neg))
+def elu(x, out):
+    """Exponential linear unit with alpha = 1: x for x > 0, exp(x) - 1 below.
+
+    Taken as maximum(x, expm1(minimum(x, 0))): above 0 that is max(x, 0),
+    and below it expm1(x) >= x, so no per-element select is needed.
+    """
+    e = np.minimum(x, 0.0)
+    np.expm1(e, out=e)
+    return np.maximum(x, e, out=e if out is None else out)
 
 
 @_vectorize
-def elu_grad(x):
-    d = np.minimum(x, 0.0)
-    np.exp(d, out=d)
-    np.copyto(d, 1.0, where=x > 0)
-    return d
+def elu_grad(x, out):
+    """1 for x > 0, exp(x) below; exp(minimum(x, 0)) is exactly 1 above 0."""
+    d = np.minimum(x, 0.0, out=out)
+    return np.exp(d, out=d)
 
 
 @_vectorize
-def sigmoid(x):
+def sigmoid(x, out):
     """Logistic function with one exp that cannot overflow.
 
     With e = exp(-|x|), where(x >= 0, 1, e) / (1 + e) is 1/(1 + exp(-x))
     for x >= 0 and exp(x)/(1 + exp(x)) below, the two branches of the
     classic overflow-safe form, so the result is bit-identical to it.
-    -|x| is taken as minimum(x, -x), which returns x itself where x is
-    NaN, so a NaN keeps its sign as it does in the two-branch form.
+    The numerator is taken as maximum(e, x >= 0), which equals that
+    select because 0 <= e <= 1. -|x| is taken as minimum(x, -x), which
+    returns x itself where x is NaN, so a NaN keeps its sign as it does
+    in the two-branch form.
     """
     e = np.negative(x)
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
+    num = np.maximum(e, x >= 0, out=out)
     np.add(e, 1.0, out=e)
-    return np.divide(out, e, out=out)
+    return np.divide(num, e, out=num)
 
 
 def sigmoid_grad_from_output(out):
@@ -111,7 +126,8 @@ class _Sigmoid:
     name = "sigmoid"
 
     def value(self, z):
-        return sigmoid(z)
+        # In place: the backward pass reads only the output.
+        return sigmoid(z, out=z)
 
     def backward(self, grad_out, z, out):
         d = sigmoid_grad_from_output(out)
@@ -139,10 +155,12 @@ class DenseLayer:
     W has shape (fan_in, fan_out), bias (1, fan_out). A given W or bias is
     copied, because the optimizer updates the layer's tensors in place.
     Forward in training mode caches (input, pre-activation, output) for the
-    backward pass; evaluation-mode forward clears the cache. Every product
-    of training (forward, grad_W and input gradient) is sliced_matmul's,
-    so training gives the same bits at any BLAS thread count;
-    evaluation-mode forward keeps the plain product, which is faster.
+    backward pass (a sigmoid layer's pre-activation is its output, which
+    it overwrote); evaluation-mode forward clears the cache. Forward never
+    writes into its input. Every product of training (forward, grad_W and
+    input gradient) is sliced_matmul's, so training gives the same bits at
+    any BLAS thread count; evaluation-mode forward keeps the plain
+    product, which is faster.
     """
 
     def __init__(self, fan_in: int, fan_out: int, activation: str = "identity",
@@ -305,7 +323,10 @@ def mse_loss_grad(a: Matrix, b: Matrix) -> Matrix:
     """Gradient of mse_loss with respect to a."""
     if a.shape != b.shape:
         raise ShapeError(f"mse_loss: shapes differ, {a.shape} vs {b.shape}")
-    return 2.0 * (a - b) / a.shape[0]
+    d = a - b
+    d *= 2.0
+    d /= a.shape[0]
+    return d
 
 
 _CE_EPS = 1e-12

@@ -126,6 +126,38 @@ def test_invalid_header_json(tmp_path):
         load_checkpoint(path)
 
 
+def _rewrite_header(path, edit):
+    line, blobs = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    edit(header)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blobs)
+
+
+@pytest.mark.parametrize("key", ["arrays", "tag", "plan", "seed", "epoch"])
+def test_header_without_field_rejected(tmp_path, key):
+    path = tmp_path / "model.bin"
+    save_al(path, al_fixture(14), seed=14, epoch=0)
+    _rewrite_header(path, lambda h: h.pop(key))
+    with pytest.raises(DataError, match=f"header lacks {key}"):
+        load_checkpoint(path)
+
+
+def test_header_tensor_without_shape_rejected(tmp_path):
+    path = tmp_path / "model.bin"
+    save_al(path, al_fixture(15), seed=15, epoch=0)
+    _rewrite_header(path, lambda h: h["arrays"][1].pop("shape"))
+    with pytest.raises(DataError, match="malformed shape None"):
+        load_checkpoint(path)
+
+
+def test_header_negative_dimension_rejected(tmp_path):
+    path = tmp_path / "model.bin"
+    save_al(path, al_fixture(16), seed=16, epoch=0)
+    _rewrite_header(path, lambda h: h["arrays"][0].update(shape=[-1, 4]))
+    with pytest.raises(DataError, match=r"malformed shape \[-1, 4\]"):
+        load_checkpoint(path)
+
+
 def test_load_into_wrong_architecture(tmp_path):
     path = tmp_path / "model.bin"
     save_al(path, al_fixture(12), seed=12, epoch=0)

@@ -153,6 +153,12 @@ def test_one_hot_out_of_range():
         one_hot([4], 4)
 
 
+@pytest.mark.parametrize("labels, bad", [([-1, 2], -1), ([0, 5, 1], 5)])
+def test_one_hot_error_names_offending_label(labels, bad):
+    with pytest.raises(DataError, match=f"label {bad} out of range for 3"):
+        one_hot(labels, 3)
+
+
 # synthetic datasets ---------------------------------------------------
 
 def test_blobs_linear_classifier_separates():

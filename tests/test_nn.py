@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from assoclearn import nn
 from assoclearn.errors import ShapeError, StateError
 from assoclearn.linalg import make_rng
 from assoclearn.nn import (
@@ -98,6 +99,72 @@ def test_sigmoid_bit_identical_to_two_branch_form(scale):
     x = np.concatenate([make_rng(6).normal(0.0, scale, size=4096),
                         special]).reshape(8, -1)
     assert _same_bits(sigmoid(x), _sigmoid_two_branch(x))
+
+
+def _elu_select(x):
+    # The masked forms the select-free activations must reproduce bit for bit.
+    neg = np.minimum(x, 0.0)
+    return np.where(x > 0, x, np.expm1(neg, out=neg))
+
+
+def _elu_grad_select(x):
+    d = np.exp(np.minimum(x, 0.0))
+    np.copyto(d, 1.0, where=x > 0)
+    return d
+
+
+def _sigmoid_select(x):
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _signed_log_uniform():
+    # Magnitudes from subnormal to 1e3, both signs, with the special values
+    # scattered so that every view below holds some of them.
+    rng = make_rng(31)
+    special = np.tile([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                       5e-324, -5e-324], 32)
+    n = 256 * 256 - special.size
+    x = 10.0 ** rng.uniform(-320.0, 3.0, size=n) * rng.choice([-1.0, 1.0], n)
+    return rng.permutation(np.concatenate([x, special])).reshape(256, 256)
+
+
+_VIEWS = {"contiguous": lambda a: a, "strided": lambda a: a[1::2, ::3],
+          "transposed": lambda a: a.T}
+
+
+@pytest.mark.parametrize("view", list(_VIEWS))
+@pytest.mark.parametrize("fn, oracle", [
+    (elu, _elu_select), (elu_grad, _elu_grad_select),
+    (sigmoid, _sigmoid_select)], ids=["elu", "elu_grad", "sigmoid"])
+def test_activation_bit_identical_to_masked_select(fn, oracle, view):
+    x = _VIEWS[view](_signed_log_uniform())
+    expected = oracle(x)
+    assert _same_bits(fn(x), expected)
+    out = np.empty_like(x)
+    assert fn(x, out=out) is out and _same_bits(out, expected)
+    assert fn(x, out=x) is x and _same_bits(x, expected)
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("activation", list(nn.ACTIVATIONS))
+def test_dense_forward_activation_path(monkeypatch, activation, train):
+    # Profilers time the activations by wrapping nn.sigmoid and nn.elu, so
+    # the layers must look them up in the module at call time.
+    calls = []
+    for name in ("sigmoid", "elu"):
+        def counted(*args, _name=name, _fn=getattr(nn, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(nn, name, counted)
+    layer = DenseLayer(5, 4, activation, rng=make_rng(37))
+    x = make_rng(41).normal(size=(6, 5))
+    x_before = x.copy()
+    out = layer.forward(x, train=train)
+    assert calls == ([activation] if activation in ("sigmoid", "elu") else [])
+    assert _same_bits(x, x_before)
+    if train:
+        assert layer._cache[0] is x and layer._cache[2] is out
 
 
 def test_softmax_rows_sum_to_one():
