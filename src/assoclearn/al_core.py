@@ -271,14 +271,13 @@ def _forward_full(c: Component, s_prev: Matrix, t_prev: Matrix, train: bool):
     return s_i, t_i, bridged, recon, rec
 
 
-def component_forward(c: Component, s_prev: Matrix, t_prev: Matrix,
-                      train: bool = False):
-    """Run both forward paths; returns (s_i, t_i, LossRecord).
+def component_forward(c: Component, s_prev: Matrix, t_prev: Matrix):
+    """Both forward paths in evaluation mode; returns (s_i, t_i, LossRecord).
 
     The outputs are plain arrays: passing them to the next component
     creates no gradient linkage back to this one.
     """
-    s_i, t_i, _, _, rec = _forward_full(c, s_prev, t_prev, train)
+    s_i, t_i, _, _, rec = _forward_full(c, s_prev, t_prev, train=False)
     return s_i, t_i, rec
 
 
@@ -466,7 +465,7 @@ def collect_messages(net: ALNetwork, x: Matrix, y_onehot: Matrix):
     s, t = x, y_onehot
     for c in net.components:
         msgs.append((s, t))
-        s, t, _ = component_forward(c, s, t, train=False)
+        s, t, _ = component_forward(c, s, t)
     return msgs
 
 

@@ -27,7 +27,7 @@ from .al_core import (
     net_param_items,
     net_set_params,
 )
-from .bp import BPNetwork, BPPlan, bp_param_items, bp_set_params
+from .bp import BPNetwork, bp_param_items, bp_set_params
 
 _FORMAT = "alnet-ckpt-1"
 _DTYPE = "<f8"
@@ -104,17 +104,30 @@ def load_checkpoint(path):
     return header, arrays
 
 
-def save_al(path, net: ALNetwork, seed: int, epoch: int,
-            extra: dict | None = None) -> None:
-    plan = net.plan.to_dict() if net.plan is not None else None
-    _write(path, "al", plan, seed, epoch, net_param_items(net), extra)
-
-
-def load_al_into(net: ALNetwork, path) -> dict:
-    """Overwrite net's parameters from a checkpoint; returns the header."""
+def _read(path, tag: str):
+    """(header, arrays) of a checkpoint; DataError unless its tag is tag."""
     header, arrays = load_checkpoint(path)
-    if header["tag"] != "al":
-        raise DataError(f"{path}: tag {header['tag']!r}, expected 'al'")
+    if header["tag"] != tag:
+        raise DataError(f"{path}: tag {header['tag']!r}, expected {tag!r}")
+    return header, arrays
+
+
+def _rebuild(path, header, build):
+    """build(plan, rng) from the header's plan dict and an rng seeded from
+    its seed; DataError naming path when either is missing or malformed."""
+    plan, seed = header["plan"], header["seed"]
+    if plan is None:
+        raise DataError(f"{path}: checkpoint has no plan; "
+                        f"use load_al_into with a compatible network")
+    if type(seed) is not int or seed < 0:
+        raise DataError(f"{path}: malformed seed {seed!r}")
+    try:
+        return build(plan, make_rng(seed))
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: malformed plan {plan!r}: {e!r}") from e
+
+
+def _assign_al(net: ALNetwork, path, header, arrays) -> None:
     names = [n for n, _ in net_param_items(net)]
     stored = [d["name"] for d in header["arrays"]]
     if names != stored:
@@ -123,20 +136,27 @@ def load_al_into(net: ALNetwork, path) -> dict:
         raise DataError(
             f"{path}: tensor names do not match this network ({diff})")
     net_set_params(net, arrays)
+
+
+def save_al(path, net: ALNetwork, seed: int, epoch: int,
+            extra: dict | None = None) -> None:
+    plan = net.plan.to_dict() if net.plan is not None else None
+    _write(path, "al", plan, seed, epoch, net_param_items(net), extra)
+
+
+def load_al_into(net: ALNetwork, path) -> dict:
+    """Overwrite net's parameters from a checkpoint; returns the header."""
+    header, arrays = _read(path, "al")
+    _assign_al(net, path, header, arrays)
     return header
 
 
 def load_al(path, lr: float = 1e-4) -> tuple[ALNetwork, dict]:
     """Rebuild a network from a checkpoint that carries its plan."""
-    header, _ = load_checkpoint(path)
-    if header["tag"] != "al":
-        raise DataError(f"{path}: tag {header['tag']!r}, expected 'al'")
-    if header["plan"] is None:
-        raise DataError(f"{path}: checkpoint has no plan; "
-                        f"use load_al_into with a compatible network")
-    plan = NetworkPlan.from_dict(header["plan"])
-    net = build_network(plan, make_rng(int(header["seed"])), lr=lr)
-    load_al_into(net, path)
+    header, arrays = _read(path, "al")
+    net = _rebuild(path, header, lambda plan, rng: build_network(
+        NetworkPlan.from_dict(plan), rng, lr=lr))
+    _assign_al(net, path, header, arrays)
     return net, header
 
 
@@ -148,13 +168,10 @@ def save_bp(path, net: BPNetwork, seed: int, epoch: int,
 
 
 def load_bp(path, lr: float = 1e-4) -> tuple[BPNetwork, dict]:
-    header, arrays = load_checkpoint(path)
-    if header["tag"] != "bp":
-        raise DataError(f"{path}: tag {header['tag']!r}, expected 'bp'")
-    plan = header["plan"]
-    net = BPNetwork(plan["widths"], make_rng(int(header["seed"])), lr=lr,
-                    head=plan.get("head", "softmax"),
-                    feature_layer=plan.get("feature_layer"),
-                    name=plan.get("name", "bp"))
+    header, arrays = _read(path, "bp")
+    net = _rebuild(path, header, lambda plan, rng: BPNetwork(
+        plan["widths"], rng, lr=lr, head=plan.get("head", "softmax"),
+        feature_layer=plan.get("feature_layer"),
+        name=plan.get("name", "bp")))
     bp_set_params(net, arrays)
     return net, header

@@ -19,8 +19,6 @@ import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import blas
 from .errors import (
     ConfigError,
@@ -101,18 +99,27 @@ class RunConfig:
                 raise ConfigError(f"data dir does not exist: {self.data_dir}")
 
 
-def _parse_lr_drops(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"bad --lr-drops value: {text!r}") from None
+def _integer(v) -> int:
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(v)
+    return int(v)
+
+
+def _epoch_list(v) -> list[int]:
+    """A list of integers, or the --lr-drops comma string."""
+    if isinstance(v, str):
+        v = v.split(",") if v.strip() else []
+    return [_integer(d) for d in v]
+
+
+# How a flag or config-file value becomes a RunConfig field of each
+# non-string type.
+_COERCE = {"int": _integer, "float": float, "list[int]": _epoch_list}
 
 
 def resolve_train_config(args) -> RunConfig:
-    """Defaults, then config-file values, then explicit flags."""
+    """Defaults, then config-file values, then explicit flags; a flag
+    sets the RunConfig field of the same name."""
     values: dict = {}
     if args.config:
         path = Path(args.config)
@@ -127,16 +134,8 @@ def resolve_train_config(args) -> RunConfig:
         if unknown:
             raise ConfigError(
                 f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
-    overrides = {
-        "dataset": args.dataset, "mode": args.mode, "seed": args.seed,
-        "plan": args.plan, "data_dir": args.data_dir, "epochs": args.epochs,
-        "batch_size": args.batch_size, "lr": args.lr,
-        "lr_factor": args.lr_factor, "head": args.head,
-        "queue_capacity": args.queue_capacity, "out": args.out,
-    }
-    if args.lr_drops is not None:
-        overrides["lr_drops"] = _parse_lr_drops(args.lr_drops)
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    values.update({k: v for k, v in vars(args).items()
+                   if k in RunConfig.__dataclass_fields__ and v is not None})
 
     for req in ("dataset", "mode", "seed"):
         if req not in values or values[req] is None:
@@ -145,14 +144,14 @@ def resolve_train_config(args) -> RunConfig:
         values["data_dir"] = os.environ.get("AL_DATA_DIR") or None
     for key, val in _DATASET_DEFAULTS.get(values["dataset"], {}).items():
         values.setdefault(key, val)
-    for key in ("seed", "epochs", "batch_size", "queue_capacity",
-                "subset_train", "subset_test"):
-        if key in values:
+    for key, val in list(values.items()):
+        kind = RunConfig.__dataclass_fields__[key].type
+        if kind in _COERCE:
             try:
-                values[key] = int(values[key])
+                values[key] = _COERCE[kind](val)
             except (TypeError, ValueError):
-                raise ConfigError(f"{key} must be an integer, "
-                                  f"got {values[key]!r}") from None
+                raise ConfigError(f"{key} (--{key.replace('_', '-')}) must "
+                                  f"be {kind}, got {val!r}") from None
     cfg = RunConfig(**values)
     if not cfg.plan:
         cfg.plan = _DEFAULT_PLAN[cfg.dataset] if cfg.dataset in _DEFAULT_PLAN \

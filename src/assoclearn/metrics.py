@@ -94,7 +94,7 @@ def associated_loss_profile(net: ALNetwork, ds: Dataset,
         s, t = ds.X[i:i + chunk], y1[i:i + chunk]
         rows = s.shape[0]
         for k, c in enumerate(net.components):
-            s, t, rec = component_forward(c, s, t, train=False)
+            s, t, rec = component_forward(c, s, t)
             sums[k] += rec.mse1 * rows
     return [float(v) for v in sums / ds.n]
 

@@ -9,6 +9,9 @@ correction per parameter tensor, in place: the layer's tensors and the
 moments are overwritten, and the result is bit-identical to the textbook
 formula evaluated with fresh arrays, because every operation runs in the
 same order. Layers therefore own their tensors and copy any they are given.
+A tensor's Adam state is its moments m, v and step count t; beta1, beta2
+and eps are module constants, and the learning rate is held once, by the
+block's ``BlockAdam``.
 
 The activations select no elements by mask: ELU, its derivative and the
 sigmoid's numerator are written with minimum, maximum and exp in forms
@@ -347,6 +350,12 @@ def cross_entropy_grad(probs: Matrix, onehot: Matrix) -> Matrix:
 
 # Adam -----------------------------------------------------------------
 
+# Kingma & Ba's decay rates and epsilon (arXiv:1412.6980).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-tensor Adam moments; t counts applied updates."""
@@ -354,21 +363,15 @@ class AdamState:
     m: Matrix
     v: Matrix
     t: int = 0
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_param(cls, param: Matrix, lr: float = 1e-4, beta1: float = 0.9,
-                  beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros_like(param), v=np.zeros_like(param),
-                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def for_param(cls, param: Matrix) -> "AdamState":
+        return cls(m=np.zeros_like(param), v=np.zeros_like(param))
 
 
-def adam_update(param: Matrix, grad: Matrix, state: AdamState,
+def adam_update(param: Matrix, grad: Matrix, state: AdamState, lr: float,
                 scratch: tuple[Matrix, Matrix] | None = None) -> Matrix:
-    """One bias-corrected Adam step, applied in place; returns param.
+    """One bias-corrected Adam step at rate lr, in place; returns param.
 
     param, state.m and state.v are overwritten. The textbook update
 
@@ -388,24 +391,24 @@ def adam_update(param: Matrix, grad: Matrix, state: AdamState,
     s1, s2 = scratch
     m, v = state.m, state.v
     state.t += 1
-    np.multiply(m, state.beta1, out=m)
-    np.multiply(grad, 1.0 - state.beta1, out=s1)
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=s1)
     np.add(m, s1, out=m)
-    np.multiply(v, state.beta2, out=v)
+    np.multiply(v, ADAM_BETA2, out=v)
     np.multiply(grad, grad, out=s1)
-    np.multiply(s1, 1.0 - state.beta2, out=s1)
+    np.multiply(s1, 1.0 - ADAM_BETA2, out=s1)
     np.add(v, s1, out=v)
-    np.divide(m, 1.0 - state.beta1 ** state.t, out=s1)
-    np.multiply(s1, state.lr, out=s1)
-    np.divide(v, 1.0 - state.beta2 ** state.t, out=s2)
+    np.divide(m, 1.0 - ADAM_BETA1 ** state.t, out=s1)
+    np.multiply(s1, lr, out=s1)
+    np.divide(v, 1.0 - ADAM_BETA2 ** state.t, out=s2)
     np.sqrt(s2, out=s2)
-    np.add(s2, state.eps, out=s2)
+    np.add(s2, ADAM_EPS, out=s2)
     np.divide(s1, s2, out=s1)
     return np.subtract(param, s1, out=param)
 
 
 class BlockAdam:
-    """Adam over every parameter tensor of one MLPBlock.
+    """Adam at one learning rate over every parameter tensor of one MLPBlock.
 
     States are created lazily on the first step so that freshly built
     networks stay cheap until training actually starts. The tensors are
@@ -413,22 +416,16 @@ class BlockAdam:
     block's largest tensor.
     """
 
-    def __init__(self, block: MLPBlock, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, block: MLPBlock, lr: float = 1e-4):
         self.block = block
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._states: dict[tuple[int, str], AdamState] = {}
         self._work: tuple[Matrix, Matrix] | None = None
 
     def _state(self, key: tuple[int, str], param: Matrix) -> AdamState:
         st = self._states.get(key)
         if st is None:
-            st = AdamState.for_param(param, self.lr, self.beta1, self.beta2,
-                                     self.eps)
-            self._states[key] = st
+            st = self._states[key] = AdamState.for_param(param)
         return st
 
     def _scratch(self, param: Matrix) -> tuple[Matrix, Matrix]:
@@ -440,17 +437,15 @@ class BlockAdam:
 
     def set_lr(self, lr: float) -> None:
         self.lr = lr
-        for st in self._states.values():
-            st.lr = lr
 
     def step(self) -> None:
         for i, layer in enumerate(self.block.layers):
             if layer.grad_W is None or layer.grad_b is None:
                 raise StateError("step without gradients; run backward first")
             adam_update(layer.W, layer.grad_W, self._state((i, "W"), layer.W),
-                        self._scratch(layer.W))
+                        self.lr, self._scratch(layer.W))
             adam_update(layer.bias, layer.grad_b,
-                        self._state((i, "b"), layer.bias),
+                        self._state((i, "b"), layer.bias), self.lr,
                         self._scratch(layer.bias))
 
 

@@ -1,8 +1,9 @@
 """Sequential and pipelined training loops.
 
 Both AL trainers run one stage list, one stage per component
-(``_component_stages``); a stage trains its component on a batch and
-hands the pre-update outputs to the next. The sequential epoch runs the
+(``_component_stages``), built per epoch; a stage trains its component
+on a batch and hands the pre-update outputs to the next in a
+``BatchMessage`` (batch id and arrays only). The sequential epoch runs the
 stages inline, n*C component tasks one after another. The pipelined
 epoch gives each stage a worker thread, connected by bounded FIFO
 queues: component c handles batch m at logical unit u = m + c - 1, so
@@ -14,7 +15,8 @@ changes how much wall-clock overlap the stages get.
 ``run_pipeline`` is the schedule-agnostic core (stages, bounded queues,
 an optional in-flight cap, monotone batch-id enforcement, error
 propagation); the pipelined trainer and the synthetic throughput bench
-both run on it.
+both run on it, and both take its ``ThroughputReport`` as the one record
+of the run.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ class BatchMessage:
     """Detached activations in flight between two components."""
 
     batch_id: int
-    epoch: int
     s: Matrix
     t: Matrix
 
@@ -92,27 +93,20 @@ class Schedule:
 
 @dataclass
 class ThroughputReport:
+    """One pipeline run: completed batches (those the last stage
+    finished), the time units they span on the Schedule, and each stage's
+    busy time over its lifetime. speedup is set only by bench_pipeline,
+    which also times the sequential run."""
+
     wall_clock: float
+    completed: int
     time_units: int
     busy_fraction: list[float]
     speedup: float | None = None
 
 
-@dataclass
-class PipelineRun:
-    completed: int          # batches the last stage finished
-    busy: list[float]
-    lifetime: list[float]
-    wall_clock: float
-
-    @property
-    def busy_fraction(self) -> list[float]:
-        """Each stage's busy time over its lifetime."""
-        return [b / max(lf, 1e-12) for b, lf in zip(self.busy, self.lifetime)]
-
-
 def run_pipeline(stages, feed, capacity: int = 2,
-                 depth: int | None = None) -> PipelineRun:
+                 depth: int | None = None) -> ThroughputReport:
     """Push (batch_id, payload) pairs through worker threads.
 
     stages: one callable per stage, payload -> payload. feed: iterable of
@@ -208,19 +202,20 @@ def run_pipeline(stages, feed, capacity: int = 2,
     if errors:
         i, e = errors[0]
         raise TrainingError(f"pipeline stage {i + 1} failed: {e}") from e
-    return PipelineRun(completed=completed, busy=busy, lifetime=lifetime,
-                       wall_clock=wall)
+    return ThroughputReport(
+        wall_clock=wall, completed=completed,
+        time_units=Schedule(completed, n).total_units(),
+        busy_fraction=[b / max(lf, 1e-12) for b, lf in zip(busy, lifetime)])
 
 
-def _feed(X: Matrix, y_onehot: Matrix, batch_size: int, rng: Rng,
-          epoch: int):
+def _feed(X: Matrix, y_onehot: Matrix, batch_size: int, rng: Rng):
     """(batch_id, BatchMessage) per shuffled mini-batch, ids from 1."""
     for m, idx in enumerate(BatchIterator(X.shape[0], batch_size, rng),
                             start=1):
-        yield m, BatchMessage(m, epoch, X[idx], y_onehot[idx])
+        yield m, BatchMessage(m, X[idx], y_onehot[idx])
 
 
-def _component_stages(net: ALNetwork, sums1, sums2) -> list:
+def _component_stages(net: ALNetwork, epoch: int, sums1, sums2) -> list:
     """One stage per component, BatchMessage -> BatchMessage: it trains the
     component, adds its row-weighted local losses to sums1[k] and sums2[k],
     and passes on the pre-update outputs."""
@@ -231,11 +226,11 @@ def _component_stages(net: ALNetwork, sums1, sums2) -> list:
                 s, t, rec = component_update(comp, msg.s, msg.t)
             except NumericError as e:
                 raise NumericError(
-                    f"epoch {msg.epoch}, batch {msg.batch_id}: {e}") from e
+                    f"epoch {epoch}, batch {msg.batch_id}: {e}") from e
             rows = msg.s.shape[0]
             sums1[k] += rec.mse1 * rows
             sums2[k] += rec.mse2 * rows
-            return BatchMessage(msg.batch_id, msg.epoch, s, t)
+            return BatchMessage(msg.batch_id, s, t)
         return stage
 
     return [make_stage(k, c) for k, c in enumerate(net.components)]
@@ -256,8 +251,8 @@ def train_epoch_sequential(net: ALNetwork, X: Matrix, y_onehot: Matrix,
     _component_stages run inline: component 1 through C."""
     sums1 = np.zeros(net.n_components)
     sums2 = np.zeros(net.n_components)
-    stages = _component_stages(net, sums1, sums2)
-    for _, msg in _feed(X, y_onehot, batch_size, rng, epoch):
+    stages = _component_stages(net, epoch, sums1, sums2)
+    for _, msg in _feed(X, y_onehot, batch_size, rng):
         for stage in stages:
             msg = stage(msg)
     return _al_record("al-seq", epoch, sums1, sums2, X.shape[0])
@@ -270,23 +265,17 @@ def train_epoch_pipelined(net: ALNetwork, X: Matrix, y_onehot: Matrix,
     component; see the module docstring for the equivalence. OpenBLAS runs
     on PIPELINE_BLAS_THREADS threads for the epoch, and the caller's thread
     count is restored when the workers have joined, also on failure. Returns
-    (MetricsRecord, ThroughputReport); the report's speedup is left None
-    (the bench harness fills it by also timing a sequential run)."""
+    (MetricsRecord, ThroughputReport) with the report of run_pipeline."""
     n_batches = BatchIterator(X.shape[0], batch_size, rng).n_batches()
     sums1 = np.zeros(net.n_components)
     sums2 = np.zeros(net.n_components)
-    stages = _component_stages(net, sums1, sums2)
+    stages = _component_stages(net, epoch, sums1, sums2)
     with blas.pinned_threads(PIPELINE_BLAS_THREADS):
-        run = run_pipeline(stages,
-                           _feed(X, y_onehot, batch_size, rng, epoch),
-                           capacity=capacity, depth=depth)
-    if run.completed != n_batches:
+        report = run_pipeline(stages, _feed(X, y_onehot, batch_size, rng),
+                              capacity=capacity, depth=depth)
+    if report.completed != n_batches:
         raise TrainingError(
-            f"epoch ended with {run.completed} of {n_batches} batches")
-    report = ThroughputReport(
-        wall_clock=run.wall_clock,
-        time_units=Schedule(n_batches, net.n_components).total_units(),
-        busy_fraction=run.busy_fraction)
+            f"epoch ended with {report.completed} of {n_batches} batches")
     return _al_record("al-pipe", epoch, sums1, sums2, X.shape[0]), report
 
 
@@ -407,13 +396,9 @@ def bench_pipeline(n_batches: int, components: int, task_cost_ms: float,
         time.sleep(cost)
         return payload
 
-    run = run_pipeline([stage] * components,
-                       ((m, m) for m in range(1, n_batches + 1)),
-                       capacity=capacity)
-    report = ThroughputReport(
-        wall_clock=run.wall_clock,
-        time_units=sched.total_units(),
-        busy_fraction=run.busy_fraction,
-        speedup=seq_wall / run.wall_clock)
+    report = run_pipeline([stage] * components,
+                          ((m, m) for m in range(1, n_batches + 1)),
+                          capacity=capacity)
+    report.speedup = seq_wall / report.wall_clock
     return BenchResult(schedule=sched, sequential_wall=seq_wall,
                        report=report)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from assoclearn.al_core import (
     infer,
     net_param_items,
 )
+from assoclearn import checkpoint
 from assoclearn.bp import BPNetwork
 from assoclearn.checkpoint import (
     load_al,
@@ -178,6 +180,40 @@ def test_load_into_same_names_other_shapes_leaves_net_untouched(tmp_path):
     with pytest.raises(ShapeError, match="c2.b.0"):
         load_al_into(net, path)
     assert [p.tobytes() for _, p in net_param_items(net)] == before
+
+
+@pytest.mark.parametrize("loader,edit", [
+    ("al", lambda h: h.update(plan={})),
+    ("al", lambda h: h.update(plan=3)),
+    ("al", lambda h: h.update(seed="abc")),
+    ("bp", lambda h: h["plan"].pop("widths")),
+], ids=["al-empty-plan", "al-plan-not-a-dict", "al-seed-not-an-int",
+        "bp-plan-without-widths"])
+def test_malformed_plan_or_seed_raises_data_error(tmp_path, loader, edit):
+    path = tmp_path / "model.bin"
+    if loader == "al":
+        save_al(path, al_fixture(19), seed=19, epoch=0)
+    else:
+        save_bp(path, BPNetwork([4, 3, 2], make_rng(19)), seed=19, epoch=0)
+    _rewrite_header(path, edit)
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        (load_al if loader == "al" else load_bp)(path)
+
+
+def test_load_al_reads_the_file_once(tmp_path, monkeypatch):
+    # Two reads could pair one write's header with another write's tensors
+    # when a running fit replaces the checkpoint in between.
+    path = tmp_path / "model.bin"
+    save_al(path, al_fixture(20), seed=20, epoch=0)
+    reads = []
+
+    def counted(p):
+        reads.append(p)
+        return load_checkpoint(p)
+
+    monkeypatch.setattr(checkpoint, "load_checkpoint", counted)
+    load_al(path)
+    assert len(reads) == 1
 
 
 def test_load_al_needs_plan(tmp_path):

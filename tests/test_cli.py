@@ -163,6 +163,35 @@ def test_config_missing_file_exit_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad,message", [
+    ({"lr": "fast"}, "lr (--lr) must be float, got 'fast'"),
+    ({"lr_factor": "half"}, "lr_factor (--lr-factor) must be float"),
+    ({"lr_drops": [80, "x"]}, "lr_drops (--lr-drops) must be list[int]"),
+    ({"epochs": 1.7}, "epochs (--epochs) must be int, got 1.7"),
+])
+def test_config_value_of_wrong_type_exit_2_writes_nothing(tmp_path, capsys,
+                                                          bad, message):
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "run"
+    cfg_path.write_text(json.dumps({"dataset": "xor", "mode": "al-seq",
+                                    "seed": 0, "epochs": 1,
+                                    "out": str(out), **bad}))
+    assert run_cli(["train", "--config", str(cfg_path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_lr_drops_as_list_or_flag_string(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    for drops in ([80, 120], "80,120"):
+        cfg_path.write_text(json.dumps({"dataset": "xor", "mode": "al-seq",
+                                        "seed": 0, "lr_drops": drops,
+                                        "epochs": 2.0}))
+        cfg = parse_train(["--config", str(cfg_path)])
+        assert cfg.lr_drops == [80, 120]
+        assert cfg.epochs == 2 and isinstance(cfg.epochs, int)
+
+
 def test_dataset_defaults_applied():
     cfg = parse_train(["--dataset", "xor", "--mode", "al-seq",
                        "--seed", "0"])
@@ -247,6 +276,32 @@ def test_every_public_name_resolves():
 
     for name in assoclearn.__all__:
         assert hasattr(assoclearn, name), name
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    import ast
+    from pathlib import Path
+
+    import assoclearn
+
+    unused = []
+    for path in sorted(Path(assoclearn.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":    # imports there are the exports
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{imported[name]}: {name}"
+                   for name in sorted(set(imported) - used)]
+    assert unused == []
 
 
 def test_console_entry_point_runs():

@@ -326,33 +326,33 @@ def test_adam_scalar_oracle():
     # so the step is -lr/(1 + eps)
     theta = np.array([[0.0]])
     grad = np.array([[1.0]])
-    state = AdamState.for_param(theta, lr=1e-3)
-    new = adam_update(theta, grad, state)
+    state = AdamState.for_param(theta)
+    new = adam_update(theta, grad, state, 1e-3)
     assert abs(float(new[0, 0]) - (-0.001)) < 1e-9
     assert state.t == 1
 
 
 def test_adam_zero_grad_zero_state():
     theta = np.array([[0.7, -0.2]])
-    state = AdamState.for_param(theta, lr=1e-3)
-    new = adam_update(theta, np.zeros_like(theta), state)
+    state = AdamState.for_param(theta)
+    new = adam_update(theta, np.zeros_like(theta), state, 1e-3)
     assert np.array_equal(new, theta)
 
 
 def test_adam_first_step_is_lr_times_sign():
     for g in (0.5, -2.0, 1.0, -0.25):
         theta = np.array([[0.0]])
-        state = AdamState.for_param(theta, lr=1e-3)
-        new = adam_update(theta, np.array([[g]]), state)
+        state = AdamState.for_param(theta)
+        new = adam_update(theta, np.array([[g]]), state, 1e-3)
         assert abs(float(new[0, 0]) - (-1e-3 * np.sign(g))) < 1e-6
 
 
 def test_adam_deterministic():
     def run():
         theta = np.array([[1.0, 2.0]])
-        state = AdamState.for_param(theta, lr=1e-2)
+        state = AdamState.for_param(theta)
         for g in ([[0.3, -0.1]], [[-0.5, 0.2]], [[0.1, 0.1]]):
-            theta = adam_update(theta, np.array(g), state)
+            theta = adam_update(theta, np.array(g), state, 1e-2)
         return theta
 
     assert np.array_equal(run(), run())
@@ -362,7 +362,7 @@ def test_adam_shape_mismatch():
     theta = np.zeros((2, 2))
     state = AdamState.for_param(theta)
     with pytest.raises(ShapeError):
-        adam_update(theta, np.zeros((2, 3)), state)
+        adam_update(theta, np.zeros((2, 3)), state, 1e-4)
 
 
 def _textbook_adam(param, grad, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -377,10 +377,10 @@ def test_adam_in_place_bit_identical_to_textbook():
     rng = make_rng(8)
     theta = rng.normal(size=(7, 5))
     ref, m, v = theta.copy(), np.zeros_like(theta), np.zeros_like(theta)
-    state = AdamState.for_param(theta, lr=3e-3)
+    state = AdamState.for_param(theta)
     for t in range(1, 13):
         grad = rng.normal(0.0, 10.0 ** rng.integers(-6, 3), size=theta.shape)
-        out = adam_update(theta, grad, state)
+        out = adam_update(theta, grad, state, 3e-3)
         ref, m, v = _textbook_adam(ref, grad, m, v, t, lr=3e-3)
         assert out is theta
         assert _same_bits(theta, ref)
@@ -428,14 +428,23 @@ def test_block_adam_requires_gradients():
 
 
 def test_block_adam_set_lr_applies_to_states():
+    # Three steps at one rate, then set_lr: the fourth step is the
+    # textbook step at the new rate on the moments the first three left.
     rng = make_rng(31)
     block = make_block([2, 3], "identity", rng)
     opt = BlockAdam(block, lr=1e-3)
-    out = block.forward(rng.normal(size=(2, 2)), train=True)
-    block.backward(np.ones_like(out))
-    opt.step()
-    opt.set_lr(5e-4)
-    assert all(st.lr == 5e-4 for st in opt._states.values())
+    refs = [[p.copy(), np.zeros_like(p), np.zeros_like(p)]
+            for p in block.param_arrays()]
+    for t, lr in enumerate((1e-3, 1e-3, 1e-3, 0.25), start=1):
+        if t == 4:
+            opt.set_lr(lr)
+        out = block.forward(rng.normal(size=(2, 2)), train=True)
+        block.backward(np.ones_like(out))
+        opt.step()
+        for ref, p, g in zip(refs, block.param_arrays(), block.grad_arrays()):
+            param, m, v = ref
+            ref[:] = _textbook_adam(param, g, m, v, t, lr=lr)
+            assert _same_bits(p, ref[0])
 
 
 def test_block_adam_updates_change_params():

@@ -213,6 +213,16 @@ def test_run_pipeline_preserves_order():
     assert run.completed == 19
 
 
+@pytest.mark.parametrize("n_stages,n_batches", [(1, 1), (2, 7), (3, 4)])
+def test_run_pipeline_report_counts_completed_batches(n_stages, n_batches):
+    report = run_pipeline([lambda v: v] * n_stages,
+                          ((i, i) for i in range(1, n_batches + 1)))
+    assert report.completed == n_batches
+    assert report.time_units == n_batches + n_stages - 1
+    assert report.speedup is None
+    assert len(report.busy_fraction) == n_stages
+
+
 def test_run_pipeline_keeps_no_finished_batch():
     class Out:
         pass
