@@ -12,7 +12,9 @@ Each component minimizes a purely local objective: the associated loss
 loss ``mse2 = MSE(h(g(t_{i-1})), t_{i-1})``. Gradient flow 1 updates f and
 b only; flow 2 updates g and h only. Activations crossing a component
 boundary are plain arrays with no gradient linkage, so no update of
-component i can depend on parameters of component j != i.
+component i can depend on parameters of component j != i. Each block has
+its own Adam optimizer, stepped by ``component_update`` at the one
+learning rate the network holds (``ALNetwork.lr``).
 
 Prediction never touches the encoders or the inner bridges: it composes
 all f blocks upward, the last bridge, then all h blocks downward,
@@ -207,7 +209,7 @@ class Component:
     """One fold unit: the four blocks plus one Adam optimizer per block."""
 
     def __init__(self, index: int, f: MLPBlock, g: MLPBlock, b: MLPBlock,
-                 h: MLPBlock, lr: float = 1e-4):
+                 h: MLPBlock):
         self.index = index
         self.f = f
         self.g = g
@@ -215,10 +217,10 @@ class Component:
         self.h = h
         NetworkPlan(f"component {index}", self.s_in, self.t_in,
                     [self.plan]).validate(first=index)
-        self.opt_f = BlockAdam(f, lr=lr)
-        self.opt_g = BlockAdam(g, lr=lr)
-        self.opt_b = BlockAdam(b, lr=lr)
-        self.opt_h = BlockAdam(h, lr=lr)
+        self.opt_f = BlockAdam(f)
+        self.opt_g = BlockAdam(g)
+        self.opt_b = BlockAdam(b)
+        self.opt_h = BlockAdam(h)
 
     @property
     def s_in(self) -> int:
@@ -237,10 +239,6 @@ class Component:
 
     def blocks(self) -> dict[str, MLPBlock]:
         return {"f": self.f, "g": self.g, "b": self.b, "h": self.h}
-
-    def set_lr(self, lr: float) -> None:
-        for opt in (self.opt_f, self.opt_g, self.opt_b, self.opt_h):
-            opt.set_lr(lr)
 
 
 def _check_component_inputs(c: Component, s_prev: Matrix, t_prev: Matrix) -> None:
@@ -298,37 +296,37 @@ def component_gradients(c: Component, s_prev: Matrix, t_prev: Matrix):
     return s_i, t_i, rec
 
 
-def component_update(c: Component, s_prev: Matrix, t_prev: Matrix):
-    """One local training step. Returns (s_i, t_i, LossRecord) where the
-    outputs were computed with the parameters BEFORE this update, exactly
-    what gets handed to the next component."""
+def component_update(c: Component, s_prev: Matrix, t_prev: Matrix,
+                     lr: float):
+    """One local training step at rate lr. Returns (s_i, t_i, LossRecord)
+    where the outputs were computed with the parameters BEFORE this
+    update, exactly what gets handed to the next component."""
     s_i, t_i, rec = component_gradients(c, s_prev, t_prev)
-    c.opt_f.step()
-    c.opt_b.step()
-    c.opt_g.step()
-    c.opt_h.step()
+    c.opt_f.step(lr)
+    c.opt_b.step(lr)
+    c.opt_g.step(lr)
+    c.opt_h.step(lr)
     return s_i, t_i, rec
 
 
 class ALNetwork:
-    """Ordered chain of components plus the overall input/target widths."""
+    """Ordered chain of components plus the overall input/target widths
+    and the learning rate every component trains at."""
 
     def __init__(self, components: list[Component], input_dim: int,
-                 target_dim: int, plan: NetworkPlan | None = None):
+                 target_dim: int, plan: NetworkPlan | None = None,
+                 lr: float = 1e-4):
         NetworkPlan("network", input_dim, target_dim,
                     [c.plan for c in components]).validate()
         self.components = components
         self.input_dim = input_dim
         self.target_dim = target_dim
         self.plan = plan
+        self.lr = lr
 
     @property
     def n_components(self) -> int:
         return len(self.components)
-
-    def set_lr(self, lr: float) -> None:
-        for c in self.components:
-            c.set_lr(lr)
 
 
 def build_network(plan: NetworkPlan, rng: Rng, lr: float = 1e-4) -> ALNetwork:
@@ -341,8 +339,8 @@ def build_network(plan: NetworkPlan, rng: Rng, lr: float = 1e-4) -> ALNetwork:
         g = make_block(cp.g, "sigmoid", rng)
         b = make_block(cp.b, "sigmoid", rng)
         h = make_block(cp.h, "sigmoid", rng)
-        comps.append(Component(i, f, g, b, h, lr=lr))
-    return ALNetwork(comps, plan.input_dim, plan.target_dim, plan)
+        comps.append(Component(i, f, g, b, h))
+    return ALNetwork(comps, plan.input_dim, plan.target_dim, plan, lr)
 
 
 def inference_layers(net: ALNetwork) -> list[DenseLayer]:
@@ -440,8 +438,8 @@ def _params(*blocks: MLPBlock) -> list[Matrix]:
     return [p for blk in blocks for p in blk.param_arrays()]
 
 
-def gradcheck_component_flows(c: Component, s_prev: Matrix, t_prev: Matrix,
-                              eps: float = 1e-5) -> dict[str, float]:
+def gradcheck_component_flows(c: Component, s_prev: Matrix,
+                              t_prev: Matrix) -> dict[str, float]:
     """gradcheck of each flow's analytic gradients.
 
     Flow 1 differentiates mse1 with t_i frozen at its forward value, over
@@ -452,9 +450,9 @@ def gradcheck_component_flows(c: Component, s_prev: Matrix, t_prev: Matrix,
     t_i = c.g.forward(t_prev, train=False)
     return {
         "flow1": gradcheck(lambda: _flow1_loss(c, s_prev, t_i),
-                           _params(c.f, c.b), _grads(c.f, c.b), eps),
+                           _params(c.f, c.b), _grads(c.f, c.b)),
         "flow2": gradcheck(lambda: _flow2_loss(c, t_prev),
-                           _params(c.g, c.h), _grads(c.g, c.h), eps),
+                           _params(c.g, c.h), _grads(c.g, c.h)),
     }
 
 
@@ -469,8 +467,8 @@ def collect_messages(net: ALNetwork, x: Matrix, y_onehot: Matrix):
     return msgs
 
 
-def gradcheck_cross_component(net: ALNetwork, x: Matrix, y_onehot: Matrix,
-                              eps: float = 1e-5) -> dict[str, float]:
+def gradcheck_cross_component(net: ALNetwork, x: Matrix,
+                              y_onehot: Matrix) -> dict[str, float]:
     """Differentiate every component's local objective, as trained (t_i
     frozen), with respect to every parameter in the network.
 
@@ -490,9 +488,9 @@ def gradcheck_cross_component(net: ALNetwork, x: Matrix, y_onehot: Matrix,
             return _flow1_loss(ci, s_prev, t_i) + _flow2_loss(ci, t_prev)
 
         own = list(ci.blocks().values())
-        within = max(within, gradcheck(obj, _params(*own), _grads(*own), eps))
+        within = max(within, gradcheck(obj, _params(*own), _grads(*own)))
         foreign = _params(*(blk for cj in net.components if cj is not ci
                             for blk in cj.blocks().values()))
-        for n in finite_diff_loss_grads(obj, foreign, eps=eps):
+        for n in finite_diff_loss_grads(obj, foreign):
             cross = max(cross, float(np.abs(n).max()))
     return {"cross": cross, "within": within}

@@ -13,13 +13,14 @@ with the same loss family the local objectives use.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
 from .linalg import Matrix, Rng, row_argmax
 from .al_core import NetworkPlan
+from .data import BatchIterator
 from .nn import (
     BlockAdam,
     cross_entropy_grad,
@@ -32,7 +33,7 @@ from .nn import (
     set_params,
 )
 
-_HEADS = ("softmax", "mse")
+HEADS = ("softmax", "mse")
 
 
 @dataclass
@@ -46,14 +47,6 @@ class BPPlan:
     name: str
     widths: list[int]
     feature_layer: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BPPlan":
-        return cls(name=d["name"], widths=[int(w) for w in d["widths"]],
-                   feature_layer=int(d["feature_layer"]))
 
 
 def match_effective_params(al_plan: NetworkPlan) -> BPPlan:
@@ -78,11 +71,12 @@ class BPNetwork:
     def __init__(self, widths: list[int], rng: Rng, lr: float = 1e-4,
                  head: str = "softmax", feature_layer: int | None = None,
                  name: str = "bp"):
-        if head not in _HEADS:
-            raise ConfigError(f"head must be one of {_HEADS}, got {head!r}")
+        if head not in HEADS:
+            raise ConfigError(f"head must be one of {HEADS}, got {head!r}")
         out_act = "softmax" if head == "softmax" else "sigmoid"
         self.stack = make_block(list(widths), "elu", rng, out_activation=out_act)
-        self.opt = BlockAdam(self.stack, lr=lr)
+        self.opt = BlockAdam(self.stack)
+        self.lr = lr
         self.head = head
         self.widths = list(widths)
         self.input_dim = widths[0]
@@ -109,7 +103,7 @@ class BPNetwork:
         out = self.forward(x, train=True)
         loss, grad = self.loss_and_grad(out, y_onehot)
         self.stack.backward(grad, input_grad=False)
-        self.opt.step()
+        self.opt.step(self.lr)
         return loss
 
     def predict(self, x: Matrix):
@@ -126,9 +120,6 @@ class BPNetwork:
 
     def param_count(self) -> int:
         return self.stack.param_count()
-
-    def set_lr(self, lr: float) -> None:
-        self.opt.set_lr(lr)
 
 
 def build_bp_network(plan: BPPlan, rng: Rng, lr: float = 1e-4,
@@ -162,8 +153,6 @@ def bp_train_epoch(net: BPNetwork, X: Matrix, y_onehot: Matrix,
     Loss is averaged over batches weighted by batch size; accuracy is
     measured after the epoch on the full training set.
     """
-    from .data import BatchIterator
-
     n = X.shape[0]
     total = 0.0
     for m, idx in enumerate(BatchIterator(n, batch_size, rng), start=1):
@@ -177,10 +166,9 @@ def bp_train_epoch(net: BPNetwork, X: Matrix, y_onehot: Matrix,
     return total / n, acc
 
 
-def gradcheck_bp(net: BPNetwork, x: Matrix, y_onehot: Matrix,
-                 eps: float = 1e-5) -> float:
+def gradcheck_bp(net: BPNetwork, x: Matrix, y_onehot: Matrix) -> float:
     """gradcheck of the full-stack analytic gradient."""
     out = net.forward(x, train=True)
     net.stack.backward(net.loss_and_grad(out, y_onehot)[1])
     return gradcheck(lambda: net.loss_and_grad(net.forward(x), y_onehot)[0],
-                     net.stack.param_arrays(), net.stack.grad_arrays(), eps)
+                     net.stack.param_arrays(), net.stack.grad_arrays())

@@ -5,9 +5,10 @@ name/shape of every tensor, in order); everything after the newline is
 the concatenation of those tensors as little-endian float64 bytes. The
 tensor order is the stable enumeration order of the model (components in
 order, blocks f, g, b, h, per layer W then bias), so a reader needs
-nothing beyond the header. Optimizer moments are not stored: a restored
-model predicts identically but restarts Adam cold. A checkpoint is
-replaced atomically, so a write that fails leaves the previous one.
+nothing beyond the header, and every loader checks the names. Neither
+the optimizer moments nor the learning rate is stored: a restored model
+predicts identically but restarts Adam cold. A checkpoint is replaced
+atomically, so a write that fails leaves the previous one.
 """
 
 from __future__ import annotations
@@ -127,15 +128,20 @@ def _rebuild(path, header, build):
         raise DataError(f"{path}: malformed plan {plan!r}: {e!r}") from e
 
 
-def _assign_al(net: ALNetwork, path, header, arrays) -> None:
-    names = [n for n, _ in net_param_items(net)]
+def _assign(net: ALNetwork | BPNetwork, path, header, arrays) -> None:
+    """Assign the tensors to net if their names are net's, in order."""
+    if isinstance(net, ALNetwork):
+        items, assign = net_param_items(net), net_set_params
+    else:
+        items, assign = bp_param_items(net), bp_set_params
+    names = [n for n, _ in items]
     stored = [d["name"] for d in header["arrays"]]
     if names != stored:
         diff = next((f"{a} vs {b}" for a, b in zip(stored, names) if a != b),
                     f"{len(stored)} tensors vs {len(names)}")
         raise DataError(
             f"{path}: tensor names do not match this network ({diff})")
-    net_set_params(net, arrays)
+    assign(net, arrays)
 
 
 def save_al(path, net: ALNetwork, seed: int, epoch: int,
@@ -147,16 +153,16 @@ def save_al(path, net: ALNetwork, seed: int, epoch: int,
 def load_al_into(net: ALNetwork, path) -> dict:
     """Overwrite net's parameters from a checkpoint; returns the header."""
     header, arrays = _read(path, "al")
-    _assign_al(net, path, header, arrays)
+    _assign(net, path, header, arrays)
     return header
 
 
-def load_al(path, lr: float = 1e-4) -> tuple[ALNetwork, dict]:
+def load_al(path) -> tuple[ALNetwork, dict]:
     """Rebuild a network from a checkpoint that carries its plan."""
     header, arrays = _read(path, "al")
     net = _rebuild(path, header, lambda plan, rng: build_network(
-        NetworkPlan.from_dict(plan), rng, lr=lr))
-    _assign_al(net, path, header, arrays)
+        NetworkPlan.from_dict(plan), rng))
+    _assign(net, path, header, arrays)
     return net, header
 
 
@@ -167,11 +173,11 @@ def save_bp(path, net: BPNetwork, seed: int, epoch: int,
     _write(path, "bp", plan, seed, epoch, bp_param_items(net), extra)
 
 
-def load_bp(path, lr: float = 1e-4) -> tuple[BPNetwork, dict]:
+def load_bp(path) -> tuple[BPNetwork, dict]:
     header, arrays = _read(path, "bp")
     net = _rebuild(path, header, lambda plan, rng: BPNetwork(
-        plan["widths"], rng, lr=lr, head=plan.get("head", "softmax"),
+        plan["widths"], rng, head=plan.get("head", "softmax"),
         feature_layer=plan.get("feature_layer"),
         name=plan.get("name", "bp")))
-    bp_set_params(net, arrays)
+    _assign(net, path, header, arrays)
     return net, header

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -36,7 +37,7 @@ from .al_core import (
     get_plan,
     plan_names,
 )
-from .bp import build_bp_network, gradcheck_bp, match_effective_params
+from .bp import HEADS, build_bp_network, gradcheck_bp, match_effective_params
 from .data import Dataset, load_mnist, mnist_subset, one_hot, synth_blobs, synth_xor
 from .metrics import geometry_report, write_json_summary, write_metrics_csv
 from .nn import grad_check_block, make_block
@@ -75,19 +76,20 @@ class RunConfig:
     out: str = ""
 
     def validate(self) -> None:
-        if self.dataset not in _DATASETS:
-            raise ConfigError(
-                f"dataset must be one of {_DATASETS}, got {self.dataset!r}")
-        if self.mode not in MODES:
-            raise ConfigError(
-                f"mode must be one of {MODES}, got {self.mode!r}")
+        for key, choices in (("dataset", _DATASETS), ("mode", MODES),
+                             ("head", HEADS)):
+            if getattr(self, key) not in choices:
+                raise ConfigError(f"{key} must be one of {choices}, "
+                                  f"got {getattr(self, key)!r}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(
                 f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        for key, rate in (("lr", self.lr), ("lr_factor", self.lr_factor)):
+            if not 0 < rate < math.inf:     # NaN fails both comparisons
+                raise ConfigError(
+                    f"{key} must be finite and positive, got {rate}")
         if self.queue_capacity < 1:
             raise ConfigError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity}")
@@ -105,6 +107,12 @@ def _integer(v) -> int:
     return int(v)
 
 
+def _string(v) -> str:
+    if not isinstance(v, str):
+        raise TypeError(v)
+    return v
+
+
 def _epoch_list(v) -> list[int]:
     """A list of integers, or the --lr-drops comma string."""
     if isinstance(v, str):
@@ -112,9 +120,10 @@ def _epoch_list(v) -> list[int]:
     return [_integer(d) for d in v]
 
 
-# How a flag or config-file value becomes a RunConfig field of each
-# non-string type.
-_COERCE = {"int": _integer, "float": float, "list[int]": _epoch_list}
+# How a flag or config-file value becomes a RunConfig field of each type.
+_COERCE = {"int": _integer, "float": float, "list[int]": _epoch_list,
+           "str": _string,
+           "str | None": lambda v: v if v is None else _string(v)}
 
 
 def resolve_train_config(args) -> RunConfig:
@@ -140,24 +149,20 @@ def resolve_train_config(args) -> RunConfig:
     for req in ("dataset", "mode", "seed"):
         if req not in values or values[req] is None:
             raise ConfigError(f"{req} is required (flag or config file)")
+    for key, val in list(values.items()):
+        kind = RunConfig.__dataclass_fields__[key].type
+        try:
+            values[key] = _COERCE[kind](val)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key} (--{key.replace('_', '-')}) must "
+                              f"be {kind}, got {val!r}") from None
     if not values.get("data_dir"):
         values["data_dir"] = os.environ.get("AL_DATA_DIR") or None
     for key, val in _DATASET_DEFAULTS.get(values["dataset"], {}).items():
         values.setdefault(key, val)
-    for key, val in list(values.items()):
-        kind = RunConfig.__dataclass_fields__[key].type
-        if kind in _COERCE:
-            try:
-                values[key] = _COERCE[kind](val)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key} (--{key.replace('_', '-')}) must "
-                                  f"be {kind}, got {val!r}") from None
     cfg = RunConfig(**values)
-    if not cfg.plan:
-        cfg.plan = _DEFAULT_PLAN[cfg.dataset] if cfg.dataset in _DEFAULT_PLAN \
-            else ""
-    if not cfg.out:
-        cfg.out = f"runs/{cfg.dataset}-{cfg.mode}-seed{cfg.seed}"
+    cfg.plan = cfg.plan or _DEFAULT_PLAN.get(cfg.dataset, "")
+    cfg.out = cfg.out or f"runs/{cfg.dataset}-{cfg.mode}-seed{cfg.seed}"
     cfg.validate()
     return cfg
 
@@ -196,9 +201,9 @@ def cmd_train(cfg: RunConfig) -> int:
             f"{train_ds.n_classes}")
     if cfg.mode == "bp":
         model = build_bp_network(match_effective_params(al_plan), init_rng,
-                                 lr=cfg.lr, head=cfg.head)
+                                 head=cfg.head)
     else:
-        model = build_network(al_plan, init_rng, lr=cfg.lr)
+        model = build_network(al_plan, init_rng)
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -228,7 +233,6 @@ def cmd_train(cfg: RunConfig) -> int:
         },
     }
     if result.reports:
-        summary["throughput"] = asdict(result.reports[-1])
         summary["throughput_epochs"] = [asdict(r) for r in result.reports]
     try:
         if cfg.mode == "bp":
@@ -338,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--lr-factor", type=float)
     t.add_argument("--seed", type=int, help="mandatory: runs are never "
                                             "wall-clock seeded")
-    t.add_argument("--head", choices=("softmax", "mse"),
+    t.add_argument("--head", choices=HEADS,
                    help="baseline loss head (bp mode)")
     t.add_argument("--queue-capacity", type=int)
     t.add_argument("--out", help="artifact directory")

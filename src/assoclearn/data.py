@@ -22,7 +22,7 @@ from .errors import (
     DataError,
     TruncatedFileError,
 )
-from .linalg import DTYPE, Matrix, Rng
+from .linalg import DTYPE, Matrix, Rng, spawn_rngs
 
 _IMAGE_MAGIC = 0x00000803
 _LABEL_MAGIC = 0x00000801
@@ -161,8 +161,6 @@ def stratified_subset(ds: Dataset, n: int, rng: Rng) -> Dataset:
 def mnist_subset(train: Dataset, test: Dataset, n_train: int = 6000,
                  n_test: int = 1000, seed: int = 0):
     """The desk-scale fixture: 6000 train / 1000 test, stratified."""
-    from .linalg import spawn_rngs
-
     r_train, r_test = spawn_rngs(seed, 2)
     return (stratified_subset(train, n_train, r_train),
             stratified_subset(test, n_test, r_test))

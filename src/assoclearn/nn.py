@@ -10,8 +10,8 @@ moments are overwritten, and the result is bit-identical to the textbook
 formula evaluated with fresh arrays, because every operation runs in the
 same order. Layers therefore own their tensors and copy any they are given.
 A tensor's Adam state is its moments m, v and step count t; beta1, beta2
-and eps are module constants, and the learning rate is held once, by the
-block's ``BlockAdam``.
+and eps are module constants, and the learning rate is not state at all:
+the model holds it, and ``BlockAdam.step(lr)`` takes it on every call.
 
 The activations select no elements by mask: ELU, its derivative and the
 sigmoid's numerator are written with minimum, maximum and exp in forms
@@ -27,7 +27,8 @@ named layers; the component network and the baseline both go through them.
 ``gradcheck`` is the one finite-difference oracle: every gradient check in
 the package compares analytic gradients against ``finite_diff_loss_grads``
 through it, measuring relative errors as ``|a - n| / max(1, |a|, |n|)``
-so that roundoff-scale gradients do not inflate the ratio.
+so that roundoff-scale gradients do not inflate the ratio. The
+central-difference step is the constant ``FD_EPS``.
 """
 
 from __future__ import annotations
@@ -408,7 +409,8 @@ def adam_update(param: Matrix, grad: Matrix, state: AdamState, lr: float,
 
 
 class BlockAdam:
-    """Adam at one learning rate over every parameter tensor of one MLPBlock.
+    """Adam over every parameter tensor of one MLPBlock, at the rate each
+    step is given.
 
     States are created lazily on the first step so that freshly built
     networks stay cheap until training actually starts. The tensors are
@@ -416,9 +418,8 @@ class BlockAdam:
     block's largest tensor.
     """
 
-    def __init__(self, block: MLPBlock, lr: float = 1e-4):
+    def __init__(self, block: MLPBlock):
         self.block = block
-        self.lr = lr
         self._states: dict[tuple[int, str], AdamState] = {}
         self._work: tuple[Matrix, Matrix] | None = None
 
@@ -435,24 +436,24 @@ class BlockAdam:
                           np.empty(size, dtype=DTYPE))
         return tuple(w[:param.size].reshape(param.shape) for w in self._work)
 
-    def set_lr(self, lr: float) -> None:
-        self.lr = lr
-
-    def step(self) -> None:
+    def step(self, lr: float) -> None:
         for i, layer in enumerate(self.block.layers):
             if layer.grad_W is None or layer.grad_b is None:
                 raise StateError("step without gradients; run backward first")
             adam_update(layer.W, layer.grad_W, self._state((i, "W"), layer.W),
-                        self.lr, self._scratch(layer.W))
+                        lr, self._scratch(layer.W))
             adam_update(layer.bias, layer.grad_b,
-                        self._state((i, "b"), layer.bias), self.lr,
+                        self._state((i, "b"), layer.bias), lr,
                         self._scratch(layer.bias))
 
 
 # finite differences ---------------------------------------------------
 
-def finite_diff_loss_grads(loss_fn, params: list[Matrix],
-                           eps: float = 1e-5) -> list[Matrix]:
+# Central-difference step of every gradient check.
+FD_EPS = 1e-5
+
+
+def finite_diff_loss_grads(loss_fn, params: list[Matrix]) -> list[Matrix]:
     """Central-difference gradient of loss_fn() for each tensor in params.
 
     loss_fn takes no arguments and must recompute the loss from the current
@@ -465,12 +466,12 @@ def finite_diff_loss_grads(loss_fn, params: list[Matrix],
         gflat = g.reshape(-1)
         for i in range(flat.size):
             saved = flat[i]
-            flat[i] = saved + eps
+            flat[i] = saved + FD_EPS
             up = loss_fn()
-            flat[i] = saved - eps
+            flat[i] = saved - FD_EPS
             down = loss_fn()
             flat[i] = saved
-            gflat[i] = (up - down) / (2.0 * eps)
+            gflat[i] = (up - down) / (2.0 * FD_EPS)
         grads.append(g)
     return grads
 
@@ -480,20 +481,19 @@ def max_rel_error(analytic: Matrix, numeric: Matrix) -> float:
     return float((np.abs(analytic - numeric) / denom).max())
 
 
-def gradcheck(loss_fn, params: list[Matrix], analytic: list[Matrix],
-              eps: float = 1e-5) -> float:
+def gradcheck(loss_fn, params: list[Matrix], analytic: list[Matrix]) -> float:
     """Max floored-relative error between the analytic gradients of
     loss_fn() with respect to params and its central differences."""
-    numeric = finite_diff_loss_grads(loss_fn, params, eps=eps)
+    numeric = finite_diff_loss_grads(loss_fn, params)
     return max(max_rel_error(a, n) for a, n in zip(analytic, numeric))
 
 
 def grad_check_block(block: MLPBlock, x: Matrix, target: Matrix,
-                     eps: float = 1e-5, inject_fault: bool = False) -> float:
+                     inject_fault: bool = False) -> float:
     """gradcheck of the MSE loss of block(x) against target."""
     block.backward(mse_loss_grad(block.forward(x, train=True), target))
     analytic = [g.copy() for g in block.grad_arrays()]
     if inject_fault:
         analytic[0].reshape(-1)[0] += 0.1
     return gradcheck(lambda: mse_loss(block.forward(x), target),
-                     block.param_arrays(), analytic, eps)
+                     block.param_arrays(), analytic)

@@ -1,16 +1,16 @@
 """Sequential and pipelined training loops.
 
 Both AL trainers run one stage list, one stage per component
-(``_component_stages``), built per epoch; a stage trains its component
-on a batch and hands the pre-update outputs to the next in a
-``BatchMessage`` (batch id and arrays only). The sequential epoch runs the
-stages inline, n*C component tasks one after another. The pipelined
-epoch gives each stage a worker thread, connected by bounded FIFO
-queues: component c handles batch m at logical unit u = m + c - 1, so
-the whole epoch spans n + C - 1 units. Each component sees the same
-messages in the same order in both modes, so the parameter trajectory
-is identical by construction at any pipeline depth; a queue only
-changes how much wall-clock overlap the stages get.
+(``_component_stages``), built per epoch at that epoch's ``net.lr``; a
+stage trains its component on a batch and hands the pre-update outputs
+to the next in a ``BatchMessage`` (batch id and arrays only). The
+sequential epoch runs the stages inline, n*C component tasks one after
+another. The pipelined epoch gives each stage a worker thread, connected
+by bounded FIFO queues: component c handles batch m at logical unit
+u = m + c - 1, so the whole epoch spans n + C - 1 units. Each component
+sees the same messages in the same order in both modes, so the parameter
+trajectory is identical by construction at any pipeline depth; a queue
+only changes how much wall-clock overlap the stages get.
 
 ``run_pipeline`` is the schedule-agnostic core (stages, bounded queues,
 an optional in-flight cap, monotone batch-id enforcement, error
@@ -217,13 +217,14 @@ def _feed(X: Matrix, y_onehot: Matrix, batch_size: int, rng: Rng):
 
 def _component_stages(net: ALNetwork, epoch: int, sums1, sums2) -> list:
     """One stage per component, BatchMessage -> BatchMessage: it trains the
-    component, adds its row-weighted local losses to sums1[k] and sums2[k],
-    and passes on the pre-update outputs."""
+    component at net.lr, adds its row-weighted local losses to sums1[k]
+    and sums2[k], and passes on the pre-update outputs."""
+    lr = net.lr
 
     def make_stage(k: int, comp):
         def stage(msg: BatchMessage) -> BatchMessage:
             try:
-                s, t, rec = component_update(comp, msg.s, msg.t)
+                s, t, rec = component_update(comp, msg.s, msg.t, lr)
             except NumericError as e:
                 raise NumericError(
                     f"epoch {epoch}, batch {msg.batch_id}: {e}") from e
@@ -306,6 +307,7 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
         eval_chunk: int = 2048) -> FitResult:
     """Full training run: per-epoch metrics, step learning-rate schedule,
     test evaluation every epoch, best checkpoint persisted to out_dir.
+    Each epoch starts by setting model.lr to that epoch's rate.
 
     epochs=0 evaluates the untouched model once and writes nothing.
     """
@@ -335,7 +337,7 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
     best_acc = -1.0
     best_epoch = None
     for e in range(1, epochs + 1):
-        model.set_lr(lr_at_epoch(lr, lr_drops, lr_factor, e))
+        model.lr = lr_at_epoch(lr, lr_drops, lr_factor, e)
         t_epoch = time.perf_counter()
         if mode == "al-seq":
             rec = train_epoch_sequential(model, train_ds.X, y1, batch_size,

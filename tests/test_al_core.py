@@ -138,7 +138,7 @@ def test_update_leaves_g_h_untouched_when_mse2_zero():
     f_before = params_of(comp.f)
     x = make_rng(6).normal(size=(4, dim))
     t = make_rng(7).normal(size=(4, dim))
-    _, _, rec = component_update(comp, x, t)
+    _, _, rec = component_update(comp, x, t, 1e-4)
     assert rec.mse2 == 0.0
     for before, after in zip(g_before, comp.g.param_arrays()):
         assert np.array_equal(before, after)
@@ -161,7 +161,7 @@ def test_update_leaves_f_b_untouched_when_mse1_zero():
     b_before = params_of(comp.b)
     g_before = params_of(comp.g)
     x = make_rng(10).normal(size=(4, dim))
-    _, _, rec = component_update(comp, x, x.copy())
+    _, _, rec = component_update(comp, x, x.copy(), 1e-4)
     assert rec.mse1 == 0.0
     for before, after in zip(f_before, comp.f.param_arrays()):
         assert np.array_equal(before, after)
@@ -179,7 +179,7 @@ def test_update_returns_preupdate_outputs():
     t = rng.normal(size=(3, 3))
     probe = clone_for_forward(comp)
     s_expect, t_expect, _ = component_forward(probe, x, t)
-    s_i, t_i, _ = component_update(comp, x, t)
+    s_i, t_i, _ = component_update(comp, x, t, 1e-4)
     assert np.array_equal(s_i, s_expect)
     assert np.array_equal(t_i, t_expect)
 
@@ -196,8 +196,7 @@ def test_update_decreases_local_obj():
     t = data_rng.uniform(size=(8, 3))
     for lr in (1e-4, 5e-5):
         probe = copy.deepcopy(comp)
-        probe.set_lr(lr)
-        _, _, before = component_update(probe, x, t)
+        _, _, before = component_update(probe, x, t, lr)
         _, _, after = component_forward(probe, x, t)
         if after.local_obj < before.local_obj:
             return
@@ -395,7 +394,7 @@ def test_set_params_copies_so_training_one_net_leaves_the_other():
     net_set_params(other, [p for _, p in net_param_items(net)])
     before = [p.copy() for _, p in net_param_items(net)]
     x = make_rng(32).uniform(size=(4, 2))
-    component_update(other.components[0], x, np.eye(2)[[0, 1, 1, 0]])
+    component_update(other.components[0], x, np.eye(2)[[0, 1, 1, 0]], 1e-4)
     assert all(np.array_equal(p, q)
                for (_, p), q in zip(net_param_items(net), before))
 
@@ -430,7 +429,7 @@ def test_clone_network_is_independent():
     rng = make_rng(36)
     x = rng.uniform(size=(4, 2))
     y = np.eye(2)[[0, 1, 1, 0]]
-    component_update(net.components[0], x, y)
+    component_update(net.components[0], x, y, 1e-4)
     before = dict(net_param_items(twin))
     after = dict(net_param_items(net))
     assert any(not np.array_equal(before[k], after[k]) for k in before)

@@ -12,7 +12,6 @@ from assoclearn.al_core import (
 )
 from assoclearn.bp import (
     BPNetwork,
-    BPPlan,
     bp_param_items,
     bp_set_params,
     bp_train_epoch,
@@ -70,11 +69,6 @@ def test_param_parity_random_plans():
         al = build_network(al_plan, make_rng(3))
         bp = build_bp_network(bp_plan, make_rng(4))
         assert bp.param_count() == effective_param_count(al)
-
-
-def test_plan_roundtrip_through_dict():
-    plan = match_effective_params(get_plan("blobs"))
-    assert BPPlan.from_dict(plan.to_dict()) == plan
 
 
 @pytest.mark.parametrize("head", ["softmax", "mse"])

@@ -168,6 +168,20 @@ def test_load_into_wrong_architecture(tmp_path):
         load_al_into(other, path)
 
 
+@pytest.mark.parametrize("loader", ["al", "bp"])
+def test_renamed_tensors_raise_data_error(tmp_path, loader):
+    path = tmp_path / "model.bin"
+    if loader == "al":
+        save_al(path, al_fixture(21), seed=21, epoch=0)
+    else:
+        save_bp(path, BPNetwork([4, 3, 2], make_rng(21)), seed=21, epoch=0)
+    _rewrite_header(path, lambda h: [d.update(name="zzz." + d["name"])
+                                     for d in h["arrays"]])
+    with pytest.raises(DataError, match=re.escape(str(path)) +
+                       ": tensor names do not match"):
+        (load_al if loader == "al" else load_bp)(path)
+
+
 def test_load_into_same_names_other_shapes_leaves_net_untouched(tmp_path):
     # blobs with a wider top-bridge hidden layer: every name matches, and
     # the first 12 tensors match in shape too, up to c2.b.0
@@ -236,5 +250,5 @@ def test_restored_network_trains_further(tmp_path):
     ds = synth_blobs(16, 8, 4, separation=6.0, rng=make_rng(16))
     s, t = ds.X, one_hot(ds.y, 4)
     for c in restored.components:
-        s, t, rec = component_update(c, s, t)
+        s, t, rec = component_update(c, s, t, restored.lr)
         assert np.isfinite(rec.local_obj)

@@ -1,9 +1,12 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import assoclearn
 from assoclearn.cli import main, resolve_train_config, build_parser
 from assoclearn.metrics import csv_header
 
@@ -116,8 +119,9 @@ def test_pipelined_mode_summary_has_throughput(tmp_path):
     assert run_cli(["train", "--dataset", "blobs", "--mode", "al-pipe",
                     "--epochs", "1", "--seed", "4", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["throughput"]["time_units"] == 4 + 2 - 1
-    assert len(summary["throughput"]["busy_fraction"]) == 2
+    assert summary["throughput_epochs"][-1]["time_units"] == 4 + 2 - 1
+    assert len(summary["throughput_epochs"][-1]["busy_fraction"]) == 2
+    assert "throughput" not in summary
 
 
 def test_summary_keeps_every_epoch_report_and_blas_setup(tmp_path):
@@ -127,7 +131,7 @@ def test_summary_keeps_every_epoch_report_and_blas_setup(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     epochs = summary["throughput_epochs"]
     assert len(epochs) == 3
-    assert summary["throughput"] == epochs[-1]
+    assert epochs[-1]["completed"] == 4
     setup = summary["blas"]
     assert set(setup) == {"openblas", "default_threads", "pipeline_threads"}
     if setup["openblas"]:
@@ -168,17 +172,25 @@ def test_config_missing_file_exit_2(tmp_path, capsys):
     ({"lr_factor": "half"}, "lr_factor (--lr-factor) must be float"),
     ({"lr_drops": [80, "x"]}, "lr_drops (--lr-drops) must be list[int]"),
     ({"epochs": 1.7}, "epochs (--epochs) must be int, got 1.7"),
+    ({"out": 5}, "out (--out) must be str, got 5"),
+    ({"dataset": ["xor"]}, "dataset (--dataset) must be str, got ['xor']"),
+    ({"lr": float("nan")}, "lr must be finite and positive, got nan"),
+    ({"mode": "bp", "epochs": 2, "lr_factor": -1.0, "lr_drops": [1]},
+     "lr_factor must be finite and positive, got -1.0"),
+    ({"head": "hinge"},
+     "head must be one of ('softmax', 'mse'), got 'hinge'"),
 ])
-def test_config_value_of_wrong_type_exit_2_writes_nothing(tmp_path, capsys,
-                                                          bad, message):
-    cfg_path = tmp_path / "cfg.json"
-    out = tmp_path / "run"
-    cfg_path.write_text(json.dumps({"dataset": "xor", "mode": "al-seq",
-                                    "seed": 0, "epochs": 1,
-                                    "out": str(out), **bad}))
-    assert run_cli(["train", "--config", str(cfg_path)]) == 2
+def test_config_value_of_wrong_type_exit_2_writes_nothing(
+        tmp_path, monkeypatch, capsys, bad, message):
+    # Relative to the working directory, so a run directory of any name
+    # would show up next to the config file.
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(
+        {"dataset": "xor", "mode": "al-seq", "seed": 0, "epochs": 1,
+         "out": "run", **bad}))
+    assert run_cli(["train", "--config", "cfg.json"]) == 2
     assert f"error: {message}" in capsys.readouterr().err
-    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_config_lr_drops_as_list_or_flag_string(tmp_path):
@@ -278,17 +290,17 @@ def test_every_public_name_resolves():
         assert hasattr(assoclearn, name), name
 
 
-def test_no_module_imports_a_name_it_never_uses():
-    import ast
-    from pathlib import Path
-
-    import assoclearn
-
-    unused = []
+def _src_modules():
+    """(path, ast) of every module of the package."""
     for path in sorted(Path(assoclearn.__file__).parent.glob("*.py")):
+        yield path, ast.parse(path.read_text())
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path, tree in _src_modules():
         if path.name == "__init__.py":    # imports there are the exports
             continue
-        tree = ast.parse(path.read_text())
         imported = {}
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and \
@@ -302,6 +314,18 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}:{imported[name]}: {name}"
                    for name in sorted(set(imported) - used)]
     assert unused == []
+
+
+def test_no_function_imports_from_the_package():
+    # Package imports sit at the top of a module, where an import cycle
+    # fails at once rather than on a function's first call.
+    local = set()
+    for path, tree in _src_modules():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local.update(f"{path.name}:{n.lineno}" for n in ast.walk(fn)
+                             if isinstance(n, ast.ImportFrom) and n.level)
+    assert sorted(local) == []
 
 
 def test_console_entry_point_runs():

@@ -393,14 +393,14 @@ def test_block_adam_bit_identical_to_textbook():
     block = make_block([6, 9, 4], "elu", rng)
     # A large lr makes the step comparable to the parameters, so a
     # rounding difference in the step reaches their bits.
-    opt = BlockAdam(block, lr=0.3)
+    opt = BlockAdam(block)
     refs = [[p.copy(), np.zeros_like(p), np.zeros_like(p)]
             for p in block.param_arrays()]
     for t in range(1, 11):
         for layer in block.layers:
             layer.grad_W = rng.normal(size=layer.W.shape)
             layer.grad_b = rng.normal(size=layer.bias.shape)
-        opt.step()
+        opt.step(0.3)
         for ref, p, g in zip(refs, block.param_arrays(), block.grad_arrays()):
             param, m, v = ref
             ref[:] = _textbook_adam(param, g, m, v, t, lr=0.3)
@@ -415,7 +415,7 @@ def test_adam_step_leaves_constructor_arrays_alone():
     block = MLPBlock([layer])
     out = block.forward(rng.normal(size=(4, 3)), train=True)
     block.backward(np.ones_like(out))
-    BlockAdam(block, lr=1e-2).step()
+    BlockAdam(block).step(1e-2)
     assert not np.array_equal(layer.W, W_before)
     assert np.array_equal(W, W_before) and np.array_equal(bias, bias_before)
 
@@ -424,23 +424,21 @@ def test_block_adam_requires_gradients():
     block = make_block([2, 2], "identity", make_rng(0))
     opt = BlockAdam(block)
     with pytest.raises(StateError):
-        opt.step()
+        opt.step(1e-4)
 
 
-def test_block_adam_set_lr_applies_to_states():
-    # Three steps at one rate, then set_lr: the fourth step is the
-    # textbook step at the new rate on the moments the first three left.
+def test_block_adam_step_applies_its_rate_to_the_states():
+    # Three steps at one rate, then one at another: the fourth step is
+    # the textbook step at the new rate on the moments the first three left.
     rng = make_rng(31)
     block = make_block([2, 3], "identity", rng)
-    opt = BlockAdam(block, lr=1e-3)
+    opt = BlockAdam(block)
     refs = [[p.copy(), np.zeros_like(p), np.zeros_like(p)]
             for p in block.param_arrays()]
     for t, lr in enumerate((1e-3, 1e-3, 1e-3, 0.25), start=1):
-        if t == 4:
-            opt.set_lr(lr)
         out = block.forward(rng.normal(size=(2, 2)), train=True)
         block.backward(np.ones_like(out))
-        opt.step()
+        opt.step(lr)
         for ref, p, g in zip(refs, block.param_arrays(), block.grad_arrays()):
             param, m, v = ref
             ref[:] = _textbook_adam(param, g, m, v, t, lr=lr)
@@ -453,7 +451,7 @@ def test_block_adam_updates_change_params():
     before = [p.copy() for p in block.param_arrays()]
     out = block.forward(rng.normal(size=(4, 3)), train=True)
     block.backward(mse_loss_grad(out, np.zeros_like(out)))
-    BlockAdam(block, lr=1e-3).step()
+    BlockAdam(block).step(1e-3)
     after = block.param_arrays()
     assert any(not np.array_equal(a, b) for a, b in zip(before, after))
 

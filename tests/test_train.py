@@ -70,11 +70,11 @@ def record_updates(monkeypatch, before=None) -> list:
     calls = []
     update = train_mod.component_update
 
-    def recording(comp, s, t):
+    def recording(comp, s, t, lr):
         calls.append(comp.index)
         if before is not None:
             before(comp, calls)
-        return update(comp, s, t)
+        return update(comp, s, t, lr)
 
     monkeypatch.setattr(train_mod, "component_update", recording)
     return calls
@@ -92,7 +92,7 @@ def test_sequential_losses_finite_and_trace_length(monkeypatch):
 
 def test_sequential_zero_lr_changes_nothing():
     net = build_network(get_plan("blobs"), make_rng(4))
-    net.set_lr(0.0)
+    net.lr = 0.0
     before = [(n, p.copy()) for n, p in net_param_items(net)]
     ds, y1 = blob_setup(seed=5)
     train_epoch_sequential(net, ds.X, y1, 8, make_rng(6))
@@ -361,7 +361,7 @@ def test_fit_applies_lr_schedule():
     ds, _ = blob_setup(seed=31)
     fit(net, ds, ds, mode="al-seq", epochs=2, batch_size=8,
         rng=make_rng(32), seed=30, lr=1e-3, lr_drops=[1], lr_factor=0.5)
-    assert net.components[0].opt_f.lr == 5e-4
+    assert net.lr == 5e-4
 
 
 def test_fit_pipelined_collects_reports():
