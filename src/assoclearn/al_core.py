@@ -7,14 +7,16 @@ A network is a chain of C components. Component i owns four blocks:
 * ``b``: a bridge mapping s_i into the t_i space (sigmoid layers),
 * ``h``: a decoder mapping t_i back to t_{i-1} (sigmoid layers).
 
-Each component minimizes a purely local objective: the associated loss
-``mse1 = MSE(b(s_i), t_i)`` with t_i held constant, plus the autoencoder
-loss ``mse2 = MSE(h(g(t_{i-1})), t_{i-1})``. Gradient flow 1 updates f and
-b only; flow 2 updates g and h only. Activations crossing a component
-boundary are plain arrays with no gradient linkage, so no update of
-component i can depend on parameters of component j != i. Each block has
-its own Adam optimizer, stepped by ``component_update`` at the one
-learning rate the network holds (``ALNetwork.lr``).
+Each component trains two local flows, both run by ``_flow``. Flow 2
+runs first: g encodes t_{i-1} to t_i and h decodes it back, with loss
+``mse2 = MSE(h(t_i), t_{i-1})``. Flow 1 then bridges s_i = f(s_{i-1})
+to flow 2's code: ``mse1 = MSE(b(s_i), t_i)`` with t_i held constant.
+Flow 2 updates g and h only; flow 1 updates f and b only. Activations
+crossing a component boundary are plain arrays with no gradient linkage,
+so no update of component i can depend on parameters of component j != i.
+Only after both flows succeed does ``component_update`` step each block's
+Adam optimizer, in g, h, f, b order, at the network's one rate
+(``ALNetwork.lr``).
 
 Prediction never touches the encoders or the inner bridges: it composes
 all f blocks upward, the last bridge, then all h blocks downward,
@@ -256,56 +258,48 @@ def _check_component_inputs(c: Component, s_prev: Matrix, t_prev: Matrix) -> Non
             f"rows, t has {t_prev.shape[0]}")
 
 
-def _forward_full(c: Component, s_prev: Matrix, t_prev: Matrix, train: bool):
+def _flow(enc: MLPBlock, dec: MLPBlock, x: Matrix, target: Matrix,
+          train: bool, where: str) -> tuple[Matrix, float]:
+    """One local flow: code = enc(x), loss = MSE(dec(code), target).
+    Training mode leaves the loss's gradients on dec and enc, never on x,
+    which belongs to the previous component. Returns (code, loss)."""
+    code = enc.forward(x, train=train)
+    ensure_finite(code, where)
+    out = dec.forward(code, train=train)
+    if train:
+        enc.backward(dec.backward(mse_loss_grad(out, target)),
+                     input_grad=False)
+    return code, mse_loss(out, target)
+
+
+def _flows(c: Component, s_prev: Matrix, t_prev: Matrix, train: bool):
+    """Flow 2 through (g, h), then flow 1 through (f, b) towards flow 2's
+    code t_i, held constant. Returns (s_i, t_i, LossRecord)."""
     _check_component_inputs(c, s_prev, t_prev)
-    s_i = c.f.forward(s_prev, train=train)
-    t_i = c.g.forward(t_prev, train=train)
-    bridged = c.b.forward(s_i, train=train)
-    recon = c.h.forward(t_i, train=train)
-    ensure_finite(s_i, f"component {c.index} f output")
-    ensure_finite(t_i, f"component {c.index} g output")
-    rec = LossRecord(component=c.index, mse1=mse_loss(bridged, t_i),
-                     mse2=mse_loss(recon, t_prev))
-    return s_i, t_i, bridged, recon, rec
+    where = f"component {c.index}"
+    t_i, mse2 = _flow(c.g, c.h, t_prev, t_prev, train, f"{where} g output")
+    s_i, mse1 = _flow(c.f, c.b, s_prev, t_i, train, f"{where} f output")
+    return s_i, t_i, LossRecord(component=c.index, mse1=mse1, mse2=mse2)
 
 
 def component_forward(c: Component, s_prev: Matrix, t_prev: Matrix):
-    """Both forward paths in evaluation mode; returns (s_i, t_i, LossRecord).
+    """Both flows in evaluation mode; returns (s_i, t_i, LossRecord).
 
     The outputs are plain arrays: passing them to the next component
     creates no gradient linkage back to this one.
     """
-    s_i, t_i, _, _, rec = _forward_full(c, s_prev, t_prev, train=False)
-    return s_i, t_i, rec
-
-
-def component_gradients(c: Component, s_prev: Matrix, t_prev: Matrix):
-    """Forward plus both local backward flows; gradients are left on the
-    layers and no optimizer step is taken. Returns (s_i, t_i, LossRecord).
-
-    Flow 1 sends d(mse1) through b then f, with t_i treated as a constant.
-    Flow 2 sends d(mse2) through h then g. Gradients with respect to the
-    inputs s_prev / t_prev are not computed at all: they would belong to
-    the previous component, which never sees them.
-    """
-    s_i, t_i, bridged, recon, rec = _forward_full(c, s_prev, t_prev, train=True)
-    grad_s_i = c.b.backward(mse_loss_grad(bridged, t_i))
-    c.f.backward(grad_s_i, input_grad=False)
-    grad_t_i = c.h.backward(mse_loss_grad(recon, t_prev))
-    c.g.backward(grad_t_i, input_grad=False)
-    return s_i, t_i, rec
+    return _flows(c, s_prev, t_prev, train=False)
 
 
 def component_update(c: Component, s_prev: Matrix, t_prev: Matrix,
                      lr: float):
     """One local training step at rate lr. Returns (s_i, t_i, LossRecord)
     where the outputs were computed with the parameters BEFORE this
-    update, exactly what gets handed to the next component."""
-    s_i, t_i, rec = component_gradients(c, s_prev, t_prev)
-    c.opt_f.step(lr)
-    c.opt_b.step(lr)
-    c.opt_g.step(lr)
-    c.opt_h.step(lr)
+    update, exactly what gets handed to the next component. No block
+    steps unless both flows succeed."""
+    s_i, t_i, rec = _flows(c, s_prev, t_prev, train=True)
+    for opt in (c.opt_g, c.opt_h, c.opt_f, c.opt_b):
+        opt.step(lr)
     return s_i, t_i, rec
 
 
@@ -420,22 +414,20 @@ def net_set_params(net: ALNetwork, arrays: list[Matrix]) -> None:
 
 # finite-difference harnesses ------------------------------------------
 
-def _flow1_loss(c: Component, s_prev: Matrix, t_i: Matrix) -> float:
-    return mse_loss(c.b.forward(c.f.forward(s_prev, train=False),
-                                train=False), t_i)
+def _flow_losses(c: Component, s_prev: Matrix, t_prev: Matrix):
+    """Leave both flows' analytic gradients on c's blocks and return the
+    losses of flow 1 and flow 2 as functions of the current parameters,
+    in evaluation mode, with t_i frozen at its evaluation-mode value."""
+    _flows(c, s_prev, t_prev, train=True)
+    _, t_i, _ = component_forward(c, s_prev, t_prev)
+    where = f"component {c.index} gradient check"
+    return (lambda: _flow(c.f, c.b, s_prev, t_i, False, where)[1],
+            lambda: _flow(c.g, c.h, t_prev, t_prev, False, where)[1])
 
 
-def _flow2_loss(c: Component, t_prev: Matrix) -> float:
-    return mse_loss(c.h.forward(c.g.forward(t_prev, train=False),
-                                train=False), t_prev)
-
-
-def _grads(*blocks: MLPBlock) -> list[Matrix]:
-    return [g for blk in blocks for g in blk.grad_arrays()]
-
-
-def _params(*blocks: MLPBlock) -> list[Matrix]:
-    return [p for blk in blocks for p in blk.param_arrays()]
+def _gradcheck(loss_fn, *blocks: MLPBlock) -> float:
+    return gradcheck(loss_fn, [p for blk in blocks for p in blk.param_arrays()],
+                     [g for blk in blocks for g in blk.grad_arrays()])
 
 
 def gradcheck_component_flows(c: Component, s_prev: Matrix,
@@ -446,14 +438,9 @@ def gradcheck_component_flows(c: Component, s_prev: Matrix,
     the f and b parameters; flow 2 differentiates mse2 over g and h.
     Returns the max floored-relative error per flow.
     """
-    component_gradients(c, s_prev, t_prev)
-    t_i = c.g.forward(t_prev, train=False)
-    return {
-        "flow1": gradcheck(lambda: _flow1_loss(c, s_prev, t_i),
-                           _params(c.f, c.b), _grads(c.f, c.b)),
-        "flow2": gradcheck(lambda: _flow2_loss(c, t_prev),
-                           _params(c.g, c.h), _grads(c.g, c.h)),
-    }
+    flow1, flow2 = _flow_losses(c, s_prev, t_prev)
+    return {"flow1": _gradcheck(flow1, c.f, c.b),
+            "flow2": _gradcheck(flow2, c.g, c.h)}
 
 
 def collect_messages(net: ALNetwork, x: Matrix, y_onehot: Matrix):
@@ -481,16 +468,14 @@ def gradcheck_cross_component(net: ALNetwork, x: Matrix,
     cross = within = 0.0
     for ci, (s_prev, t_prev) in zip(net.components,
                                     collect_messages(net, x, y_onehot)):
-        component_gradients(ci, s_prev, t_prev)
-        t_i = ci.g.forward(t_prev, train=False)
+        flow1, flow2 = _flow_losses(ci, s_prev, t_prev)
 
         def obj() -> float:
-            return _flow1_loss(ci, s_prev, t_i) + _flow2_loss(ci, t_prev)
+            return flow1() + flow2()
 
-        own = list(ci.blocks().values())
-        within = max(within, gradcheck(obj, _params(*own), _grads(*own)))
-        foreign = _params(*(blk for cj in net.components if cj is not ci
-                            for blk in cj.blocks().values()))
+        within = max(within, _gradcheck(obj, *ci.blocks().values()))
+        foreign = [p for cj in net.components if cj is not ci
+                   for blk in cj.blocks().values() for p in blk.param_arrays()]
         for n in finite_diff_loss_grads(obj, foreign):
             cross = max(cross, float(np.abs(n).max()))
     return {"cross": cross, "within": within}

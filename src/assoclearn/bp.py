@@ -137,12 +137,8 @@ def bp_param_items(net: BPNetwork) -> list[tuple[str, Matrix]]:
 
 
 def bp_set_params(net: BPNetwork, arrays: list[Matrix]) -> None:
-    """Assign copies of the tensors, in bp_param_items order: ConfigError
-    on a wrong count, ShapeError on a wrong shape, nothing assigned."""
-    layers = net.stack.layers
-    if len(arrays) != 2 * len(layers):
-        raise ConfigError(
-            f"expected {2 * len(layers)} tensors, got {len(arrays)}")
+    """Assign copies of the tensors, in bp_param_items order; ShapeError,
+    with nothing assigned, on a wrong count or shape."""
     set_params(_named_layers(net), arrays)
 
 

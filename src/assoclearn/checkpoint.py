@@ -14,6 +14,8 @@ atomically, so a write that fails leaves the previous one.
 from __future__ import annotations
 
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -91,13 +93,15 @@ def load_checkpoint(path):
         if fmt != _FORMAT:
             raise DataError(f"{path}: format {fmt!r}, expected {_FORMAT!r}")
         arrays = []
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         for name, shape in _tensor_descs(path, header):
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
+            need = 8 * math.prod(shape)     # a Python int: never wraps
+            raw = fh.read(min(need, left))  # never more than the file has
+            if len(raw) != need:
                 raise TruncatedFileError(
-                    f"{path}: tensor {name} needs {count * 8} bytes, "
+                    f"{path}: tensor {name} needs {need} bytes, "
                     f"got {len(raw)}")
+            left -= need
             arrays.append(np.frombuffer(raw, dtype=_DTYPE).reshape(shape)
                           .astype(np.float64))
         if fh.read(1):

@@ -81,18 +81,15 @@ class RunConfig:
             if getattr(self, key) not in choices:
                 raise ConfigError(f"{key} must be one of {choices}, "
                                   f"got {getattr(self, key)!r}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(
-                f"batch_size must be >= 1, got {self.batch_size}")
+        for key, low in (("seed", 0), ("epochs", 0), ("batch_size", 1),
+                         ("queue_capacity", 1)):
+            if getattr(self, key) < low:
+                raise ConfigError(
+                    f"{key} must be >= {low}, got {getattr(self, key)}")
         for key, rate in (("lr", self.lr), ("lr_factor", self.lr_factor)):
             if not 0 < rate < math.inf:     # NaN fails both comparisons
                 raise ConfigError(
                     f"{key} must be finite and positive, got {rate}")
-        if self.queue_capacity < 1:
-            raise ConfigError(
-                f"queue_capacity must be >= 1, got {self.queue_capacity}")
         if self.dataset.startswith("mnist"):
             if not self.data_dir:
                 raise ConfigError(
@@ -279,6 +276,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    for flag, value, low in (("--seed", args.seed, 0),
+                             ("--batch", args.batch, 1)):
+        if value < low:
+            raise ConfigError(f"{flag} must be >= {low}, got {value}")
     rng = make_rng(args.seed)
     plan = get_plan(args.plan)
     net = build_network(plan, rng)

@@ -68,11 +68,16 @@ def _open_data(path: Path):
     return open(path, "rb")
 
 
-def _read_exact(fh, count: int, path: Path) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise TruncatedFileError(
-            f"{path}: needed {count} bytes, file ended after {len(data)}")
+def _read_exact(fh, count: int, path: Path) -> bytearray:
+    """count bytes, read in chunks of at most 16 MiB: a header that
+    declares more than the file holds never allocates the declared size."""
+    data = bytearray()
+    while len(data) < count:
+        part = fh.read(min(count - len(data), 1 << 24))
+        if not part:
+            raise TruncatedFileError(f"{path}: needed {count} bytes, "
+                                     f"file ended after {len(data)}")
+        data += part
     return data
 
 

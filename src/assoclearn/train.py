@@ -386,6 +386,9 @@ def bench_pipeline(n_batches: int, components: int, task_cost_ms: float,
         raise ConfigError(f"components must be >= 1, got {components}")
     if n_batches < 1:
         raise ConfigError(f"n_batches must be >= 1, got {n_batches}")
+    if not 0 <= task_cost_ms < np.inf:      # NaN fails both comparisons
+        raise ConfigError(
+            f"task_cost_ms must be finite and >= 0, got {task_cost_ms}")
     cost = task_cost_ms / 1000.0
     sched = Schedule(n_batches, components)
 

@@ -28,7 +28,7 @@ from assoclearn.al_core import (
 )
 from assoclearn.errors import NumericError, PlanError, ShapeError
 from assoclearn.linalg import make_rng
-from assoclearn.nn import DenseLayer, MLPBlock
+from assoclearn.nn import DenseLayer, MLPBlock, mse_loss, mse_loss_grad
 
 
 def identity_block(dim):
@@ -201,6 +201,71 @@ def test_update_decreases_local_obj():
         if after.local_obj < before.local_obj:
             return
     pytest.fail("local objective did not decrease at lr 1e-4 or 5e-5")
+
+
+def two_pass_update(c, s_prev, t_prev, lr):
+    """component_update written out as two passes: forward f, g, b, h;
+    backward b -> f and h -> g; then step f, b, g, h."""
+    s_i = c.f.forward(s_prev, train=True)
+    t_i = c.g.forward(t_prev, train=True)
+    bridged = c.b.forward(s_i, train=True)
+    recon = c.h.forward(t_i, train=True)
+    c.f.backward(c.b.backward(mse_loss_grad(bridged, t_i)), input_grad=False)
+    c.g.backward(c.h.backward(mse_loss_grad(recon, t_prev)), input_grad=False)
+    for opt in (c.opt_f, c.opt_b, c.opt_g, c.opt_h):
+        opt.step(lr)
+    return s_i, t_i, mse_loss(bridged, t_i), mse_loss(recon, t_prev)
+
+
+def param_bytes(net):
+    return [(name, p.tobytes()) for name, p in net_param_items(net)]
+
+
+def batch_for(plan, seed, n=8):
+    rng = make_rng(seed)
+    return (rng.random((n, plan.input_dim)),
+            np.eye(plan.target_dim)[rng.integers(0, plan.target_dim, n)])
+
+
+@pytest.mark.parametrize("plan_name", ["blobs", "xor", "desk-3"])
+def test_update_matches_two_pass_reference_bit_for_bit(plan_name):
+    plan = get_plan(plan_name)
+    net = build_network(plan, make_rng(31))
+    ref = clone_network(net)
+    x, y = batch_for(plan, 32)
+    for _ in range(3):
+        s = s_ref = x
+        t = t_ref = y
+        for c, c_ref in zip(net.components, ref.components):
+            s, t, rec = component_update(c, s, t, 3e-3)
+            s_ref, t_ref, mse1, mse2 = two_pass_update(c_ref, s_ref, t_ref,
+                                                       3e-3)
+            assert s.tobytes() == s_ref.tobytes()
+            assert t.tobytes() == t_ref.tobytes()
+            assert (rec.mse1, rec.mse2) == (mse1, mse2)
+        assert param_bytes(net) == param_bytes(ref)
+
+
+@pytest.mark.parametrize("bad_input,where", [(0, "f output"),
+                                             (1, "g output")])
+def test_nonfinite_input_steps_no_block_and_no_adam_state(bad_input, where):
+    plan = get_plan("blobs")
+    net = build_network(plan, make_rng(33))
+    x, y = batch_for(plan, 34)
+    component_update(net.components[0], x, y, 3e-3)    # Adam state exists
+    never_failed = clone_network(net)
+    before = param_bytes(net)
+    bad = [x.copy(), y.copy()]
+    bad[bad_input][2, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match=f"component 1 {where}"):
+            component_update(net.components[0], *bad, 3e-3)
+    assert param_bytes(net) == before
+    (s, t, rec), (s0, t0, rec0) = (
+        component_update(m.components[0], x, y, 3e-3)
+        for m in (net, never_failed))
+    assert (s.tobytes(), t.tobytes(), rec) == (s0.tobytes(), t0.tobytes(), rec0)
+    assert param_bytes(net) == param_bytes(never_failed)
 
 
 # gradient checks ------------------------------------------------------

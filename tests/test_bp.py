@@ -156,8 +156,10 @@ def test_set_params_copies_so_training_one_net_leaves_the_other():
 
 def test_param_items_wrong_count():
     net = BPNetwork([3, 4, 2], make_rng(19))
-    with pytest.raises(ConfigError):
+    before = [p.tobytes() for _, p in bp_param_items(net)]
+    with pytest.raises(ShapeError, match="expected 4 parameter tensors"):
         bp_set_params(net, [np.zeros((3, 4))])
+    assert [p.tobytes() for _, p in bp_param_items(net)] == before
 
 
 def test_param_items_wrong_shape_rejected_and_net_untouched():

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -96,6 +97,28 @@ def test_truncated_blob_detected(tmp_path):
     save_al(path, al_fixture(10), seed=10, epoch=0)
     path.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(TruncatedFileError, match="needs"):
+        load_checkpoint(path)
+
+
+def declare_first_shape(path, shape):
+    """Rewrite the header so the first tensor declares shape."""
+    line, blob = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    header["arrays"][0]["shape"] = shape
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+
+
+# [2**32, 2**32] and [2**62, 4] hold 2**64 elements, a count that wraps to
+# 0 in 64-bit integers; [10**12] would need terabytes of memory.
+@pytest.mark.parametrize("shape", [[2**32, 2**32], [2**62, 4], [10**12]],
+                         ids=["wraps-2e32x2e32", "wraps-2e62x4", "oversized-1e12"])
+def test_declared_size_beyond_the_file_is_truncation(tmp_path, shape):
+    path = tmp_path / "model.bin"
+    save_al(path, al_fixture(12), seed=12, epoch=0)
+    declare_first_shape(path, shape)
+    with pytest.raises(TruncatedFileError,
+                       match=rf"model\.bin: tensor c1\.f\.0\.W needs "
+                             rf"{8 * math.prod(shape)} bytes"):
         load_checkpoint(path)
 
 

@@ -234,6 +234,26 @@ def test_bad_lr_drops_exit_2(capsys):
     assert "lr-drops" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--dataset", "xor", "--mode", "al-seq", "--seed", "-1"],
+     "seed must be >= 0, got -1"),
+    (["gradcheck", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["gradcheck", "--batch", "0"], "--batch must be >= 1, got 0"),
+    (["bench-pipeline", "--task-cost-ms", "-1"],
+     "task_cost_ms must be finite and >= 0, got -1.0"),
+    (["bench-pipeline", "--task-cost-ms", "nan"],
+     "task_cost_ms must be finite and >= 0, got nan"),
+])
+def test_out_of_range_number_exit_2_before_any_work(
+        tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 # bench ----------------------------------------------------------------
 
 def test_bench_json_schedule_numbers(capsys):
@@ -326,6 +346,22 @@ def test_no_function_imports_from_the_package():
                 local.update(f"{path.name}:{n.lineno}" for n in ast.walk(fn)
                              if isinstance(n, ast.ImportFrom) and n.level)
     assert sorted(local) == []
+
+
+def test_only_flow_differentiates_in_al_core():
+    # A local flow is defined once, by al_core._flow: training and both
+    # gradient checks reach backward passes only through it.
+    tree = next(t for p, t in _src_modules() if p.name == "al_core.py")
+
+    def grad_calls(node):
+        return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
+                and (getattr(n.func, "attr", None) == "backward"
+                     or getattr(n.func, "id", None) == "mse_loss_grad")]
+
+    inside = [line for fn in tree.body if isinstance(fn, ast.FunctionDef)
+              and fn.name == "_flow" for line in grad_calls(fn)]
+    assert sorted(grad_calls(tree)) == sorted(inside)
+    assert len(inside) == 3     # dec.backward, enc.backward, mse_loss_grad
 
 
 def test_console_entry_point_runs():

@@ -104,6 +104,21 @@ def test_load_idx_truncated(tmp_path):
         load_idx(img_path, lab_path)
 
 
+@pytest.mark.parametrize("gzipped", [False, True])
+def test_load_idx_declared_size_beyond_the_file(tmp_path, gzipped):
+    # 10**9 images of 28x28 over a 100-byte payload: the loader must
+    # report the truncation, not ask for 784 GB first.
+    img_path, lab_path = write_idx_pair(
+        tmp_path, np.ones((1, 2, 2), dtype=np.uint8),
+        np.zeros(1, dtype=np.uint8), gzipped=gzipped)
+    payload = struct.pack(">IIII", 0x00000803, 10**9, 28, 28) + bytes(100)
+    img_path.write_bytes(gzip.compress(payload) if gzipped else payload)
+    with pytest.raises(TruncatedFileError,
+                       match=f"{img_path.name}: needed 784000000000 bytes, "
+                             f"file ended after 100"):
+        load_idx(img_path, lab_path)
+
+
 def test_load_idx_count_mismatch(tmp_path):
     img_path, _ = write_idx_pair(
         tmp_path, np.ones((3, 2, 2), dtype=np.uint8),
