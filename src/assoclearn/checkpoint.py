@@ -71,7 +71,7 @@ def _tensor_descs(path, header) -> list[tuple[str, tuple[int, ...]]]:
             raise DataError(f"{path}: tensor {i} has no name")
         name, shape = desc["name"], desc.get("shape")
         if not (isinstance(shape, list) and all(
-                isinstance(n, int) and n >= 0 for n in shape)):
+                type(n) is int and n >= 0 for n in shape)):
             raise DataError(f"{path}: tensor {name} has malformed shape "
                             f"{shape!r}")
         out.append((name, tuple(shape)))
@@ -102,8 +102,13 @@ def load_checkpoint(path):
                     f"{path}: tensor {name} needs {need} bytes, "
                     f"got {len(raw)}")
             left -= need
-            arrays.append(np.frombuffer(raw, dtype=_DTYPE).reshape(shape)
-                          .astype(np.float64))
+            try:
+                a = np.frombuffer(raw, dtype=_DTYPE).reshape(shape)
+            except ValueError as e:
+                raise DataError(f"{path}: tensor {name} has shape "
+                                f"{list(shape)}, which numpy cannot hold: "
+                                f"{e}") from e
+            arrays.append(a.astype(np.float64))
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after last tensor")
     return header, arrays

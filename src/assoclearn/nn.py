@@ -13,13 +13,22 @@ A tensor's Adam state is its moments m, v and step count t; beta1, beta2
 and eps are module constants, and the learning rate is not state at all:
 the model holds it, and ``BlockAdam.step(lr)`` takes it on every call.
 
+The memory-bound elementwise passes run in row blocks of at most
+``BLOCK_ELEMS`` elements (``row_blocks``), so their operands and
+temporaries stay in a core's L2 cache between operations: Adam's
+operations, and each dense layer's bias add and activation. The work is
+elementwise, or row-wise for softmax, so the bits do not depend on the
+block size. The matrix products are never split by rows: OpenBLAS picks
+its threading by the row count, and a product of fewer rows can round
+differently.
+
 The activations select no elements by mask: ELU, its derivative and the
 sigmoid's numerator are written with minimum, maximum and exp in forms
 that equal the two-branch definitions bit for bit, including at +-0,
 +-inf and NaN, because each branch's value already lies on the right
 side of the other (expm1(x) >= x for x <= 0, 0 <= exp(-|x|) <= 1, and
-exp(0) is exactly 1). The sigmoid layer overwrites its own
-pre-activation with its output, since its backward pass needs only that.
+exp(0) is exactly 1). A layer overwrites its own pre-activation with
+its output, except a training-mode ELU, whose backward pass reads it.
 
 ``param_items`` / ``set_params`` name and assign the tensors of a list of
 named layers; the component network and the baseline both go through them.
@@ -33,6 +42,7 @@ central-difference step is the constant ``FD_EPS``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +50,22 @@ import numpy as np
 from .errors import ShapeError, StateError
 from .linalg import (DTYPE, Matrix, Rng, he_normal_init, matmul,
                      sliced_matmul)
+
+
+# Rows per block are chosen so that a block holds at most this many
+# elements (256 KiB of float64); a row wider than that is a block alone.
+BLOCK_ELEMS = 32768
+
+
+def _block_rows(a) -> int:
+    return max(1, BLOCK_ELEMS // max(1, math.prod(a.shape[1:])))
+
+
+def row_blocks(a):
+    """Slices of a's first axis, in order, each holding at most
+    BLOCK_ELEMS elements of a, or one row where a row holds more."""
+    step = _block_rows(a)
+    return (slice(lo, lo + step) for lo in range(0, a.shape[0], step))
 
 
 def _vectorize(fn):
@@ -99,17 +125,22 @@ def sigmoid_grad_from_output(out):
     return np.multiply(out, d, out=d)
 
 
-def softmax(z: Matrix) -> Matrix:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def softmax(z: Matrix, out: Matrix | None = None) -> Matrix:
+    """Row-wise softmax of z into out (which may be z), or a new array."""
+    out = np.subtract(z, z.max(axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    return np.divide(out, out.sum(axis=1, keepdims=True), out=out)
 
+
+# Each activation's value(z, out) writes into out, which is z itself
+# unless needs_z: only the ELU's backward pass reads the pre-activation.
 
 class _Identity:
     name = "identity"
+    needs_z = False
 
-    def value(self, z):
-        return z
+    def value(self, z, out):
+        pass
 
     def backward(self, grad_out, z, out):
         return grad_out
@@ -117,9 +148,10 @@ class _Identity:
 
 class _Elu:
     name = "elu"
+    needs_z = True
 
-    def value(self, z):
-        return elu(z)
+    def value(self, z, out):
+        elu(z, out=out)
 
     def backward(self, grad_out, z, out):
         d = elu_grad(z)
@@ -128,10 +160,10 @@ class _Elu:
 
 class _Sigmoid:
     name = "sigmoid"
+    needs_z = False
 
-    def value(self, z):
-        # In place: the backward pass reads only the output.
-        return sigmoid(z, out=z)
+    def value(self, z, out):
+        sigmoid(z, out=out)
 
     def backward(self, grad_out, z, out):
         d = sigmoid_grad_from_output(out)
@@ -141,9 +173,10 @@ class _Sigmoid:
 class _Softmax:
     # Row-wise softmax; backward is the exact Jacobian-vector product.
     name = "softmax"
+    needs_z = False
 
-    def value(self, z):
-        return softmax(z)
+    def value(self, z, out):
+        softmax(z, out=out)
 
     def backward(self, grad_out, z, out):
         inner = (grad_out * out).sum(axis=1, keepdims=True)
@@ -159,12 +192,14 @@ class DenseLayer:
     W has shape (fan_in, fan_out), bias (1, fan_out). A given W or bias is
     copied, because the optimizer updates the layer's tensors in place.
     Forward in training mode caches (input, pre-activation, output) for the
-    backward pass (a sigmoid layer's pre-activation is its output, which
-    it overwrote); evaluation-mode forward clears the cache. Forward never
-    writes into its input. Every product of training (forward, grad_W and
-    input gradient) is sliced_matmul's, so training gives the same bits at
-    any BLAS thread count; evaluation-mode forward keeps the plain
-    product, which is faster.
+    backward pass; evaluation-mode forward clears the cache. The bias add
+    and the activation run over row_blocks of the product, writing into
+    it, except that a training-mode ELU keeps its pre-activation for its
+    backward pass; every other layer's cached pre-activation is its
+    output. Forward never writes into its input. Every product of
+    training (forward, grad_W and input gradient) is sliced_matmul's, so
+    training gives the same bits at any BLAS thread count;
+    evaluation-mode forward keeps the plain product, which is faster.
     """
 
     def __init__(self, fan_in: int, fan_out: int, activation: str = "identity",
@@ -194,9 +229,13 @@ class DenseLayer:
         self._cache: tuple[Matrix, Matrix, Matrix] | None = None
 
     def forward(self, x: Matrix, train: bool = False) -> Matrix:
+        act = ACTIVATIONS[self.activation]
         z = matmul(x, self.W, sliced=train)
-        z += self.bias
-        out = ACTIVATIONS[self.activation].value(z)
+        out = np.empty_like(z) if train and act.needs_z else z
+        for rows in row_blocks(z):
+            zb = z[rows]
+            zb += self.bias
+            act.value(zb, out[rows])
         self._cache = (x, z, out) if train else None
         return out
 
@@ -379,33 +418,45 @@ def adam_update(param: Matrix, grad: Matrix, state: AdamState, lr: float,
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
         param - lr*(m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)
 
-    is evaluated one operation at a time in exactly that order, so the
-    result is bit-identical to computing it with fresh arrays. scratch is
-    a pair of param-shaped work arrays; two are allocated when it is None.
+    is evaluated one operation at a time in exactly that order, on each
+    of param's row_blocks in turn, so the result is bit-identical to
+    computing it with fresh arrays. scratch is a pair of 1-D work arrays
+    that each hold at least param's first (largest) row block; two are
+    allocated when it is None.
     """
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise ShapeError(
             f"adam_update: param {param.shape}, grad {grad.shape}, "
             f"state {state.m.shape}")
     if scratch is None:
-        scratch = (np.empty_like(param), np.empty_like(param))
-    s1, s2 = scratch
-    m, v = state.m, state.v
+        scratch = (_block_work(param), _block_work(param))
     state.t += 1
-    np.multiply(m, ADAM_BETA1, out=m)
-    np.multiply(grad, 1.0 - ADAM_BETA1, out=s1)
-    np.add(m, s1, out=m)
-    np.multiply(v, ADAM_BETA2, out=v)
-    np.multiply(grad, grad, out=s1)
-    np.multiply(s1, 1.0 - ADAM_BETA2, out=s1)
-    np.add(v, s1, out=v)
-    np.divide(m, 1.0 - ADAM_BETA1 ** state.t, out=s1)
-    np.multiply(s1, lr, out=s1)
-    np.divide(v, 1.0 - ADAM_BETA2 ** state.t, out=s2)
-    np.sqrt(s2, out=s2)
-    np.add(s2, ADAM_EPS, out=s2)
-    np.divide(s1, s2, out=s1)
-    return np.subtract(param, s1, out=param)
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
+    for rows in row_blocks(param):
+        p, g, m, v = param[rows], grad[rows], state.m[rows], state.v[rows]
+        s1, s2 = (w[:p.size].reshape(p.shape) for w in scratch)
+        np.multiply(m, ADAM_BETA1, out=m)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
+        np.add(m, s1, out=m)
+        np.multiply(v, ADAM_BETA2, out=v)
+        np.multiply(g, g, out=s1)
+        np.multiply(s1, 1.0 - ADAM_BETA2, out=s1)
+        np.add(v, s1, out=v)
+        np.divide(m, c1, out=s1)
+        np.multiply(s1, lr, out=s1)
+        np.divide(v, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        np.add(s2, ADAM_EPS, out=s2)
+        np.divide(s1, s2, out=s1)
+        np.subtract(p, s1, out=p)
+    return param
+
+
+def _block_work(*params: Matrix) -> Matrix:
+    """A 1-D work array the size of the largest row block of params."""
+    size = max(p[:_block_rows(p)].size for p in params)
+    return np.empty(size, dtype=DTYPE)
 
 
 class BlockAdam:
@@ -414,8 +465,9 @@ class BlockAdam:
 
     States are created lazily on the first step so that freshly built
     networks stay cheap until training actually starts. The tensors are
-    updated in place, through one pair of work arrays sized to the
-    block's largest tensor.
+    updated in place, through one pair of work arrays of this optimizer's
+    own, sized to the largest row block of the block's tensors; two
+    optimizers never share them, since pipeline stages step concurrently.
     """
 
     def __init__(self, block: MLPBlock):
@@ -429,22 +481,17 @@ class BlockAdam:
             st = self._states[key] = AdamState.for_param(param)
         return st
 
-    def _scratch(self, param: Matrix) -> tuple[Matrix, Matrix]:
-        if self._work is None:
-            size = max(p.size for p in self.block.param_arrays())
-            self._work = (np.empty(size, dtype=DTYPE),
-                          np.empty(size, dtype=DTYPE))
-        return tuple(w[:param.size].reshape(param.shape) for w in self._work)
-
     def step(self, lr: float) -> None:
+        if self._work is None:
+            params = self.block.param_arrays()
+            self._work = (_block_work(*params), _block_work(*params))
         for i, layer in enumerate(self.block.layers):
             if layer.grad_W is None or layer.grad_b is None:
                 raise StateError("step without gradients; run backward first")
             adam_update(layer.W, layer.grad_W, self._state((i, "W"), layer.W),
-                        lr, self._scratch(layer.W))
+                        lr, self._work)
             adam_update(layer.bias, layer.grad_b,
-                        self._state((i, "b"), layer.bias), lr,
-                        self._scratch(layer.bias))
+                        self._state((i, "b"), layer.bias), lr, self._work)
 
 
 # finite differences ---------------------------------------------------

@@ -313,6 +313,9 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    if not isinstance(eval_chunk, int) or eval_chunk < 1:
+        raise ConfigError(
+            f"eval_chunk must be an int >= 1, got {eval_chunk!r}")
     is_al = mode.startswith("al")
     if is_al and not isinstance(model, ALNetwork):
         raise ConfigError(f"mode {mode} needs a component network")

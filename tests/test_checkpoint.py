@@ -183,6 +183,31 @@ def test_header_negative_dimension_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_header_boolean_dimension_rejected(tmp_path):
+    # JSON true is a Python bool, which isinstance(..., int) accepts.
+    path = tmp_path / "model.bin"
+    save_al(path, al_fixture(16), seed=16, epoch=0)
+    _rewrite_header(path, lambda h: h["arrays"][0].update(shape=[True, 128]))
+    with pytest.raises(DataError,
+                       match=r"tensor c1\.f\.0\.W has malformed shape "
+                             r"\[True, 128\]"):
+        load_checkpoint(path)
+
+
+# Zero bytes, so the size check passes, but numpy bounds the product of
+# the nonzero dimensions.
+@pytest.mark.parametrize("shape", [[0, 2**62], [2**62, 0], [0, 2**63]])
+def test_header_shape_numpy_cannot_hold_rejected(tmp_path, shape):
+    path = tmp_path / "model.bin"
+    save_al(path, al_fixture(16), seed=16, epoch=0)
+    declare_first_shape(path, shape)
+    with pytest.raises(DataError,
+                       match=rf"model\.bin: tensor c1\.f\.0\.W has shape "
+                             rf"\[{shape[0]}, {shape[1]}\], which numpy "
+                             rf"cannot hold"):
+        load_checkpoint(path)
+
+
 def test_load_into_wrong_architecture(tmp_path):
     path = tmp_path / "model.bin"
     save_al(path, al_fixture(12), seed=12, epoch=0)

@@ -3,7 +3,7 @@ import pytest
 
 from assoclearn import nn
 from assoclearn.errors import ShapeError, StateError
-from assoclearn.linalg import make_rng
+from assoclearn.linalg import make_rng, matmul, sliced_matmul
 from assoclearn.nn import (
     AdamState,
     BlockAdam,
@@ -165,6 +165,43 @@ def test_dense_forward_activation_path(monkeypatch, activation, train):
     assert _same_bits(x, x_before)
     if train:
         assert layer._cache[0] is x and layer._cache[2] is out
+
+
+def _unblocked_softmax(z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+# Each activation over a whole array at once, into a new array.
+_UNBLOCKED = {"identity": lambda z: z, "elu": elu, "sigmoid": sigmoid,
+              "softmax": _unblocked_softmax}
+# Row counts on both sides of a 64-row block of width 512; pairs above
+# 4M output elements are left out to bound the test's memory.
+_FORWARD_SHAPES = [(rows, width) for rows in (1, 63, 64, 65, 2048, 6000)
+                   for width in (10, 256, 512, 40000)
+                   if rows * width <= 4_000_000]
+
+
+@pytest.mark.parametrize("rows,width", _FORWARD_SHAPES)
+@pytest.mark.parametrize("activation", list(nn.ACTIVATIONS))
+def test_dense_forward_row_blocks_bit_identical_to_unblocked(
+        activation, rows, width):
+    rng = make_rng(rows * 40001 + width)
+    layer = DenseLayer(8, width, activation, rng=rng,
+                       bias=rng.normal(size=width))
+    x = rng.normal(0.0, 3.0, size=(rows, 8))
+    x_before = x.copy()
+    for train in (False, True):
+        z = matmul(x, layer.W, sliced=train) + layer.bias
+        expected = _UNBLOCKED[activation](z.copy())
+        assert _same_bits(layer.forward(x, train=train), expected)
+        assert _same_bits(x, x_before)
+    g = rng.normal(size=(rows, width))
+    dz = nn.ACTIVATIONS[activation].backward(g, z, expected)
+    dx = layer.backward(g)
+    assert _same_bits(layer.grad_W, sliced_matmul(x.T, dz))
+    assert _same_bits(layer.grad_b, dz.sum(axis=0, keepdims=True))
+    assert _same_bits(dx, sliced_matmul(dz, layer.W.T))
 
 
 def test_softmax_rows_sum_to_one():
@@ -405,6 +442,53 @@ def test_block_adam_bit_identical_to_textbook():
             param, m, v = ref
             ref[:] = _textbook_adam(param, g, m, v, t, lr=0.3)
             assert _same_bits(p, ref[0])
+
+
+# (shape of the array, view of it that Adam updates): blocks of 128,
+# 64, 127 and 32768 rows, one-row tensors, rows wider than a block, and
+# views that are not C-contiguous.
+_ADAM_TENSORS = {
+    "784x256": ((784, 256), lambda a: a),
+    "256x512": ((256, 512), lambda a: a),
+    "1x256": ((1, 256), lambda a: a),
+    "130x257": ((130, 257), lambda a: a),
+    "3x40000": ((3, 40000), lambda a: a),
+    "1-D": ((100003,), lambda a: a),
+    "transposed": ((300, 200), lambda a: a.T),
+    "strided": ((400, 700), lambda a: a[1::2, ::3]),
+}
+
+
+@pytest.mark.parametrize("case", list(_ADAM_TENSORS))
+def test_adam_row_blocks_bit_identical_to_textbook(case):
+    shape, view = _ADAM_TENSORS[case]
+    rng = make_rng(46)
+    theta = view(rng.normal(size=shape))
+    ref, m, v = theta.copy(), np.zeros_like(theta), np.zeros_like(theta)
+    state = AdamState.for_param(theta)
+    moments = state.m, state.v
+    for t in range(1, 5):
+        grad = view(rng.normal(0.0, 10.0 ** rng.integers(-6, 3), size=shape))
+        assert adam_update(theta, grad, state, 0.3) is theta
+        ref, m, v = _textbook_adam(ref, grad, m, v, t, lr=0.3)
+        assert (state.m, state.v) == moments
+        assert _same_bits(theta, ref)
+        assert _same_bits(state.m, m) and _same_bits(state.v, v)
+
+
+@pytest.mark.parametrize("widths", [[784, 256, 10], [3, 40000]])
+def test_block_adam_work_arrays_hold_one_block(widths):
+    rng = make_rng(47)
+    block = make_block(widths, "elu", rng)
+    for layer in block.layers:
+        layer.grad_W = rng.normal(size=layer.W.shape)
+        layer.grad_b = rng.normal(size=layer.bias.shape)
+    opt = BlockAdam(block)
+    opt.step(1e-3)
+    widest_row = max(widths[1:])
+    for w in opt._work:
+        assert w.size <= nn.BLOCK_ELEMS + widest_row
+        assert w.size < max(p.size for p in block.param_arrays())
 
 
 def test_adam_step_leaves_constructor_arrays_alone():

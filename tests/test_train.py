@@ -5,18 +5,19 @@ import numpy as np
 import pytest
 
 import assoclearn.train as train_mod
+from assoclearn import nn
 from assoclearn.al_core import (
     build_network,
     clone_network,
     get_plan,
     net_param_items,
 )
-from assoclearn.bp import BPNetwork, bp_train_epoch
+from assoclearn.bp import BPNetwork, bp_param_items, bp_train_epoch
 from assoclearn.checkpoint import load_al
 from assoclearn.data import one_hot, synth_blobs, synth_xor
 from assoclearn.errors import ConfigError, NumericError, TrainingError
 from assoclearn.linalg import make_rng
-from assoclearn.metrics import evaluate_al
+from assoclearn.metrics import evaluate_al, write_metrics_csv
 from assoclearn.train import (
     Schedule,
     bench_pipeline,
@@ -392,6 +393,58 @@ def test_fit_mode_validation():
     with pytest.raises(ConfigError):
         fit(net, ds, ds, mode="bp", epochs=1, batch_size=8,
             rng=make_rng(41), seed=39)
+
+
+@pytest.mark.parametrize("chunk", [0, -5, 2.5])
+def test_fit_rejects_eval_chunk_before_training(chunk):
+    net = build_network(get_plan("blobs"), make_rng(39))
+    before = [a.copy() for _, a in net_param_items(net)]
+    ds, _ = blob_setup(seed=40)
+    with pytest.raises(ConfigError, match="eval_chunk"):
+        fit(net, ds, ds, mode="al-seq", epochs=1, batch_size=8,
+            rng=make_rng(41), seed=39, eval_chunk=chunk)
+    assert all(np.array_equal(a, b)
+               for a, (_, b) in zip(before, net_param_items(net)))
+
+
+def _optimizers(model):
+    if isinstance(model, BPNetwork):
+        return [model.opt]
+    return [opt for c in model.components
+            for opt in (c.opt_f, c.opt_g, c.opt_b, c.opt_h)]
+
+
+def _seeded_fit_bytes(mode, csv_path):
+    """(parameter bytes, metrics.csv bytes, model) of a seeded 2-epoch
+    fit on the blobs plan or a bp net of its size."""
+    ds, _ = blob_setup(seed=60, n=96)
+    if mode == "bp":
+        model = BPNetwork([8, 16, 4], make_rng(61))
+    else:
+        model = build_network(get_plan("blobs"), make_rng(61))
+    result = fit(model, ds, ds, mode=mode, epochs=2, batch_size=32,
+                 rng=make_rng(62), seed=61, lr=1e-2, lr_drops=(),
+                 eval_chunk=40)
+    items = bp_param_items(model) if mode == "bp" else net_param_items(model)
+    write_metrics_csv(csv_path, result.records, 2)
+    return (b"".join(a.tobytes() for _, a in items), csv_path.read_bytes(),
+            model)
+
+
+@pytest.mark.parametrize("mode", ["al-seq", "al-pipe", "bp"])
+def test_fit_bits_do_not_depend_on_the_block_size(mode, tmp_path,
+                                                   monkeypatch):
+    params, csv, _ = _seeded_fit_bytes(mode, tmp_path / "default.csv")
+    monkeypatch.setattr(nn, "BLOCK_ELEMS", 7)
+    small_params, small_csv, model = _seeded_fit_bytes(
+        mode, tmp_path / "small.csv")
+    assert small_params == params and small_csv == csv
+    works = [w for opt in _optimizers(model) for w in opt._work]
+    for opt in _optimizers(model):
+        widest_row = max(p.shape[-1] for p in opt.block.param_arrays())
+        assert all(w.size <= 7 + widest_row for w in opt._work)
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(works) for b in works[i + 1:])
 
 
 def test_fit_mse2_trend_three_epochs():
