@@ -30,7 +30,6 @@ the "effective" set; everything else (all g_i, bridges below the top) is
 
 from __future__ import annotations
 
-import copy
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -392,11 +391,6 @@ def perturb_affiliated(net: ALNetwork, delta: float = 1000.0) -> None:
         if id(layer) not in used:
             layer.W = layer.W + delta
             layer.bias = layer.bias + delta
-
-
-def clone_network(net: ALNetwork) -> ALNetwork:
-    """Deep copy, optimizer state included."""
-    return copy.deepcopy(net)
 
 
 def net_param_items(net: ALNetwork) -> list[tuple[str, Matrix]]:

@@ -1,8 +1,9 @@
 """Model persistence: one JSON header line, then raw parameter blobs.
 
-Layout: the first line is UTF-8 JSON (tag, plan, seed, epoch, and the
-name/shape of every tensor, in order); everything after the newline is
-the concatenation of those tensors as little-endian float64 bytes. The
+Layout: the first line is UTF-8 JSON (tag, plan, seed, epoch, dtype, and
+the name/shape of every tensor, in order); everything after the newline
+is the concatenation of those tensors as little-endian float64 bytes,
+which the dtype field declares as "<f8" and a loader requires. The
 tensor order is the stable enumeration order of the model (components in
 order, blocks f, g, b, h, per layer W then bias), so a reader needs
 nothing beyond the header, and every loader checks the names. Neither
@@ -57,11 +58,15 @@ def _write(path, tag: str, plan: dict | None, seed: int, epoch: int,
 
 def _tensor_descs(path, header) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every tensor the header declares; DataError when
-    a header field, a name or a shape is missing or malformed."""
-    missing = [k for k in ("tag", "plan", "seed", "epoch", "arrays")
+    a header field, a name or a shape is missing or malformed, or the
+    dtype is not the format's."""
+    missing = [k for k in ("tag", "plan", "seed", "epoch", "dtype", "arrays")
                if k not in header]
     if missing:
         raise DataError(f"{path}: header lacks {', '.join(missing)}")
+    if header["dtype"] != _DTYPE:
+        raise DataError(f"{path}: dtype {header['dtype']!r}, expected "
+                        f"{_DTYPE!r}")
     descs = header["arrays"]
     if not isinstance(descs, list):
         raise DataError(f"{path}: header 'arrays' is not a list")

@@ -1,9 +1,12 @@
 """Dense matrix arithmetic, seeded RNG, and weight initializers.
 
-Every tensor in this package is a dense 2-D ``numpy.ndarray`` of float64,
-batch-major (rows are samples). numpy supplies the arithmetic; this module
-adds the shape validation, the documented deterministic RNG, and the
-initializers the rest of the package builds on.
+Every tensor in this package is a dense 2-D ``numpy.ndarray``, batch-major
+(rows are samples). ``DTYPE`` is the dtype tensors are born with: only
+``he_normal_init`` here and ``data``, where inputs enter, read it. Compute
+follows its operands, so every array made from these tensors has their
+dtype. numpy supplies the arithmetic; this module adds the shape
+validation, the documented deterministic RNG, and the initializers the
+rest of the package builds on.
 
 The RNG is numpy's PCG64, wrapped so that the same 64-bit seed yields the
 same stream on every platform and run.

@@ -8,7 +8,8 @@ when the caller discards it. ``BlockAdam`` then applies Adam with bias
 correction per parameter tensor, in place: the layer's tensors and the
 moments are overwritten, and the result is bit-identical to the textbook
 formula evaluated with fresh arrays, because every operation runs in the
-same order. Layers therefore own their tensors and copy any they are given.
+same order. Layers therefore own their tensors: a layer draws its own when
+it is built, and ``set_params`` is the one way to give it others, as copies.
 A tensor's Adam state is its moments m, v and step count t; beta1, beta2
 and eps are module constants, and the learning rate is not state at all:
 the model holds it, and ``BlockAdam.step(lr)`` takes it on every call.
@@ -30,6 +31,11 @@ side of the other (expm1(x) >= x for x <= 0, 0 <= exp(-|x|) <= 1, and
 exp(0) is exactly 1). A layer overwrites its own pre-activation with
 its output, except a training-mode ELU, whose backward pass reads it.
 
+No code here decides a dtype. The activations, each layer's products,
+gradients and caches, the Adam moments and the work arrays all take the
+dtype of the tensors they work on; a tensor gets its dtype where it is
+born (``linalg.he_normal_init``, or the data).
+
 ``param_items`` / ``set_params`` name and assign the tensors of a list of
 named layers; the component network and the baseline both go through them.
 
@@ -48,8 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, StateError
-from .linalg import (DTYPE, Matrix, Rng, he_normal_init, matmul,
-                     sliced_matmul)
+from .linalg import Matrix, Rng, he_normal_init, matmul, sliced_matmul
 
 
 # Rows per block are chosen so that a block holds at most this many
@@ -68,21 +73,7 @@ def row_blocks(a):
     return (slice(lo, lo + step) for lo in range(0, a.shape[0], step))
 
 
-def _vectorize(fn):
-    """Run fn(a, out) on an array view a of x; return a scalar if x was one.
-    out, for an array x, is where the result goes; it may be x itself."""
-
-    def wrapped(x, out=None):
-        a = np.asarray(x, dtype=DTYPE)
-        if a.ndim == 0:
-            return float(fn(a.reshape(1), None)[0])
-        return fn(a, out)
-
-    return wrapped
-
-
-@_vectorize
-def elu(x, out):
+def elu(x, out=None):
     """Exponential linear unit with alpha = 1: x for x > 0, exp(x) - 1 below.
 
     Taken as maximum(x, expm1(minimum(x, 0))): above 0 that is max(x, 0),
@@ -93,15 +84,13 @@ def elu(x, out):
     return np.maximum(x, e, out=e if out is None else out)
 
 
-@_vectorize
-def elu_grad(x, out):
+def elu_grad(x, out=None):
     """1 for x > 0, exp(x) below; exp(minimum(x, 0)) is exactly 1 above 0."""
     d = np.minimum(x, 0.0, out=out)
     return np.exp(d, out=d)
 
 
-@_vectorize
-def sigmoid(x, out):
+def sigmoid(x, out=None):
     """Logistic function with one exp that cannot overflow.
 
     With e = exp(-|x|), where(x >= 0, 1, e) / (1 + e) is 1/(1 + exp(-x))
@@ -189,8 +178,10 @@ ACTIVATIONS = {a.name: a for a in (_Identity(), _Elu(), _Sigmoid(), _Softmax())}
 class DenseLayer:
     """Affine map plus activation.
 
-    W has shape (fan_in, fan_out), bias (1, fan_out). A given W or bias is
-    copied, because the optimizer updates the layer's tensors in place.
+    W has shape (fan_in, fan_out) and is drawn by he_normal_init from rng;
+    bias has shape (1, fan_out), starts at zero and takes W's dtype. The
+    one way to give a layer other tensors is set_params, which copies
+    them, because the optimizer updates the layer's tensors in place.
     Forward in training mode caches (input, pre-activation, output) for the
     backward pass; evaluation-mode forward clears the cache. The bias add
     and the activation run over row_blocks of the product, writing into
@@ -203,27 +194,14 @@ class DenseLayer:
     """
 
     def __init__(self, fan_in: int, fan_out: int, activation: str = "identity",
-                 rng: Rng | None = None, W: Matrix | None = None,
-                 bias: Matrix | None = None):
+                 *, rng: Rng):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        if W is None:
-            if rng is None:
-                raise ValueError("need an rng when W is not given")
-            W = he_normal_init(fan_in, fan_out, rng)
-        else:
-            W = np.array(W, dtype=DTYPE)
-        if W.shape != (fan_in, fan_out):
-            raise ShapeError(f"W shape {W.shape} != ({fan_in}, {fan_out})")
-        if bias is None:
-            bias = np.zeros((1, fan_out), dtype=DTYPE)
-        else:
-            bias = np.array(bias, dtype=DTYPE).reshape(1, fan_out)
         self.fan_in = fan_in
         self.fan_out = fan_out
         self.activation = activation
-        self.W = W
-        self.bias = bias
+        self.W = he_normal_init(fan_in, fan_out, rng)
+        self.bias = np.zeros((1, fan_out), dtype=self.W.dtype)
         self.grad_W: Matrix | None = None
         self.grad_b: Matrix | None = None
         self._cache: tuple[Matrix, Matrix, Matrix] | None = None
@@ -334,7 +312,8 @@ def param_items(named_layers) -> list[tuple[str, Matrix]]:
 
 
 def set_params(named_layers: list, arrays: list[Matrix]) -> None:
-    """Assign copies of the tensors, in param_items order. The count and
+    """Assign copies of the tensors, in param_items order and in each
+    layer's dtype; the one way to give a layer tensors. The count and
     every shape are checked before any tensor is assigned; a bias may be
     given as (1, n) or (n,)."""
     if len(arrays) != 2 * len(named_layers):
@@ -454,9 +433,10 @@ def adam_update(param: Matrix, grad: Matrix, state: AdamState, lr: float,
 
 
 def _block_work(*params: Matrix) -> Matrix:
-    """A 1-D work array the size of the largest row block of params."""
+    """A 1-D work array the size of the largest row block of params, of
+    the dtype their arithmetic has."""
     size = max(p[:_block_rows(p)].size for p in params)
-    return np.empty(size, dtype=DTYPE)
+    return np.empty(size, dtype=np.result_type(*params))
 
 
 class BlockAdam:

@@ -69,9 +69,6 @@ class Schedule:
         m = unit - component + 1
         return m if 1 <= m <= self.n_batches else None
 
-    def unit_for(self, batch: int, component: int) -> int:
-        return batch + component - 1
-
     def total_units(self) -> int:
         return self.n_batches + self.n_components - 1
 
@@ -309,13 +306,16 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
     test evaluation every epoch, best checkpoint persisted to out_dir.
     Each epoch starts by setting model.lr to that epoch's rate.
 
-    epochs=0 evaluates the untouched model once and writes nothing.
+    epochs=0 evaluates the untouched model once and writes nothing; a
+    negative epochs raises ConfigError before any work.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     if not isinstance(eval_chunk, int) or eval_chunk < 1:
         raise ConfigError(
             f"eval_chunk must be an int >= 1, got {eval_chunk!r}")
+    if epochs < 0:
+        raise ConfigError(f"epochs must be >= 0, got {epochs!r}")
     is_al = mode.startswith("al")
     if is_al and not isinstance(model, ALNetwork):
         raise ConfigError(f"mode {mode} needs a component network")

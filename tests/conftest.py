@@ -3,14 +3,20 @@
 The image-digit dataset cannot be fetched inside the build sandbox, so
 every test that needs the real files first looks for them under
 AL_DATA_DIR and skips with an explicit reason when they are absent.
+
+``given_layer`` builds a dense layer holding given tensors the one way
+the package offers: a layer built from an rng, then ``nn.set_params``.
 """
 
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from assoclearn import nn
 from assoclearn.data import load_mnist, mnist_subset
+from assoclearn.linalg import make_rng
 
 
 def _find_mnist_dir() -> Path | None:
@@ -50,3 +56,12 @@ def mnist_full():
 def mnist_desk(mnist_full):
     train, test = mnist_full
     return mnist_subset(train, test, 6000, 1000, seed=0)
+
+
+def given_layer(W, bias=None, activation="identity"):
+    """A DenseLayer holding copies of W and bias (zeros when None)."""
+    fan_in, fan_out = np.shape(W)
+    layer = nn.DenseLayer(fan_in, fan_out, activation, rng=make_rng(0))
+    nn.set_params([("given", layer)],
+                  [W, np.zeros(fan_out) if bias is None else bias])
+    return layer

@@ -14,14 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import MNIST_DIR
+from conftest import MNIST_DIR, given_layer
 
 from assoclearn.al_core import (
     Component,
     ComponentPlan,
     NetworkPlan,
     build_network,
-    clone_network,
     collect_messages,
     component_update,
     get_plan,
@@ -96,8 +95,7 @@ def params_of(block):
 
 
 def identity_block(dim):
-    return MLPBlock([DenseLayer(dim, dim, "identity", W=np.eye(dim),
-                                bias=np.zeros((1, dim)))])
+    return MLPBlock([given_layer(np.eye(dim))])
 
 
 # shared synthetic workloads -------------------------------------------
@@ -280,7 +278,7 @@ def test_criterion_04_schedule(capsys):
 def _depth1_equivalence(train_ds, seed):
     y1 = one_hot(train_ds.y, 10)
     net_seq = build_network(get_plan("desk-mlp"), make_rng(seed), lr=1e-3)
-    net_pipe = clone_network(net_seq)
+    net_pipe = copy.deepcopy(net_seq)
     rng_seq = make_rng(seed + 1)
     recs_seq = [train_epoch_sequential(net_seq, train_ds.X, y1, 128,
                                        rng_seq, epoch=e)
@@ -461,7 +459,7 @@ def test_criterion_09_geometry_mnist(capsys):
 def _pipe_seq_gap(train_ds, test_ds, seed, epochs):
     y1 = one_hot(train_ds.y, 10)
     net_seq = build_network(get_plan("desk-mlp"), make_rng(seed), lr=1e-3)
-    net_pipe = clone_network(net_seq)
+    net_pipe = copy.deepcopy(net_seq)
     rng_seq = make_rng(seed + 50)
     for e in range(1, epochs + 1):
         train_epoch_sequential(net_seq, train_ds.X, y1, 128,

@@ -11,7 +11,6 @@ from assoclearn.al_core import (
     NetworkPlan,
     affiliated_param_count,
     build_network,
-    clone_network,
     component_forward,
     component_update,
     effective_param_count,
@@ -29,17 +28,15 @@ from assoclearn.al_core import (
 from assoclearn.errors import NumericError, PlanError, ShapeError
 from assoclearn.linalg import make_rng
 from assoclearn.nn import DenseLayer, MLPBlock, mse_loss, mse_loss_grad
+from conftest import given_layer
 
 
 def identity_block(dim):
-    return MLPBlock([DenseLayer(dim, dim, "identity", W=np.eye(dim),
-                                bias=np.zeros((1, dim)))])
+    return MLPBlock([given_layer(np.eye(dim))])
 
 
-def one_layer(fan_in, fan_out, activation, W, bias):
-    return MLPBlock([DenseLayer(fan_in, fan_out, activation,
-                                W=np.array(W, dtype=float),
-                                bias=np.array(bias, dtype=float))])
+def one_layer(activation, W, bias):
+    return MLPBlock([given_layer(W, bias, activation)])
 
 
 def identity_component(dim, index=1):
@@ -84,10 +81,10 @@ def test_forward_hand_oracle():
     #   mse2 = ||sigmoid(t_i W_h + b_h) - t_prev||^2
     comp = Component(
         1,
-        one_layer(2, 2, "elu", [[1.0, 0.5], [-0.5, 1.0]], [[0.1, -0.2]]),
-        one_layer(2, 2, "sigmoid", [[0.5, -1.0], [1.0, 0.5]], [[0.0, 0.3]]),
-        one_layer(2, 2, "sigmoid", [[1.0, -0.5], [0.5, 1.0]], [[-0.1, 0.2]]),
-        one_layer(2, 2, "sigmoid", [[0.8, 0.2], [-0.3, 0.9]], [[0.05, -0.05]]),
+        one_layer("elu", [[1.0, 0.5], [-0.5, 1.0]], [[0.1, -0.2]]),
+        one_layer("sigmoid", [[0.5, -1.0], [1.0, 0.5]], [[0.0, 0.3]]),
+        one_layer("sigmoid", [[1.0, -0.5], [0.5, 1.0]], [[-0.1, 0.2]]),
+        one_layer("sigmoid", [[0.8, 0.2], [-0.3, 0.9]], [[0.05, -0.05]]),
     )
     s_prev = np.array([[1.0, -1.0]])
     t_prev = np.array([[0.0, 1.0]])
@@ -107,10 +104,9 @@ def test_forward_shape_errors_name_component():
 def test_forward_nonfinite_raises_with_component_index():
     comp = Component(
         1,
-        one_layer(2, 1, "identity", [[1e200], [1e200]], [[0.0]]),
-        identity_block(2), one_layer(1, 2, "sigmoid", [[1.0, 1.0]],
-                                     [[0.0, 0.0]]),
-        one_layer(2, 2, "sigmoid", np.eye(2), [[0.0, 0.0]]),
+        one_layer("identity", [[1e200], [1e200]], [[0.0]]),
+        identity_block(2), one_layer("sigmoid", [[1.0, 1.0]], [[0.0, 0.0]]),
+        one_layer("sigmoid", np.eye(2), [[0.0, 0.0]]),
     )
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="component 1"):
@@ -231,7 +227,7 @@ def batch_for(plan, seed, n=8):
 def test_update_matches_two_pass_reference_bit_for_bit(plan_name):
     plan = get_plan(plan_name)
     net = build_network(plan, make_rng(31))
-    ref = clone_network(net)
+    ref = copy.deepcopy(net)
     x, y = batch_for(plan, 32)
     for _ in range(3):
         s = s_ref = x
@@ -253,7 +249,7 @@ def test_nonfinite_input_steps_no_block_and_no_adam_state(bad_input, where):
     net = build_network(plan, make_rng(33))
     x, y = batch_for(plan, 34)
     component_update(net.components[0], x, y, 3e-3)    # Adam state exists
-    never_failed = clone_network(net)
+    never_failed = copy.deepcopy(net)
     before = param_bytes(net)
     bad = [x.copy(), y.copy()]
     bad[bad_input][2, 1] = np.nan
@@ -311,8 +307,7 @@ def test_infer_two_component_hand_oracle():
     # diagonal one-layer identity blocks: y_hat = x * 2 * 5 * 7 * 11 * 3,
     # with g blocks and the inner bridge set to junk that must not matter
     def diag(c, dim=2):
-        return one_layer(dim, dim, "identity", c * np.eye(dim),
-                         [[0.0, 0.0]])
+        return one_layer("identity", c * np.eye(dim), [[0.0, 0.0]])
 
     c1 = Component(1, diag(2.0), diag(100.0), diag(-55.0), diag(3.0))
     c2 = Component(2, diag(5.0), diag(100.0), diag(7.0), diag(11.0))
@@ -486,15 +481,3 @@ def test_set_params_wrong_shape_assigns_nothing():
     with pytest.raises(ShapeError, match="c2.h.0"):
         net_set_params(net, arrays)
     assert [p.tobytes() for _, p in net_param_items(net)] == before
-
-
-def test_clone_network_is_independent():
-    net = build_network(get_plan("xor"), make_rng(35))
-    twin = clone_network(net)
-    rng = make_rng(36)
-    x = rng.uniform(size=(4, 2))
-    y = np.eye(2)[[0, 1, 1, 0]]
-    component_update(net.components[0], x, y, 1e-4)
-    before = dict(net_param_items(twin))
-    after = dict(net_param_items(net))
-    assert any(not np.array_equal(before[k], after[k]) for k in before)

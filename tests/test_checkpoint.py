@@ -158,7 +158,8 @@ def _rewrite_header(path, edit):
     path.write_bytes(json.dumps(header).encode() + b"\n" + blobs)
 
 
-@pytest.mark.parametrize("key", ["arrays", "tag", "plan", "seed", "epoch"])
+@pytest.mark.parametrize("key", ["arrays", "tag", "plan", "seed", "epoch",
+                                 "dtype"])
 def test_header_without_field_rejected(tmp_path, key):
     path = tmp_path / "model.bin"
     save_al(path, al_fixture(14), seed=14, epoch=0)
@@ -244,21 +245,26 @@ def test_load_into_same_names_other_shapes_leaves_net_untouched(tmp_path):
     assert [p.tobytes() for _, p in net_param_items(net)] == before
 
 
-@pytest.mark.parametrize("loader,edit", [
-    ("al", lambda h: h.update(plan={})),
-    ("al", lambda h: h.update(plan=3)),
-    ("al", lambda h: h.update(seed="abc")),
-    ("bp", lambda h: h["plan"].pop("widths")),
+@pytest.mark.parametrize("loader,edit,says", [
+    ("al", lambda h: h.update(plan={}), "malformed plan {}"),
+    ("al", lambda h: h.update(plan=3), "malformed plan 3"),
+    ("al", lambda h: h.update(seed="abc"), "malformed seed 'abc'"),
+    ("bp", lambda h: h["plan"].pop("widths"), "malformed plan"),
+    ("al", lambda h: h.update(dtype="<f4"), "dtype '<f4'"),
+    ("al", lambda h: h.update(dtype="<i8"), "dtype '<i8'"),
+    ("al", lambda h: h.update(dtype=5), "dtype 5"),
 ], ids=["al-empty-plan", "al-plan-not-a-dict", "al-seed-not-an-int",
-        "bp-plan-without-widths"])
-def test_malformed_plan_or_seed_raises_data_error(tmp_path, loader, edit):
+        "bp-plan-without-widths", "al-dtype-f4", "al-dtype-i8",
+        "al-dtype-not-a-string"])
+def test_malformed_plan_or_seed_raises_data_error(tmp_path, loader, edit,
+                                                  says):
     path = tmp_path / "model.bin"
     if loader == "al":
         save_al(path, al_fixture(19), seed=19, epoch=0)
     else:
         save_bp(path, BPNetwork([4, 3, 2], make_rng(19)), seed=19, epoch=0)
     _rewrite_header(path, edit)
-    with pytest.raises(DataError, match=re.escape(str(path))):
+    with pytest.raises(DataError, match=re.escape(f"{path}: {says}")):
         (load_al if loader == "al" else load_bp)(path)
 
 

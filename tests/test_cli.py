@@ -364,6 +364,33 @@ def test_only_flow_differentiates_in_al_core():
     assert len(inside) == 3     # dec.backward, enc.backward, mse_loss_grad
 
 
+def test_only_linalg_and_data_decide_a_dtype():
+    # A tensor gets its dtype where it is born: linalg.DTYPE, read by the
+    # initializer and by data, where inputs enter. Every other module
+    # follows its operands, and a layer is given tensors only through
+    # nn.set_params, never its constructor.
+    dtype_names = {"DTYPE", "float64", "float32"}
+    refs = []
+    for path, tree in _src_modules():
+        for n in ast.walk(tree):
+            name = (n.id if isinstance(n, ast.Name) else
+                    n.attr if isinstance(n, ast.Attribute) else
+                    n.name if isinstance(n, ast.alias) else
+                    n.value if isinstance(n, ast.Constant) else None)
+            if name in dtype_names:
+                refs.append((path.stem, name))
+    follow = {"nn", "al_core", "bp", "train", "metrics"}
+    assert [r for r in refs if r[0] in follow] == []
+    assert {m for m, name in refs if name == "DTYPE"} == {"linalg", "data"}
+    nn_tree = next(t for p, t in _src_modules() if p.name == "nn.py")
+    init = next(f for c in nn_tree.body if isinstance(c, ast.ClassDef)
+                and c.name == "DenseLayer" for f in c.body
+                if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+    args = init.args.args + init.args.kwonlyargs
+    assert [a.arg for a in args] == ["self", "fan_in", "fan_out",
+                                     "activation", "rng"]
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "assoclearn", "bench-pipeline",

@@ -1,3 +1,4 @@
+import copy
 import weakref
 from threading import Thread
 
@@ -8,11 +9,11 @@ import assoclearn.train as train_mod
 from assoclearn import nn
 from assoclearn.al_core import (
     build_network,
-    clone_network,
     get_plan,
     net_param_items,
 )
-from assoclearn.bp import BPNetwork, bp_param_items, bp_train_epoch
+from assoclearn.bp import (BPNetwork, bp_param_items, bp_train_epoch,
+                           build_bp_network, match_effective_params)
 from assoclearn.checkpoint import load_al
 from assoclearn.data import one_hot, synth_blobs, synth_xor
 from assoclearn.errors import ConfigError, NumericError, TrainingError
@@ -41,7 +42,6 @@ def test_schedule_five_batches_three_components():
     assert sched.total_units() == 7
     assert sched.sequential_tasks() == 15
     # last component finishes the last batch at the last unit
-    assert sched.unit_for(5, 3) == 7
     assert sched.batch_at(7, 3) == 5
     assert sched.batch_at(1, 2) is None
 
@@ -135,7 +135,7 @@ def test_xor_single_component_reaches_full_accuracy():
 def test_pipeline_depth_one_matches_sequential_bit_exact():
     plan = get_plan("blobs")
     seq_net = build_network(plan, make_rng(12))
-    pipe_net = clone_network(seq_net)
+    pipe_net = copy.deepcopy(seq_net)
     ds, y1 = blob_setup(seed=13)
 
     rec_seq = train_epoch_sequential(seq_net, ds.X, y1, 8, make_rng(14))
@@ -158,7 +158,7 @@ def test_pipeline_free_depth_matches_sequential_bit_exact():
     ds = synth_blobs(48, 784, 10, separation=6.0, rng=make_rng(15))
     y1 = one_hot(ds.y, 10)
     seq_net = build_network(plan, make_rng(16))
-    pipe_net = clone_network(seq_net)
+    pipe_net = copy.deepcopy(seq_net)
     train_epoch_sequential(seq_net, ds.X, y1, 16, make_rng(17))
     _, report = train_epoch_pipelined(pipe_net, ds.X, y1, 16, make_rng(17),
                                       capacity=2)
@@ -179,7 +179,7 @@ def test_pipeline_depth_one_failure_leaves_sequential_state(monkeypatch):
 
     plan = get_plan("blobs")
     seq_net = build_network(plan, make_rng(45))
-    pipe_net = clone_network(seq_net)
+    pipe_net = copy.deepcopy(seq_net)
     ds, y1 = blob_setup(seed=46)
     record_updates(monkeypatch, nan_on_batch_3)
     with pytest.raises(NumericError, match=r"epoch 1, batch 3: .*component 2"):
@@ -407,11 +407,56 @@ def test_fit_rejects_eval_chunk_before_training(chunk):
                for a, (_, b) in zip(before, net_param_items(net)))
 
 
+def test_fit_rejects_negative_epochs_before_any_work(tmp_path):
+    net = build_network(get_plan("blobs"), make_rng(39))
+    before = [a.copy() for _, a in net_param_items(net)]
+    ds, _ = blob_setup(seed=40)
+    with pytest.raises(ConfigError, match="epochs must be >= 0, got -2"):
+        fit(net, ds, ds, mode="al-seq", epochs=-2, batch_size=8,
+            rng=make_rng(41), seed=39, out_dir=tmp_path)
+    assert all(np.array_equal(a, b)
+               for a, (_, b) in zip(before, net_param_items(net)))
+    assert list(tmp_path.iterdir()) == []
+
+
 def _optimizers(model):
     if isinstance(model, BPNetwork):
         return [model.opt]
     return [opt for c in model.components
             for opt in (c.opt_f, c.opt_g, c.opt_b, c.opt_h)]
+
+
+@pytest.mark.parametrize("plan_name", ["blobs", "desk-mlp"])
+def test_float32_tensors_train_in_float32(plan_name):
+    # nn decides no dtype: a net whose tensors were cast to float32,
+    # trained on float32 data, keeps every tensor, gradient, Adam moment
+    # and work array in float32, and al-seq and al-pipe stay bit-equal
+    # (desk-mlp's 784-wide input runs the K-sliced products).
+    plan = get_plan(plan_name)
+    ds = synth_blobs(48, plan.input_dim, plan.target_dim, separation=6.0,
+                     rng=make_rng(70))
+    X = ds.X.astype(np.float32)
+    y1 = one_hot(ds.y, plan.target_dim).astype(np.float32)
+    seq_net = build_network(plan, make_rng(71))
+    bp_net = build_bp_network(match_effective_params(plan), make_rng(71))
+    for opt in _optimizers(seq_net) + _optimizers(bp_net):
+        for layer in opt.block.layers:
+            layer.W = layer.W.astype(np.float32)
+            layer.bias = layer.bias.astype(np.float32)
+    pipe_net = copy.deepcopy(seq_net)
+    train_epoch_sequential(seq_net, X, y1, 16, make_rng(72))
+    train_epoch_pipelined(pipe_net, X, y1, 16, make_rng(72))
+    bp_train_epoch(bp_net, X, y1, 16, make_rng(72))
+    for model in (seq_net, pipe_net, bp_net):
+        for opt in _optimizers(model):
+            arrays = (opt.block.param_arrays() + opt.block.grad_arrays()
+                      + [a for st in opt._states.values()
+                         for a in (st.m, st.v)] + list(opt._work))
+            assert len(opt._states) == len(opt.block.param_arrays())
+            assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+    for (name, a), (_, b) in zip(net_param_items(seq_net),
+                                 net_param_items(pipe_net)):
+        assert a.tobytes() == b.tobytes(), name
 
 
 def _seeded_fit_bytes(mode, csv_path):
