@@ -70,9 +70,6 @@ class RunConfig:
     lr_drops: list[int] = field(default_factory=lambda: [80, 120, 160, 180])
     lr_factor: float = 0.5
     head: str = "softmax"
-    queue_capacity: int = 2
-    subset_train: int = 6000
-    subset_test: int = 1000
     out: str = ""
 
     def validate(self) -> None:
@@ -81,8 +78,7 @@ class RunConfig:
             if getattr(self, key) not in choices:
                 raise ConfigError(f"{key} must be one of {choices}, "
                                   f"got {getattr(self, key)!r}")
-        for key, low in (("seed", 0), ("epochs", 0), ("batch_size", 1),
-                         ("queue_capacity", 1)):
+        for key, low in (("seed", 0), ("epochs", 0), ("batch_size", 1)):
             if getattr(self, key) < low:
                 raise ConfigError(
                     f"{key} must be >= {low}, got {getattr(self, key)}")
@@ -180,8 +176,7 @@ def load_datasets(cfg: RunConfig, data_rng) -> tuple[Dataset, Dataset]:
         return _split(full, 512)
     train, test = load_mnist(cfg.data_dir)
     if cfg.dataset == "mnist-subset":
-        return mnist_subset(train, test, cfg.subset_train, cfg.subset_test,
-                            seed=cfg.seed)
+        return mnist_subset(train, test, seed=cfg.seed)
     return train, test
 
 
@@ -210,8 +205,7 @@ def cmd_train(cfg: RunConfig) -> int:
     result = fit(model, train_ds, test_ds, mode=cfg.mode, epochs=cfg.epochs,
                  batch_size=cfg.batch_size, rng=shuffle_rng, seed=cfg.seed,
                  lr=cfg.lr, lr_drops=cfg.lr_drops, lr_factor=cfg.lr_factor,
-                 out_dir=out_dir if cfg.epochs > 0 else None,
-                 capacity=cfg.queue_capacity)
+                 out_dir=out_dir if cfg.epochs > 0 else None)
 
     write_metrics_csv(out_dir / "metrics.csv", result.records,
                       len(al_plan.components))
@@ -250,8 +244,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_bench(args) -> int:
-    res = bench_pipeline(args.n_batches, args.components, args.task_cost_ms,
-                         capacity=args.queue_capacity)
+    res = bench_pipeline(args.n_batches, args.components, args.task_cost_ms)
     payload = {
         "n_batches": res.schedule.n_batches,
         "components": res.schedule.n_components,
@@ -345,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                                             "wall-clock seeded")
     t.add_argument("--head", choices=HEADS,
                    help="baseline loss head (bp mode)")
-    t.add_argument("--queue-capacity", type=int)
     t.add_argument("--out", help="artifact directory")
 
     b = sub.add_parser("bench-pipeline",
@@ -353,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n-batches", type=int, default=64)
     b.add_argument("--components", type=int, default=4)
     b.add_argument("--task-cost-ms", type=float, default=5.0)
-    b.add_argument("--queue-capacity", type=int, default=2)
     b.add_argument("--json", action="store_true",
                    help="machine-readable output")
 

@@ -12,11 +12,14 @@ sees the same messages in the same order in both modes, so the parameter
 trajectory is identical by construction at any pipeline depth; a queue
 only changes how much wall-clock overlap the stages get.
 
-``run_pipeline`` is the schedule-agnostic core (stages, bounded queues,
-an optional in-flight cap, monotone batch-id enforcement, error
-propagation); the pipelined trainer and the synthetic throughput bench
-both run on it, and both take its ``ThroughputReport`` as the one record
-of the run.
+``run_pipeline`` is the schedule-agnostic core (stages, queues bounded
+at ``QUEUE_CAPACITY`` batches by default, an optional in-flight cap,
+monotone batch-id enforcement, error propagation); the pipelined trainer
+and the synthetic throughput bench both run on it, and both take its
+``ThroughputReport`` as the one record of the run. Each worker is one
+loop over its input queue; a batch it does not pass on (finished by the
+last stage, failed, or dropped after the stage's first failure) leaves
+the pipeline at one place, which hands back its in-flight token.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ MODES = ("al-seq", "al-pipe", "bp")
 # the stages for the cores; training products are thread-count
 # invariant (linalg.sliced_matmul), so the bits do not change.
 PIPELINE_BLAS_THREADS = 1
+
+# Bound of each inter-stage queue, in batches.
+QUEUE_CAPACITY = 2
 
 
 @dataclass
@@ -102,7 +108,7 @@ class ThroughputReport:
     speedup: float | None = None
 
 
-def run_pipeline(stages, feed, capacity: int = 2,
+def run_pipeline(stages, feed, capacity: int = QUEUE_CAPACITY,
                  depth: int | None = None) -> ThroughputReport:
     """Push (batch_id, payload) pairs through worker threads.
 
@@ -110,8 +116,10 @@ def run_pipeline(stages, feed, capacity: int = 2,
     (batch_id, payload) with strictly increasing ids. capacity bounds
     each inter-stage queue; depth, when given, caps how many batches are
     in flight anywhere (depth=1 degenerates to fully serial execution).
-    A failing stage hands back the in-flight token of the batch it failed
-    on, then drains its input, handing back each drained batch's token, so
+    A batch that a stage does not put on the next queue leaves the
+    pipeline, and hands back its in-flight token, at one place: when the
+    last stage finished it, when it failed, or when it was dropped after
+    its stage had failed. A failed stage drops the rest of its input, so
     neither its neighbors nor a feeder blocked on the depth cap deadlock.
     The first failure is re-raised as TrainingError after all workers exit.
     """
@@ -133,49 +141,34 @@ def run_pipeline(stages, feed, capacity: int = 2,
         nonlocal completed
         q_in = queues[i]
         q_out = queues[i + 1] if i + 1 < n else None
-        is_last = q_out is None
         last_id = None
-        held = False       # a batch, and its token, is in this stage
+        failed = False
         t_start = time.perf_counter()
-        try:
-            while True:
-                item = q_in.get()
-                if item is _STOP:
-                    if q_out is not None:
-                        q_out.put(_STOP)
-                    break
-                held = True
+        while (item := q_in.get()) is not _STOP:
+            if not failed:
                 bid, payload = item
-                if last_id is not None and bid <= last_id:
-                    raise TrainingError(
-                        f"stage {i + 1}: batch {bid} arrived after {last_id}")
-                last_id = bid
-                t0 = time.perf_counter()
-                out = stages[i](payload)
-                busy[i] += time.perf_counter() - t0
-                if is_last:
-                    completed += 1
-                    if sem is not None:
-                        sem.release()
-                else:
-                    q_out.put((bid, out))
-                held = False
-        except BaseException as e:
-            errors.append((i, e))
-            # Keep neighbors moving: swallow the rest of the input and
-            # hand the in-flight tokens back so the feeder can stop.
-            if held and sem is not None:
+                try:
+                    if last_id is not None and bid <= last_id:
+                        raise TrainingError(f"stage {i + 1}: batch {bid} "
+                                            f"arrived after {last_id}")
+                    last_id = bid
+                    t0 = time.perf_counter()
+                    item = (bid, stages[i](payload))
+                    busy[i] += time.perf_counter() - t0
+                except BaseException as e:
+                    errors.append((i, e))
+                    failed = True
+            if q_out is not None and not failed:
+                q_out.put(item)
+                continue
+            # The batch leaves the pipeline: finished, failed or dropped.
+            if not failed:
+                completed += 1
+            if sem is not None:
                 sem.release()
-            while True:
-                item = q_in.get()
-                if item is _STOP:
-                    break
-                if sem is not None:
-                    sem.release()
-            if q_out is not None:
-                q_out.put(_STOP)
-        finally:
-            lifetime[i] = time.perf_counter() - t_start
+        if q_out is not None:
+            q_out.put(_STOP)
+        lifetime[i] = time.perf_counter() - t_start
 
     threads = [Thread(target=worker, args=(i,), daemon=True)
                for i in range(n)]
@@ -258,7 +251,8 @@ def train_epoch_sequential(net: ALNetwork, X: Matrix, y_onehot: Matrix,
 
 def train_epoch_pipelined(net: ALNetwork, X: Matrix, y_onehot: Matrix,
                           batch_size: int, rng: Rng, epoch: int = 0,
-                          capacity: int = 2, depth: int | None = None):
+                          capacity: int = QUEUE_CAPACITY,
+                          depth: int | None = None):
     """One epoch with the stages of train_epoch_sequential, one worker per
     component; see the module docstring for the equivalence. OpenBLAS runs
     on PIPELINE_BLAS_THREADS threads for the epoch, and the caller's thread
@@ -300,22 +294,23 @@ class FitResult:
 def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
         epochs: int, batch_size: int, rng: Rng, seed: int,
         lr: float = 1e-4, lr_drops=(80, 120, 160, 180),
-        lr_factor: float = 0.5, out_dir=None, capacity: int = 2,
+        lr_factor: float = 0.5, out_dir=None,
         eval_chunk: int = 2048) -> FitResult:
     """Full training run: per-epoch metrics, step learning-rate schedule,
     test evaluation every epoch, best checkpoint persisted to out_dir.
     Each epoch starts by setting model.lr to that epoch's rate.
 
-    epochs=0 evaluates the untouched model once and writes nothing; a
-    negative epochs raises ConfigError before any work.
+    epochs=0 evaluates the untouched model once and writes nothing.
+    epochs, batch_size and eval_chunk must be ints (>= 0, >= 1, >= 1);
+    any other value raises ConfigError before any work.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    if not isinstance(eval_chunk, int) or eval_chunk < 1:
-        raise ConfigError(
-            f"eval_chunk must be an int >= 1, got {eval_chunk!r}")
-    if epochs < 0:
-        raise ConfigError(f"epochs must be >= 0, got {epochs!r}")
+    for key, value, low in (("epochs", epochs, 0),
+                            ("batch_size", batch_size, 1),
+                            ("eval_chunk", eval_chunk, 1)):
+        if not isinstance(value, int) or value < low:
+            raise ConfigError(f"{key} must be an int >= {low}, got {value!r}")
     is_al = mode.startswith("al")
     if is_al and not isinstance(model, ALNetwork):
         raise ConfigError(f"mode {mode} needs a component network")
@@ -347,8 +342,7 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
                                          rng, epoch=e)
         elif mode == "al-pipe":
             rec, report = train_epoch_pipelined(model, train_ds.X, y1,
-                                                batch_size, rng, epoch=e,
-                                                capacity=capacity)
+                                                batch_size, rng, epoch=e)
             reports.append(report)
         else:
             loss, train_acc = bp_train_epoch(model, train_ds.X, y1,
@@ -381,14 +375,13 @@ class BenchResult:
     report: ThroughputReport
 
 
-def bench_pipeline(n_batches: int, components: int, task_cost_ms: float,
-                   capacity: int = 2) -> BenchResult:
+def bench_pipeline(n_batches: int, components: int,
+                   task_cost_ms: float) -> BenchResult:
     """Synthetic equal-cost workload: every task sleeps task_cost_ms, so
     the measured speedup isolates the scheduling machinery."""
-    if components < 1:
-        raise ConfigError(f"components must be >= 1, got {components}")
-    if n_batches < 1:
-        raise ConfigError(f"n_batches must be >= 1, got {n_batches}")
+    for key, value in (("n_batches", n_batches), ("components", components)):
+        if not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{key} must be an int >= 1, got {value!r}")
     if not 0 <= task_cost_ms < np.inf:      # NaN fails both comparisons
         raise ConfigError(
             f"task_cost_ms must be finite and >= 0, got {task_cost_ms}")
@@ -405,8 +398,7 @@ def bench_pipeline(n_batches: int, components: int, task_cost_ms: float,
         return payload
 
     report = run_pipeline([stage] * components,
-                          ((m, m) for m in range(1, n_batches + 1)),
-                          capacity=capacity)
+                          ((m, m) for m in range(1, n_batches + 1)))
     report.speedup = seq_wall / report.wall_clock
     return BenchResult(schedule=sched, sequential_wall=seq_wall,
                        report=report)

@@ -162,6 +162,16 @@ def test_config_unknown_key_exit_2(tmp_path, capsys):
     assert "unknown config keys: warmup" in capsys.readouterr().err
 
 
+def test_written_config_json_reruns_the_same_run(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli(["train", "--dataset", "blobs", "--mode", "al-seq",
+                    "--seed", "9", "--epochs", "3", "--out", str(first)]) == 0
+    assert run_cli(["train", "--config", str(first / "config.json"),
+                    "--out", str(second)]) == 0
+    assert ((first / "metrics.csv").read_bytes()
+            == (second / "metrics.csv").read_bytes())
+
+
 def test_config_missing_file_exit_2(tmp_path, capsys):
     assert run_cli(["train", "--config", str(tmp_path / "none.json")]) == 2
     assert "not found" in capsys.readouterr().err
@@ -362,6 +372,21 @@ def test_only_flow_differentiates_in_al_core():
               and fn.name == "_flow" for line in grad_calls(fn)]
     assert sorted(grad_calls(tree)) == sorted(inside)
     assert len(inside) == 3     # dec.backward, enc.backward, mse_loss_grad
+
+
+def test_a_batch_leaves_the_pipeline_at_one_place():
+    # run_pipeline hands a batch's in-flight token back at one line, for a
+    # batch the last stage finished, one that failed and one dropped.
+    tree = next(t for p, t in _src_modules() if p.name == "train.py")
+
+    def releases(node):
+        return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
+                and getattr(n.func, "attr", None) == "release"]
+
+    inside = [line for fn in tree.body if isinstance(fn, ast.FunctionDef)
+              and fn.name == "run_pipeline" for line in releases(fn)]
+    assert len(releases(tree)) == 1
+    assert releases(tree) == inside
 
 
 def test_only_linalg_and_data_decide_a_dtype():

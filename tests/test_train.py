@@ -1,6 +1,6 @@
 import copy
 import weakref
-from threading import Thread
+from threading import BoundedSemaphore, Thread
 
 import numpy as np
 import pytest
@@ -253,15 +253,46 @@ def test_run_pipeline_stage_error_no_deadlock():
                      ((i, i) for i in range(1, 50)), capacity=2)
 
 
-def test_run_pipeline_error_with_depth_cap_no_deadlock():
+def _run_in_thread(fn) -> list:
+    """Run fn in a daemon thread joined with a 10 s timeout; returns the
+    TrainingErrors it raised."""
+    raised = []
+
+    def run():
+        try:
+            fn()
+        except TrainingError as e:
+            raised.append(e)
+
+    t = Thread(target=run, daemon=True)
+    t.start()
+    t.join(timeout=10.0)
+    assert not t.is_alive()
+    return raised
+
+
+@pytest.mark.parametrize("bad_batch", [1, 3], ids="batch{}".format)
+@pytest.mark.parametrize("depth", [1, 2, None], ids="depth{}".format)
+@pytest.mark.parametrize("failing_stage", [1, 2, 3], ids="stage{}".format)
+def test_run_pipeline_error_with_depth_cap_no_deadlock(
+        monkeypatch, failing_stage, depth, bad_batch):
+    # Every in-flight token comes back exactly once, whichever stage fails
+    # on whichever batch: a bounded semaphore raises on a second release,
+    # and a token never released leaves the feeder blocked.
+    monkeypatch.setattr(train_mod, "Semaphore", BoundedSemaphore)
+
     def boom(v):
-        if v == 2:
-            raise ValueError("boom")
+        if v == bad_batch:
+            raise ValueError(f"boom on {v}")
         return v
 
-    with pytest.raises(TrainingError):
-        run_pipeline([lambda v: v, boom],
-                     ((i, i) for i in range(1, 50)), capacity=1, depth=1)
+    stages = [lambda v: v] * 3
+    stages[failing_stage - 1] = boom
+    raised = _run_in_thread(lambda: run_pipeline(
+        stages, ((i, i) for i in range(1, 50)), capacity=1, depth=depth))
+    assert len(raised) == 1
+    assert (f"stage {failing_stage} failed: boom on {bad_batch}"
+            in str(raised[0]))
 
 
 @pytest.mark.parametrize("failing_stage", [0, 1])
@@ -273,19 +304,8 @@ def test_run_pipeline_first_batch_error_depth_one_returns(failing_stage):
 
     stages = [lambda v: v, lambda v: v]
     stages[failing_stage] = boom
-    raised = []
-
-    def run():
-        try:
-            run_pipeline(stages, ((i, i) for i in range(1, 50)),
-                         capacity=1, depth=1)
-        except TrainingError as e:
-            raised.append(e)
-
-    t = Thread(target=run, daemon=True)
-    t.start()
-    t.join(timeout=10.0)
-    assert not t.is_alive()
+    raised = _run_in_thread(lambda: run_pipeline(
+        stages, ((i, i) for i in range(1, 50)), capacity=1, depth=1))
     assert len(raised) == 1
     assert f"stage {failing_stage + 1} failed: boom on 1" in str(raised[0])
 
@@ -395,14 +415,18 @@ def test_fit_mode_validation():
             rng=make_rng(41), seed=39)
 
 
-@pytest.mark.parametrize("chunk", [0, -5, 2.5])
-def test_fit_rejects_eval_chunk_before_training(chunk):
+@pytest.mark.parametrize("key,value", [
+    ("eval_chunk", 0), ("eval_chunk", -5), ("eval_chunk", 2.5),
+    ("epochs", 2.5), ("batch_size", 2.5), ("batch_size", 0),
+], ids=["0", "-5", "2.5", "epochs-2.5", "batch_size-2.5", "batch_size-0"])
+def test_fit_rejects_eval_chunk_before_training(key, value):
     net = build_network(get_plan("blobs"), make_rng(39))
     before = [a.copy() for _, a in net_param_items(net)]
     ds, _ = blob_setup(seed=40)
-    with pytest.raises(ConfigError, match="eval_chunk"):
-        fit(net, ds, ds, mode="al-seq", epochs=1, batch_size=8,
-            rng=make_rng(41), seed=39, eval_chunk=chunk)
+    kwargs = {"epochs": 1, "batch_size": 8, key: value}
+    with pytest.raises(ConfigError,
+                       match=f"{key} must be an int >= ., got {value}"):
+        fit(net, ds, ds, mode="al-seq", rng=make_rng(41), seed=39, **kwargs)
     assert all(np.array_equal(a, b)
                for a, (_, b) in zip(before, net_param_items(net)))
 
@@ -411,7 +435,8 @@ def test_fit_rejects_negative_epochs_before_any_work(tmp_path):
     net = build_network(get_plan("blobs"), make_rng(39))
     before = [a.copy() for _, a in net_param_items(net)]
     ds, _ = blob_setup(seed=40)
-    with pytest.raises(ConfigError, match="epochs must be >= 0, got -2"):
+    with pytest.raises(ConfigError,
+                       match="epochs must be an int >= 0, got -2"):
         fit(net, ds, ds, mode="al-seq", epochs=-2, batch_size=8,
             rng=make_rng(41), seed=39, out_dir=tmp_path)
     assert all(np.array_equal(a, b)
@@ -520,7 +545,6 @@ def test_bench_reports_schedule_numbers():
 
 
 def test_bench_validation():
-    with pytest.raises(ConfigError):
-        bench_pipeline(0, 2, 1.0)
-    with pytest.raises(ConfigError):
-        bench_pipeline(4, 0, 1.0)
+    for n_batches, components in ((0, 2), (4, 0), (2.5, 2), (4, 2.5)):
+        with pytest.raises(ConfigError):
+            bench_pipeline(n_batches, components, 1.0)
