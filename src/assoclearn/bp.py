@@ -9,6 +9,10 @@ effective parameter count with no slack at all.
 The default head is softmax + cross-entropy; an MSE head (sigmoid
 output, squared loss) is available so the comparison can be replayed
 with the same loss family the local objectives use.
+
+``bp_train_epoch`` only trains and returns the mean loss; train and test
+accuracy are measured by ``fit`` after the epoch, in ``eval_chunk`` rows,
+on the same path as the component network's.
 """
 
 from __future__ import annotations
@@ -143,12 +147,10 @@ def bp_set_params(net: BPNetwork, arrays: list[Matrix]) -> None:
 
 
 def bp_train_epoch(net: BPNetwork, X: Matrix, y_onehot: Matrix,
-                   batch_size: int, rng: Rng, epoch: int = 0):
-    """One shuffled pass; returns (mean train loss, train accuracy).
-
-    Loss is averaged over batches weighted by batch size; accuracy is
-    measured after the epoch on the full training set.
-    """
+                   batch_size: int, rng: Rng, epoch: int = 0) -> float:
+    """One shuffled pass; returns the mean train loss, the batch losses
+    weighted by batch size. Train accuracy is not measured here: ``fit``
+    measures it after the epoch, in chunks, as it does for every mode."""
     n = X.shape[0]
     total = 0.0
     for m, idx in enumerate(BatchIterator(n, batch_size, rng), start=1):
@@ -157,9 +159,7 @@ def bp_train_epoch(net: BPNetwork, X: Matrix, y_onehot: Matrix,
             raise NumericError(
                 f"loss diverged at epoch {epoch}, batch {m}")
         total += loss * len(idx)
-    _, classes = net.predict(X)
-    acc = float((classes == row_argmax(y_onehot)).mean())
-    return total / n, acc
+    return total / n
 
 
 def gradcheck_bp(net: BPNetwork, x: Matrix, y_onehot: Matrix) -> float:

@@ -41,7 +41,8 @@ from .bp import HEADS, build_bp_network, gradcheck_bp, match_effective_params
 from .data import Dataset, load_mnist, mnist_subset, one_hot, synth_blobs, synth_xor
 from .metrics import geometry_report, write_json_summary, write_metrics_csv
 from .nn import grad_check_block, make_block
-from .train import MODES, PIPELINE_BLAS_THREADS, bench_pipeline, fit
+from .train import (MODES, PIPELINE_BLAS_THREADS, bench_pipeline,
+                    check_datasets, fit)
 
 _DATASETS = ("mnist", "mnist-subset", "blobs", "xor")
 _DEFAULT_PLAN = {"mnist": "desk-mlp", "mnist-subset": "desk-mlp",
@@ -185,17 +186,12 @@ def cmd_train(cfg: RunConfig) -> int:
     train_ds, test_ds = load_datasets(cfg, data_rng)
 
     al_plan = get_plan(cfg.plan)
-    if train_ds.dim != al_plan.input_dim or \
-            train_ds.n_classes != al_plan.target_dim:
-        raise ConfigError(
-            f"plan {cfg.plan!r} expects {al_plan.input_dim} features / "
-            f"{al_plan.target_dim} classes, dataset has {train_ds.dim} / "
-            f"{train_ds.n_classes}")
     if cfg.mode == "bp":
         model = build_bp_network(match_effective_params(al_plan), init_rng,
                                  head=cfg.head)
     else:
         model = build_network(al_plan, init_rng)
+    check_datasets(model, train_ds, test_ds)
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -291,18 +291,34 @@ class FitResult:
         return self.records[-1]
 
 
+def check_datasets(model, train_ds: Dataset, test_ds: Dataset) -> None:
+    """ConfigError unless both datasets have the model's input width and
+    class count."""
+    n_classes = (model.target_dim if isinstance(model, ALNetwork)
+                 else model.n_classes)
+    for name, ds in (("train", train_ds), ("test", test_ds)):
+        if ds.dim != model.input_dim or ds.n_classes != n_classes:
+            raise ConfigError(
+                f"model expects {model.input_dim} features / {n_classes} "
+                f"classes, {name} set has {ds.dim} / {ds.n_classes}")
+
+
 def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
         epochs: int, batch_size: int, rng: Rng, seed: int,
         lr: float = 1e-4, lr_drops=(80, 120, 160, 180),
         lr_factor: float = 0.5, out_dir=None,
         eval_chunk: int = 2048) -> FitResult:
     """Full training run: per-epoch metrics, step learning-rate schedule,
-    test evaluation every epoch, best checkpoint persisted to out_dir.
-    Each epoch starts by setting model.lr to that epoch's rate.
+    best checkpoint persisted to out_dir. Each epoch starts by setting
+    model.lr to that epoch's rate. After each epoch, train and test
+    accuracy are measured here, for every mode, in eval_chunk rows, so
+    evaluation holds O(eval_chunk x widest layer) activations whatever
+    the dataset size. The one-hot targets take train_ds.X's dtype.
 
     epochs=0 evaluates the untouched model once and writes nothing.
-    epochs, batch_size and eval_chunk must be ints (>= 0, >= 1, >= 1);
-    any other value raises ConfigError before any work.
+    epochs, batch_size and eval_chunk must be ints (>= 0, >= 1, >= 1),
+    and both datasets must match the model (check_datasets); anything
+    else raises ConfigError before any work.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -316,9 +332,11 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
         raise ConfigError(f"mode {mode} needs a component network")
     if not is_al and not isinstance(model, BPNetwork):
         raise ConfigError("mode bp needs a BPNetwork")
+    check_datasets(model, train_ds, test_ds)
     evaluate = evaluate_al if is_al else evaluate_bp
 
-    y1 = one_hot(train_ds.y, model.target_dim if is_al else model.n_classes)
+    y1 = one_hot(train_ds.y, train_ds.n_classes).astype(train_ds.X.dtype,
+                                                        copy=False)
     ckpt_path = Path(out_dir) / "checkpoint.bin" if out_dir else None
     t_total = time.perf_counter()
     records: list[MetricsRecord] = []
@@ -345,12 +363,11 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
                                                 batch_size, rng, epoch=e)
             reports.append(report)
         else:
-            loss, train_acc = bp_train_epoch(model, train_ds.X, y1,
-                                             batch_size, rng, epoch=e)
+            loss = bp_train_epoch(model, train_ds.X, y1, batch_size, rng,
+                                  epoch=e)
             rec = MetricsRecord(epoch=e, mode="bp", mse1=[], mse2=[],
-                                train_loss=loss, train_accuracy=train_acc)
-        if is_al:
-            rec.train_accuracy = evaluate(model, train_ds, eval_chunk)
+                                train_loss=loss)
+        rec.train_accuracy = evaluate(model, train_ds, eval_chunk)
         rec.test_accuracy = evaluate(model, test_ds, eval_chunk)
         rec.wall_clock = time.perf_counter() - t_epoch
         records.append(rec)

@@ -23,6 +23,7 @@ from assoclearn.errors import (
     TruncatedFileError,
 )
 from assoclearn.linalg import make_rng
+from assoclearn.metrics import evaluate_bp
 
 from conftest import MNIST_DIR, requires_mnist
 
@@ -184,7 +185,8 @@ def test_blobs_linear_classifier_separates():
     shuffle = make_rng(5)
     acc = 0.0
     for epoch in range(50):
-        _, acc = bp_train_epoch(net, data.X, y, 16, shuffle, epoch=epoch)
+        bp_train_epoch(net, data.X, y, 16, shuffle, epoch=epoch)
+        acc = evaluate_bp(net, data)
         if acc == 1.0:
             break
     assert acc == 1.0

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 import weakref
 from threading import BoundedSemaphore, Thread
 
@@ -18,7 +19,7 @@ from assoclearn.checkpoint import load_al
 from assoclearn.data import one_hot, synth_blobs, synth_xor
 from assoclearn.errors import ConfigError, NumericError, TrainingError
 from assoclearn.linalg import make_rng
-from assoclearn.metrics import evaluate_al, write_metrics_csv
+from assoclearn.metrics import evaluate_al, evaluate_bp, write_metrics_csv
 from assoclearn.train import (
     Schedule,
     bench_pipeline,
@@ -404,6 +405,44 @@ def test_fit_bp_mode():
     assert result.best_test_accuracy is not None
 
 
+def test_fit_bp_train_accuracy_is_the_chunked_evaluation():
+    net = BPNetwork([8, 16, 4], make_rng(36), lr=1e-3)
+    ds, _ = blob_setup(seed=37, n=64)
+    test, _ = blob_setup(seed=38, n=24)
+    result = fit(net, ds, test, mode="bp", epochs=1, batch_size=16,
+                 rng=make_rng(38), seed=36, lr=1e-3, lr_drops=[],
+                 eval_chunk=24)
+    assert result.final.train_accuracy == evaluate_bp(net, ds)
+    assert result.final.test_accuracy == evaluate_bp(net, test)
+
+
+def _traced_fit_peak(n: int) -> int:
+    """tracemalloc peak of a 1-epoch bp fit on n rows; the datasets are
+    made before tracing starts."""
+    ds = synth_blobs(n, 16, 4, separation=6.0, rng=make_rng(90))
+    test = synth_blobs(64, 16, 4, separation=6.0, rng=make_rng(91))
+    net = BPNetwork([16, 64, 256, 64, 4], make_rng(93))
+    tracemalloc.start()
+    try:
+        fit(net, ds, test, mode="bp", epochs=1, batch_size=64,
+            rng=make_rng(94), seed=93, lr_drops=(), eval_chunk=512)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_bp_evaluation_memory_does_not_grow_with_rows():
+    # The post-epoch train-accuracy pass runs in eval_chunk rows, so the
+    # traced peak (numpy reports its buffers to tracemalloc) is set by
+    # the chunk and the widest layer, not by the training-set size. A
+    # whole-set pass over the 6144 extra rows would add 12.6 MB for one
+    # 256-wide activation alone; per-row bookkeeping (targets, shuffle
+    # order, predicted classes) adds well under 1 MB.
+    small = _traced_fit_peak(2048)
+    large = _traced_fit_peak(4 * 2048)
+    assert large - small < 2**20, (small, large)
+
+
 def test_fit_mode_validation():
     net = build_network(get_plan("blobs"), make_rng(39))
     ds, _ = blob_setup(seed=40)
@@ -444,6 +483,31 @@ def test_fit_rejects_negative_epochs_before_any_work(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("case", ["train-wide", "test-wide",
+                                  "test-classes"])
+@pytest.mark.parametrize("mode", ["al-seq", "al-pipe", "bp"])
+def test_fit_rejects_mismatched_datasets_before_training(mode, case):
+    # The blobs plan and its bp stack take 8 features and 4 classes; a
+    # dataset of another width or class count fails before any update.
+    if mode == "bp":
+        model = build_bp_network(match_effective_params(get_plan("blobs")),
+                                 make_rng(95))
+        items = bp_param_items
+    else:
+        model = build_network(get_plan("blobs"), make_rng(95))
+        items = net_param_items
+    before = [a.copy() for _, a in items(model)]
+    ds, _ = blob_setup(seed=96)
+    width, classes = (8, 3) if case == "test-classes" else (9, 4)
+    odd = synth_blobs(40, width, classes, 6.0, make_rng(97))
+    train, test = (odd, ds) if case == "train-wide" else (ds, odd)
+    with pytest.raises(ConfigError, match="expects 8 features / 4 classes"):
+        fit(model, train, test, mode=mode, epochs=1, batch_size=8,
+            rng=make_rng(98), seed=95, lr=1e-2)
+    assert all(np.array_equal(a, b)
+               for a, (_, b) in zip(before, items(model)))
+
+
 def _optimizers(model):
     if isinstance(model, BPNetwork):
         return [model.opt]
@@ -464,24 +528,54 @@ def test_float32_tensors_train_in_float32(plan_name):
     y1 = one_hot(ds.y, plan.target_dim).astype(np.float32)
     seq_net = build_network(plan, make_rng(71))
     bp_net = build_bp_network(match_effective_params(plan), make_rng(71))
-    for opt in _optimizers(seq_net) + _optimizers(bp_net):
-        for layer in opt.block.layers:
-            layer.W = layer.W.astype(np.float32)
-            layer.bias = layer.bias.astype(np.float32)
+    _cast_float32(seq_net, bp_net)
     pipe_net = copy.deepcopy(seq_net)
     train_epoch_sequential(seq_net, X, y1, 16, make_rng(72))
     train_epoch_pipelined(pipe_net, X, y1, 16, make_rng(72))
     bp_train_epoch(bp_net, X, y1, 16, make_rng(72))
-    for model in (seq_net, pipe_net, bp_net):
+    _assert_all_float32(seq_net, pipe_net, bp_net)
+    _assert_same_bits(seq_net, pipe_net)
+
+
+def _cast_float32(*models):
+    for model in models:
+        for opt in _optimizers(model):
+            for layer in opt.block.layers:
+                layer.W = layer.W.astype(np.float32)
+                layer.bias = layer.bias.astype(np.float32)
+
+
+def _assert_all_float32(*models):
+    """Every tensor, gradient, Adam moment and work array is float32."""
+    for model in models:
         for opt in _optimizers(model):
             arrays = (opt.block.param_arrays() + opt.block.grad_arrays()
                       + [a for st in opt._states.values()
                          for a in (st.m, st.v)] + list(opt._work))
             assert len(opt._states) == len(opt.block.param_arrays())
             assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
-    for (name, a), (_, b) in zip(net_param_items(seq_net),
-                                 net_param_items(pipe_net)):
+
+
+def _assert_same_bits(net_a, net_b):
+    for (name, a), (_, b) in zip(net_param_items(net_a),
+                                 net_param_items(net_b)):
         assert a.tobytes() == b.tobytes(), name
+
+
+def test_fit_builds_targets_in_the_data_dtype():
+    # fit's one-hot targets follow train_ds.X, so a float32 net on
+    # float32 data trains its g/h flows in float32 as well, and al-seq
+    # and al-pipe stay bit-equal.
+    ds, _ = blob_setup(seed=73, n=48)
+    ds.X = ds.X.astype(np.float32)
+    seq_net = build_network(get_plan("blobs"), make_rng(74))
+    _cast_float32(seq_net)
+    pipe_net = copy.deepcopy(seq_net)
+    for mode, net in (("al-seq", seq_net), ("al-pipe", pipe_net)):
+        fit(net, ds, ds, mode=mode, epochs=1, batch_size=16,
+            rng=make_rng(75), seed=74, lr=1e-3, lr_drops=())
+    _assert_all_float32(seq_net, pipe_net)
+    _assert_same_bits(seq_net, pipe_net)
 
 
 def _seeded_fit_bytes(mode, csv_path):
