@@ -26,6 +26,9 @@ all f blocks upward, the last bridge, then all h blocks downward,
 ``inference_layers`` lists the layers of that path. Their parameters are
 the "effective" set; everything else (all g_i, bridges below the top) is
 "affiliated" and provably cannot change ``infer`` output.
+
+``named_layers()`` names the layers for ``nn.param_items``/``set_params``
+and ``features(x)`` is s_C; ``bp.BPNetwork`` has the same two methods.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .nn import (
     mse_loss,
     mse_loss_grad,
     param_items,
-    set_params,
 )
 
 
@@ -321,6 +323,19 @@ class ALNetwork:
     def n_components(self) -> int:
         return len(self.components)
 
+    def named_layers(self) -> list[tuple[str, DenseLayer]]:
+        """Every layer, components in order, blocks f, g, b, h: the order
+        the checkpoint format and every bit-exactness comparison use."""
+        return [(f"c{c.index}.{bname}.{li}", layer) for c in self.components
+                for bname, blk in c.blocks().items()
+                for li, layer in enumerate(blk.layers)]
+
+    def features(self, x: Matrix) -> Matrix:
+        """Top forward activation s_C, before the bridge."""
+        for c in self.components:
+            x = c.f.forward(x, train=False)
+        return x
+
 
 def build_network(plan: NetworkPlan, rng: Rng, lr: float = 1e-4) -> ALNetwork:
     """Materialize a plan: He-init weights drawn from rng in component
@@ -354,21 +369,6 @@ def infer(net: ALNetwork, x: Matrix):
     return z, row_argmax(z)
 
 
-def metafeatures(net: ALNetwork, x: Matrix) -> Matrix:
-    """Top forward activation s_C, before the bridge."""
-    s = x
-    for c in net.components:
-        s = c.f.forward(s, train=False)
-    return s
-
-
-def _named_layers(net: ALNetwork) -> list[tuple[str, DenseLayer]]:
-    """Every layer, in component order, blocks in f, g, b, h order."""
-    return [(f"c{c.index}.{bname}.{li}", layer) for c in net.components
-            for bname, blk in c.blocks().items()
-            for li, layer in enumerate(blk.layers)]
-
-
 def effective_param_count(net: ALNetwork) -> int:
     """Parameters of inference_layers."""
     return sum(layer.param_count() for layer in inference_layers(net))
@@ -381,29 +381,21 @@ def affiliated_param_count(net: ALNetwork) -> int:
 
 
 def total_param_count(net: ALNetwork) -> int:
-    return sum(layer.param_count() for _, layer in _named_layers(net))
+    return sum(layer.param_count() for _, layer in net.named_layers())
 
 
 def perturb_affiliated(net: ALNetwork, delta: float = 1000.0) -> None:
     """Shift every parameter outside inference_layers by delta."""
     used = {id(layer) for layer in inference_layers(net)}
-    for _, layer in _named_layers(net):
+    for _, layer in net.named_layers():
         if id(layer) not in used:
             layer.W = layer.W + delta
             layer.bias = layer.bias + delta
 
 
 def net_param_items(net: ALNetwork) -> list[tuple[str, Matrix]]:
-    """Every parameter tensor with a stable name, in component order,
-    blocks in f, g, b, h order, per layer W then bias. The checkpoint
-    format and all bit-exactness comparisons rely on this order."""
-    return param_items(_named_layers(net))
-
-
-def net_set_params(net: ALNetwork, arrays: list[Matrix]) -> None:
-    """Assign copies of the tensors, in net_param_items order; ShapeError,
-    with nothing assigned, on a wrong count or shape."""
-    set_params(_named_layers(net), arrays)
+    """param_items over named_layers(); the benchmark imports it."""
+    return param_items(net.named_layers())
 
 
 # finite-difference harnesses ------------------------------------------

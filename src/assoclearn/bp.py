@@ -13,6 +13,9 @@ with the same loss family the local objectives use.
 ``bp_train_epoch`` only trains and returns the mean loss; train and test
 accuracy are measured by ``fit`` after the epoch, in ``eval_chunk`` rows,
 on the same path as the component network's.
+
+``BPNetwork`` has ``ALNetwork``'s ``named_layers()`` and ``features(x)``;
+its features are the activation after ``feature_layer`` layers.
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ from .al_core import NetworkPlan
 from .data import BatchIterator
 from .nn import (
     BlockAdam,
+    DenseLayer,
     cross_entropy_grad,
     cross_entropy_loss,
     gradcheck,
     make_block,
     mse_loss,
     mse_loss_grad,
-    param_items,
-    set_params,
 )
 
 HEADS = ("softmax", "mse")
@@ -114,11 +116,13 @@ class BPNetwork:
         out = self.forward(x, train=False)
         return out, row_argmax(out)
 
-    def hidden_features(self, x: Matrix, upto: int | None = None) -> Matrix:
-        """Activations after the first `upto` layers (default: the layer
-        mirroring the component network's top forward activation)."""
-        upto = self.feature_layer if upto is None else upto
-        for layer in self.stack.layers[:upto]:
+    def named_layers(self) -> list[tuple[str, DenseLayer]]:
+        return [(f"stack.{i}", layer)
+                for i, layer in enumerate(self.stack.layers)]
+
+    def features(self, x: Matrix) -> Matrix:
+        """Activations after the first feature_layer layers."""
+        for layer in self.stack.layers[:self.feature_layer]:
             x = layer.forward(x, train=False)
         return x
 
@@ -130,20 +134,6 @@ def build_bp_network(plan: BPPlan, rng: Rng, lr: float = 1e-4,
                      head: str = "softmax") -> BPNetwork:
     return BPNetwork(plan.widths, rng, lr=lr, head=head,
                      feature_layer=plan.feature_layer, name=plan.name)
-
-
-def _named_layers(net: BPNetwork):
-    return [(f"stack.{i}", layer) for i, layer in enumerate(net.stack.layers)]
-
-
-def bp_param_items(net: BPNetwork) -> list[tuple[str, Matrix]]:
-    return param_items(_named_layers(net))
-
-
-def bp_set_params(net: BPNetwork, arrays: list[Matrix]) -> None:
-    """Assign copies of the tensors, in bp_param_items order; ShapeError,
-    with nothing assigned, on a wrong count or shape."""
-    set_params(_named_layers(net), arrays)
 
 
 def bp_train_epoch(net: BPNetwork, X: Matrix, y_onehot: Matrix,

@@ -4,12 +4,11 @@ Layout: the first line is UTF-8 JSON (tag, plan, seed, epoch, dtype, and
 the name/shape of every tensor, in order); everything after the newline
 is the concatenation of those tensors as little-endian float64 bytes,
 which the dtype field declares as "<f8" and a loader requires. The
-tensor order is the stable enumeration order of the model (components in
-order, blocks f, g, b, h, per layer W then bias), so a reader needs
-nothing beyond the header, and every loader checks the names. Neither
-the optimizer moments nor the learning rate is stored: a restored model
-predicts identically but restarts Adam cold. A checkpoint is replaced
-atomically, so a write that fails leaves the previous one.
+tensor order is ``nn.param_items`` over the model's ``named_layers()``,
+so a reader needs nothing beyond the header, and every loader checks the
+names. Neither the optimizer moments nor the learning rate is stored: a
+restored model predicts identically but restarts Adam cold. A checkpoint
+is replaced atomically, so a write that fails leaves the previous one.
 """
 
 from __future__ import annotations
@@ -24,14 +23,9 @@ import numpy as np
 from .errors import DataError, TruncatedFileError
 from .fileio import atomic_open
 from .linalg import make_rng
-from .al_core import (
-    ALNetwork,
-    NetworkPlan,
-    build_network,
-    net_param_items,
-    net_set_params,
-)
-from .bp import BPNetwork, bp_param_items, bp_set_params
+from .al_core import ALNetwork, NetworkPlan, build_network
+from .bp import BPNetwork
+from .nn import param_items, set_params
 
 _FORMAT = "alnet-ckpt-1"
 _DTYPE = "<f8"
@@ -144,24 +138,22 @@ def _rebuild(path, header, build):
 
 def _assign(net: ALNetwork | BPNetwork, path, header, arrays) -> None:
     """Assign the tensors to net if their names are net's, in order."""
-    if isinstance(net, ALNetwork):
-        items, assign = net_param_items(net), net_set_params
-    else:
-        items, assign = bp_param_items(net), bp_set_params
-    names = [n for n, _ in items]
+    layers = net.named_layers()
+    names = [n for n, _ in param_items(layers)]
     stored = [d["name"] for d in header["arrays"]]
     if names != stored:
         diff = next((f"{a} vs {b}" for a, b in zip(stored, names) if a != b),
                     f"{len(stored)} tensors vs {len(names)}")
         raise DataError(
             f"{path}: tensor names do not match this network ({diff})")
-    assign(net, arrays)
+    set_params(layers, arrays)
 
 
 def save_al(path, net: ALNetwork, seed: int, epoch: int,
             extra: dict | None = None) -> None:
     plan = net.plan.to_dict() if net.plan is not None else None
-    _write(path, "al", plan, seed, epoch, net_param_items(net), extra)
+    _write(path, "al", plan, seed, epoch,
+           param_items(net.named_layers()), extra)
 
 
 def load_al_into(net: ALNetwork, path) -> dict:
@@ -184,7 +176,8 @@ def save_bp(path, net: BPNetwork, seed: int, epoch: int,
             extra: dict | None = None) -> None:
     plan = {"name": net.name, "widths": net.widths,
             "feature_layer": net.feature_layer, "head": net.head}
-    _write(path, "bp", plan, seed, epoch, bp_param_items(net), extra)
+    _write(path, "bp", plan, seed, epoch,
+           param_items(net.named_layers()), extra)
 
 
 def load_bp(path) -> tuple[BPNetwork, dict]:

@@ -6,6 +6,7 @@ class (averaged over classes that have at least two points), the
 interclass distance is the mean pairwise distance between class
 centroids, and the ratio inter/intra grows as clusters tighten and move
 apart. Distances use the Gram-matrix identity, no pairwise Python loops.
+``geometry_report`` measures ``model.features`` of either model type.
 
 CSV rows exclude wall-clock so that a rerun with the same seed produces
 a byte-identical file; timing lives in the JSON summary instead. Both
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import GeometryError, ShapeError
 from .linalg import Matrix
-from .al_core import ALNetwork, component_forward, infer, metafeatures
+from .al_core import ALNetwork, component_forward, infer
 from .data import Dataset, one_hot
 from .fileio import atomic_open
 
@@ -99,8 +100,9 @@ def associated_loss_profile(net: ALNetwork, ds: Dataset,
     return [float(v) for v in sums / ds.n]
 
 
-def al_metafeatures(net: ALNetwork, X: Matrix, chunk: int = 2048) -> Matrix:
-    return np.concatenate(_chunked(lambda xs: metafeatures(net, xs), X, chunk))
+def features(model, X: Matrix, chunk: int = 2048) -> Matrix:
+    """model.features of every row of X, computed in chunk rows."""
+    return np.concatenate(_chunked(model.features, X, chunk))
 
 
 def _pairwise_mean_distance(P: Matrix) -> float:
@@ -149,13 +151,10 @@ def geometry_report(ds: Dataset, net: ALNetwork | None = None,
     """Geometry of raw features plus, when given, of the learned features
     of either model at the matched depth."""
     report = {"raw": asdict(class_geometry(ds.X, ds.y))}
-    if net is not None:
-        feats = al_metafeatures(net, ds.X, chunk)
-        report["al"] = asdict(class_geometry(feats, ds.y))
-    if bp_net is not None:
-        feats = np.concatenate(
-            _chunked(lambda xs: bp_net.hidden_features(xs), ds.X, chunk))
-        report["bp"] = asdict(class_geometry(feats, ds.y))
+    for key, model in (("al", net), ("bp", bp_net)):
+        if model is not None:
+            report[key] = asdict(class_geometry(
+                features(model, ds.X, chunk), ds.y))
     return report
 
 

@@ -76,7 +76,7 @@ class Schedule:
         return m if 1 <= m <= self.n_batches else None
 
     def total_units(self) -> int:
-        return self.n_batches + self.n_components - 1
+        return self.n_batches + self.n_components - 1 if self.n_batches else 0
 
     def sequential_tasks(self) -> int:
         return self.n_batches * self.n_components

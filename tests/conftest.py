@@ -6,6 +6,8 @@ AL_DATA_DIR and skips with an explicit reason when they are absent.
 
 ``given_layer`` builds a dense layer holding given tensors the one way
 the package offers: a layer built from an rng, then ``nn.set_params``.
+``params`` lists a model's tensors the one way the package offers:
+``nn.param_items`` over its ``named_layers()``.
 """
 
 import os
@@ -65,3 +67,8 @@ def given_layer(W, bias=None, activation="identity"):
     nn.set_params([("given", layer)],
                   [W, np.zeros(fan_out) if bias is None else bias])
     return layer
+
+
+def params(model):
+    """(name, tensor) of every parameter of model, in checkpoint order."""
+    return nn.param_items(model.named_layers())

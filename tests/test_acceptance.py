@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import MNIST_DIR, given_layer
+from conftest import MNIST_DIR, given_layer, params
 
 from assoclearn.al_core import (
     Component,
@@ -27,7 +27,6 @@ from assoclearn.al_core import (
     gradcheck_component_flows,
     gradcheck_cross_component,
     infer,
-    net_param_items,
     perturb_affiliated,
 )
 from assoclearn.bp import build_bp_network, gradcheck_bp, match_effective_params
@@ -290,8 +289,7 @@ def _depth1_equivalence(train_ds, seed):
                  for e in (1, 2)]
     params_equal = all(
         np.array_equal(pa, pb)
-        for (_, pa), (_, pb) in zip(net_param_items(net_seq),
-                                    net_param_items(net_pipe)))
+        for (_, pa), (_, pb) in zip(params(net_seq), params(net_pipe)))
     records_equal = all(
         ra.mse1 == rb.mse1 and ra.mse2 == rb.mse2
         and ra.train_loss == rb.train_loss

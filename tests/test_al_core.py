@@ -18,17 +18,16 @@ from assoclearn.al_core import (
     gradcheck_component_flows,
     gradcheck_cross_component,
     infer,
-    metafeatures,
     net_param_items,
-    net_set_params,
     perturb_affiliated,
     plan_names,
     total_param_count,
 )
 from assoclearn.errors import NumericError, PlanError, ShapeError
 from assoclearn.linalg import make_rng
-from assoclearn.nn import DenseLayer, MLPBlock, mse_loss, mse_loss_grad
-from conftest import given_layer
+from assoclearn.nn import (DenseLayer, MLPBlock, mse_loss, mse_loss_grad,
+                           set_params)
+from conftest import given_layer, params
 
 
 def identity_block(dim):
@@ -214,7 +213,7 @@ def two_pass_update(c, s_prev, t_prev, lr):
 
 
 def param_bytes(net):
-    return [(name, p.tobytes()) for name, p in net_param_items(net)]
+    return [(name, p.tobytes()) for name, p in params(net)]
 
 
 def batch_for(plan, seed, n=8):
@@ -328,13 +327,13 @@ def test_infer_unaffected_by_affiliated_parameters():
     assert np.array_equal(cls_before, cls_after)
 
 
-def test_metafeatures_are_top_f_output():
+def test_features_are_top_f_output():
     net = build_network(get_plan("blobs"), make_rng(22))
     x = make_rng(23).uniform(size=(3, 8))
     s = x
     for c in net.components:
         s = c.f.forward(s)
-    assert np.array_equal(metafeatures(net, x), s)
+    assert np.array_equal(net.features(x), s)
 
 
 def test_infer_dim_mismatch():
@@ -378,11 +377,11 @@ def test_build_deterministic_per_seed():
     plan = get_plan("blobs")
     a = build_network(plan, make_rng(26))
     b = build_network(plan, make_rng(26))
-    for (_, pa), (_, pb) in zip(net_param_items(a), net_param_items(b)):
+    for (_, pa), (_, pb) in zip(params(a), params(b)):
         assert np.array_equal(pa, pb)
     c = build_network(plan, make_rng(27))
     assert any(not np.array_equal(pa, pc) for (_, pa), (_, pc)
-               in zip(net_param_items(a), net_param_items(c)))
+               in zip(params(a), params(c)))
 
 
 def test_plan_validation_reports_component_and_block():
@@ -441,7 +440,7 @@ def test_param_split_sums_to_total():
 def test_param_items_roundtrip():
     net = build_network(get_plan("blobs"), make_rng(30))
     other = build_network(get_plan("blobs"), make_rng(31))
-    net_set_params(other, [p for _, p in net_param_items(net)])
+    set_params(other.named_layers(), [p for _, p in params(net)])
     x = make_rng(32).uniform(size=(4, 8))
     ya, _ = infer(net, x)
     yb, _ = infer(other, x)
@@ -451,33 +450,34 @@ def test_param_items_roundtrip():
 def test_set_params_copies_so_training_one_net_leaves_the_other():
     net = build_network(get_plan("xor"), make_rng(30))
     other = build_network(get_plan("xor"), make_rng(31))
-    net_set_params(other, [p for _, p in net_param_items(net)])
-    before = [p.copy() for _, p in net_param_items(net)]
+    set_params(other.named_layers(), [p for _, p in params(net)])
+    before = [p.copy() for _, p in params(net)]
     x = make_rng(32).uniform(size=(4, 2))
     component_update(other.components[0], x, np.eye(2)[[0, 1, 1, 0]], 1e-4)
     assert all(np.array_equal(p, q)
-               for (_, p), q in zip(net_param_items(net), before))
+               for (_, p), q in zip(params(net), before))
 
 
 def test_param_items_names_stable():
     net = build_network(get_plan("xor"), make_rng(33))
-    names = [name for name, _ in net_param_items(net)]
+    names = [name for name, _ in params(net)]
     assert names == ["c1.f.0.W", "c1.f.0.bias", "c1.g.0.W", "c1.g.0.bias",
                      "c1.b.0.W", "c1.b.0.bias", "c1.h.0.W", "c1.h.0.bias"]
+    assert [name for name, _ in net_param_items(net)] == names
 
 
 def test_set_params_wrong_count():
     net = build_network(get_plan("xor"), make_rng(34))
     with pytest.raises(ShapeError):
-        net_set_params(net, [np.zeros((2, 2))])
+        set_params(net.named_layers(), [np.zeros((2, 2))])
 
 
 def test_set_params_wrong_shape_assigns_nothing():
     net = build_network(get_plan("blobs"), make_rng(37))
-    before = [p.tobytes() for _, p in net_param_items(net)]
-    arrays = [p + 1.0 for _, p in net_param_items(net)]
+    before = [p.tobytes() for _, p in params(net)]
+    arrays = [p + 1.0 for _, p in params(net)]
     assert len(arrays) == 18
     arrays[16] = np.zeros((3, 3))  # c2.h.0.W
     with pytest.raises(ShapeError, match="c2.h.0"):
-        net_set_params(net, arrays)
-    assert [p.tobytes() for _, p in net_param_items(net)] == before
+        set_params(net.named_layers(), arrays)
+    assert [p.tobytes() for _, p in params(net)] == before

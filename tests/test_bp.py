@@ -12,8 +12,6 @@ from assoclearn.al_core import (
 )
 from assoclearn.bp import (
     BPNetwork,
-    bp_param_items,
-    bp_set_params,
     bp_train_epoch,
     build_bp_network,
     gradcheck_bp,
@@ -23,6 +21,8 @@ from assoclearn.data import one_hot, synth_blobs
 from assoclearn.errors import ConfigError, NumericError, ShapeError
 from assoclearn.linalg import make_rng
 from assoclearn.metrics import evaluate_bp
+from assoclearn.nn import set_params
+from conftest import params
 
 
 def test_reference_plan_maps_to_quoted_widths():
@@ -138,7 +138,7 @@ def test_mse_head_trains():
 def test_param_items_roundtrip():
     a = BPNetwork([3, 5, 2], make_rng(16))
     b = BPNetwork([3, 5, 2], make_rng(17))
-    bp_set_params(b, [p for _, p in bp_param_items(a)])
+    set_params(b.named_layers(), [p for _, p in params(a)])
     x = make_rng(18).uniform(size=(4, 3))
     assert np.array_equal(a.predict(x)[0], b.predict(x)[0])
 
@@ -146,43 +146,43 @@ def test_param_items_roundtrip():
 def test_set_params_copies_so_training_one_net_leaves_the_other():
     a = BPNetwork([3, 5, 2], make_rng(16))
     b = BPNetwork([3, 5, 2], make_rng(17))
-    bp_set_params(b, [p for _, p in bp_param_items(a)])
-    before = [p.copy() for _, p in bp_param_items(a)]
+    set_params(b.named_layers(), [p for _, p in params(a)])
+    before = [p.copy() for _, p in params(a)]
     rng = make_rng(18)
     b.train_batch(rng.uniform(size=(4, 3)), np.eye(2)[[0, 1, 1, 0]])
     assert all(np.array_equal(p, q)
-               for (_, p), q in zip(bp_param_items(a), before))
+               for (_, p), q in zip(params(a), before))
     assert not all(np.array_equal(p, q)
-                   for (_, p), q in zip(bp_param_items(b), before))
+                   for (_, p), q in zip(params(b), before))
 
 
 def test_param_items_wrong_count():
     net = BPNetwork([3, 4, 2], make_rng(19))
-    before = [p.tobytes() for _, p in bp_param_items(net)]
+    before = [p.tobytes() for _, p in params(net)]
     with pytest.raises(ShapeError, match="expected 4 parameter tensors"):
-        bp_set_params(net, [np.zeros((3, 4))])
-    assert [p.tobytes() for _, p in bp_param_items(net)] == before
+        set_params(net.named_layers(), [np.zeros((3, 4))])
+    assert [p.tobytes() for _, p in params(net)] == before
 
 
 def test_param_items_wrong_shape_rejected_and_net_untouched():
     net = BPNetwork([3, 5, 2], make_rng(19))
-    before = [p.copy() for _, p in bp_param_items(net)]
+    before = [p.copy() for _, p in params(net)]
     wrong = [np.zeros((4, 6)), np.zeros(6), np.zeros((6, 2)), np.zeros(2)]
     with pytest.raises(ShapeError, match="stack.0"):
-        bp_set_params(net, wrong)
+        set_params(net.named_layers(), wrong)
     bad_bias = [p.copy() for p in before]
     bad_bias[3] = np.zeros((1, 3))
     with pytest.raises(ShapeError, match="stack.1"):
-        bp_set_params(net, bad_bias)
+        set_params(net.named_layers(), bad_bias)
     assert all(np.array_equal(p, q)
-               for (_, p), q in zip(bp_param_items(net), before))
+               for (_, p), q in zip(params(net), before))
 
 
-def test_hidden_features_shape_matches_feature_layer():
+def test_features_shape_matches_feature_layer():
     bp_plan = match_effective_params(get_plan("blobs"))
     net = build_bp_network(bp_plan, make_rng(20))
     x = make_rng(21).uniform(size=(5, 8))
-    feats = net.hidden_features(x)
+    feats = net.features(x)
     # top forward activation of the source plan is 16 wide
     assert feats.shape == (5, 16)
 

@@ -5,12 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from assoclearn.al_core import (
-    build_network,
-    get_plan,
-    infer,
-    net_param_items,
-)
+from assoclearn.al_core import build_network, get_plan, infer
 from assoclearn import checkpoint
 from assoclearn.bp import BPNetwork
 from assoclearn.checkpoint import (
@@ -23,6 +18,7 @@ from assoclearn.checkpoint import (
 )
 from assoclearn.errors import DataError, ShapeError, TruncatedFileError
 from assoclearn.linalg import make_rng
+from conftest import params
 
 
 def al_fixture(seed=0):
@@ -34,8 +30,7 @@ def test_al_roundtrip_bit_exact(tmp_path):
     path = tmp_path / "model.bin"
     save_al(path, net, seed=0, epoch=7)
     restored, header = load_al(path)
-    for (na, pa), (nb, pb) in zip(net_param_items(net),
-                                  net_param_items(restored)):
+    for (na, pa), (nb, pb) in zip(params(net), params(restored)):
         assert na == nb
         assert np.array_equal(pa, pb)
     x = make_rng(1).uniform(size=(5, 8))
@@ -63,7 +58,7 @@ def test_header_fields(tmp_path):
     assert header["dtype"] == "<f8"
     assert header["plan"]["name"] == "blobs"
     assert header["extra"] == {"test_accuracy": 0.5}
-    assert len(arrays) == len(header["arrays"]) == len(net_param_items(net))
+    assert len(arrays) == len(header["arrays"]) == len(params(net))
     names = [d["name"] for d in header["arrays"]]
     assert names[0] == "c1.f.0.W" and names[1] == "c1.f.0.bias"
 
@@ -239,10 +234,10 @@ def test_load_into_same_names_other_shapes_leaves_net_untouched(tmp_path):
     path = tmp_path / "model.bin"
     save_al(path, build_network(plan, make_rng(17)), seed=17, epoch=0)
     net = al_fixture(18)
-    before = [p.tobytes() for _, p in net_param_items(net)]
+    before = [p.tobytes() for _, p in params(net)]
     with pytest.raises(ShapeError, match="c2.b.0"):
         load_al_into(net, path)
-    assert [p.tobytes() for _, p in net_param_items(net)] == before
+    assert [p.tobytes() for _, p in params(net)] == before
 
 
 @pytest.mark.parametrize("loader,edit,says", [

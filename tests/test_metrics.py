@@ -10,12 +10,12 @@ from assoclearn.metrics import (
     ClassGeometry,
     MetricsRecord,
     accuracy,
-    al_metafeatures,
     associated_loss_profile,
     class_geometry,
     csv_header,
     evaluate_al,
     evaluate_bp,
+    features,
     geometry_report,
     record_row,
     write_metrics_csv,
@@ -82,11 +82,16 @@ def test_evaluate_bp_matches_direct_prediction():
     assert evaluate_bp(net, ds, chunk=10) == accuracy(classes, ds.y)
 
 
-def test_al_metafeatures_chunking_consistent():
-    net = build_network(get_plan("blobs"), make_rng(8))
+@pytest.mark.parametrize("kind", ["al", "bp"])
+def test_features_chunking_consistent(kind):
+    if kind == "al":
+        model = build_network(get_plan("blobs"), make_rng(8))
+    else:
+        model = BPNetwork([8, 6, 5, 4], make_rng(8), feature_layer=2)
     X = blob_fixture(seed=9).X
-    assert np.array_equal(al_metafeatures(net, X, chunk=8),
-                          al_metafeatures(net, X, chunk=4096))
+    whole = model.features(X)
+    assert np.array_equal(features(model, X, chunk=8), whole)
+    assert np.array_equal(features(model, X, chunk=4096), whole)
 
 
 # class geometry -------------------------------------------------------

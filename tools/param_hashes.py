@@ -2,13 +2,15 @@
 
 Each run is a seeded 2-epoch ``fit`` on the benchmark's blobs:
 perfbench's ``make_inputs(wl, 1)``, the first init and shuffle seed, the
-workload's rate, batch 128 and ``lr_drops=()``. Per run it prints two
-sha256 hashes: of the parameter bytes after the run (``net_param_items``
-or ``bp_param_items``, in order), and of the metrics rows
-(``metrics.record_row`` of every record, cells joined by "," and rows
-ended by a newline, as in metrics.csv). A change that keeps the training
-bits and the seeded metrics must print the hashes that ROADMAP.md
-quotes. Exits 1 when the al-seq and al-pipe parameters differ.
+workload's rate, batch 128 and ``lr_drops=()``, with a temporary
+``out_dir``. Per run it prints three sha256 hashes: of the parameter
+bytes after the run (``nn.param_items`` over ``model.named_layers()``,
+in order), of the metrics rows (``metrics.record_row`` of every record,
+cells joined by "," and rows ended by a newline, as in metrics.csv),
+and of the ``checkpoint.bin`` file the run wrote. A change that keeps
+the training bits, the seeded metrics and the checkpoint format must
+print the hashes that ROADMAP.md quotes. Exits 1 when the al-seq and
+al-pipe parameters differ.
 
     PYTHONPATH=src python3 tools/param_hashes.py
 """
@@ -17,14 +19,14 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import assoclearn as al  # noqa: E402
-from assoclearn.al_core import net_param_items  # noqa: E402
-from assoclearn.bp import bp_param_items  # noqa: E402
 from assoclearn.metrics import record_row  # noqa: E402
+from assoclearn.nn import param_items  # noqa: E402
 from workloads import (  # noqa: E402
     BATCH_SIZE, CLASSES, PLAN, WORKLOADS, build_model, make_inputs)
 
@@ -37,29 +39,34 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_hashes(name: str) -> tuple[str, str]:
-    """(parameter hash, metrics-rows hash) of the workload's seeded run."""
+def run_hashes(name: str) -> tuple[str, str, str]:
+    """(parameter, metrics-rows, checkpoint) hashes of the workload's
+    seeded run."""
     wl = WORKLOADS[name]
     inputs = make_inputs(wl, 1)
     model = build_model(al, wl, inputs.init_seeds[0])
-    result = al.fit(
-        model, al.Dataset(inputs.train_X, inputs.train_y, CLASSES),
-        al.Dataset(inputs.test_X, inputs.test_y, CLASSES),
-        mode=wl.mode, epochs=EPOCHS, batch_size=BATCH_SIZE,
-        rng=al.make_rng(inputs.shuffle_seeds[0]),
-        seed=inputs.init_seeds[0], lr=wl.lr, lr_drops=())
-    items = (bp_param_items if wl.mode == "bp" else net_param_items)(model)
+    with tempfile.TemporaryDirectory() as out_dir:
+        result = al.fit(
+            model, al.Dataset(inputs.train_X, inputs.train_y, CLASSES),
+            al.Dataset(inputs.test_X, inputs.test_y, CLASSES),
+            mode=wl.mode, epochs=EPOCHS, batch_size=BATCH_SIZE,
+            rng=al.make_rng(inputs.shuffle_seeds[0]),
+            seed=inputs.init_seeds[0], lr=wl.lr, lr_drops=(),
+            out_dir=out_dir)
+        checkpoint = Path(result.checkpoint_path).read_bytes()
+    items = param_items(model.named_layers())
     n_components = len(al.get_plan(PLAN).components)
     rows = "".join(",".join(record_row(rec, n_components)) + "\n"
                    for rec in result.records)
     return (_sha256(b"".join(a.tobytes() for _, a in items)),
-            _sha256(rows.encode()))
+            _sha256(rows.encode()), _sha256(checkpoint))
 
 
 def main() -> int:
     hashes = {mode: run_hashes(name) for mode, name in RUNS}
-    for mode, (params, rows) in hashes.items():
-        print(f"{mode:8s} params {params}  metrics {rows}")
+    for mode, (params, rows, checkpoint) in hashes.items():
+        print(f"{mode:8s} params {params}  metrics {rows}  "
+              f"checkpoint {checkpoint}")
     if hashes["al-seq"][0] != hashes["al-pipe"][0]:
         print("al-seq and al-pipe differ", file=sys.stderr)
         return 1
