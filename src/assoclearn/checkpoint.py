@@ -46,8 +46,8 @@ def _write(path, tag: str, plan: dict | None, seed: int, epoch: int,
         header["extra"] = extra
     with atomic_open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for _, a in items:
-            fh.write(np.ascontiguousarray(a, dtype=_DTYPE).tobytes())
+        for _, a in items:     # through the buffer: no copy of a tensor
+            fh.write(np.ascontiguousarray(a, dtype=_DTYPE))
 
 
 def _tensor_descs(path, header) -> list[tuple[str, tuple[int, ...]]]:

@@ -96,9 +96,15 @@ class RunConfig:
 
 
 def _integer(v) -> int:
-    if isinstance(v, float) and not v.is_integer():
+    if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
         raise ValueError(v)
     return int(v)
+
+
+def _number(v) -> float:
+    if isinstance(v, bool):
+        raise ValueError(v)
+    return float(v)
 
 
 def _string(v) -> str:
@@ -115,7 +121,7 @@ def _epoch_list(v) -> list[int]:
 
 
 # How a flag or config-file value becomes a RunConfig field of each type.
-_COERCE = {"int": _integer, "float": float, "list[int]": _epoch_list,
+_COERCE = {"int": _integer, "float": _number, "list[int]": _epoch_list,
            "str": _string,
            "str | None": lambda v: v if v is None else _string(v)}
 

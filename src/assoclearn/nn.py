@@ -2,14 +2,18 @@
 
 The building block is ``DenseLayer`` (affine + activation) and ``MLPBlock``
 (a chain of dense layers). Blocks cache forward intermediates only in
-training mode; ``backward`` replays the chain rule exactly and leaves
-parameter gradients on each layer, and skips the block's input gradient
-when the caller discards it. ``BlockAdam`` then applies Adam with bias
-correction per parameter tensor, in place: the layer's tensors and the
-moments are overwritten, and the result is bit-identical to the textbook
-formula evaluated with fresh arrays, because every operation runs in the
-same order. Layers therefore own their tensors: a layer draws its own when
-it is built, and ``set_params`` is the one way to give it others, as copies.
+training mode; ``backward`` replays the chain rule exactly, consumes
+those caches, leaves parameter gradients on each layer, and skips the
+block's input gradient when the caller discards it. ``BlockAdam`` then
+applies Adam with bias correction per parameter tensor, in place, and
+consumes the gradients. So a gradient lives from the backward that makes
+it to the step that applies it, a training cache from the forward that
+fills it to the backward that reads it, and a model holds neither between
+batches. The step overwrites the layer's tensors and the moments, and the
+result is bit-identical to the textbook formula evaluated with fresh
+arrays, because every operation runs in the same order. Layers therefore
+own their tensors: a layer draws its own when it is built, and
+``set_params`` is the one way to give it others, as copies.
 A tensor's Adam state is its moments m, v and step count t; beta1, beta2
 and eps are module constants, and the learning rate is not state at all:
 the model holds it, and ``BlockAdam.step(lr)`` takes it on every call.
@@ -183,7 +187,9 @@ class DenseLayer:
     one way to give a layer other tensors is set_params, which copies
     them, because the optimizer updates the layer's tensors in place.
     Forward in training mode caches (input, pre-activation, output) for the
-    backward pass; evaluation-mode forward clears the cache. The bias add
+    backward pass, which drops it; evaluation-mode forward clears it.
+    grad_W and grad_b hold the last backward's gradients until
+    BlockAdam.step applies them and sets them to None. The bias add
     and the activation run over row_blocks of the product, writing into
     it, except that a training-mode ELU keeps its pre-activation for its
     backward pass; every other layer's cached pre-activation is its
@@ -218,11 +224,14 @@ class DenseLayer:
         return out
 
     def backward(self, grad_out: Matrix, input_grad: bool = True) -> Matrix | None:
-        """Leave grad_W / grad_b on the layer and return the gradient with
-        respect to the input, or None when input_grad is False."""
+        """Leave grad_W / grad_b on the layer, drop the training cache and
+        return the gradient with respect to the input, or None when
+        input_grad is False. A second backward needs a new training-mode
+        forward."""
         if self._cache is None:
             raise StateError("backward without a prior training-mode forward")
         x, z, out = self._cache
+        self._cache = None
         if grad_out.shape != out.shape:
             raise ShapeError(
                 f"upstream gradient shape {grad_out.shape} != {out.shape}")
@@ -261,9 +270,10 @@ class MLPBlock:
         return x
 
     def backward(self, grad_out: Matrix, input_grad: bool = True) -> Matrix | None:
-        """Chain rule through every layer; with input_grad=False the first
-        layer skips the product that only the block's input gradient needs,
-        and None is returned."""
+        """Chain rule through every layer, leaving each layer's gradients
+        for BlockAdam.step and dropping its training cache; with
+        input_grad=False the first layer skips the product that only the
+        block's input gradient needs, and None is returned."""
         for layer in reversed(self.layers[1:]):
             grad_out = layer.backward(grad_out)
         return self.layers[0].backward(grad_out, input_grad)
@@ -462,16 +472,27 @@ class BlockAdam:
         return st
 
     def step(self, lr: float) -> None:
+        """Apply every layer's gradients at rate lr, then set them to None.
+
+        Every gradient is checked before any tensor is updated: StateError
+        when one is missing (no backward since the last step), ShapeError
+        when one does not have its tensor's shape. A step that raises
+        changes no parameter, no moment and no step count.
+        """
+        for p, g in zip(self.block.param_arrays(), self.block.grad_arrays()):
+            if g is None:
+                raise StateError("step without gradients; run backward first")
+            if g.shape != p.shape:
+                raise ShapeError(f"gradient {g.shape} vs tensor {p.shape}")
         if self._work is None:
             params = self.block.param_arrays()
             self._work = (_block_work(*params), _block_work(*params))
         for i, layer in enumerate(self.block.layers):
-            if layer.grad_W is None or layer.grad_b is None:
-                raise StateError("step without gradients; run backward first")
             adam_update(layer.W, layer.grad_W, self._state((i, "W"), layer.W),
                         lr, self._work)
             adam_update(layer.bias, layer.grad_b,
                         self._state((i, "b"), layer.bias), lr, self._work)
+            layer.grad_W = layer.grad_b = None
 
 
 # finite differences ---------------------------------------------------

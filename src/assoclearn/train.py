@@ -316,16 +316,16 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
     the dataset size. The one-hot targets take train_ds.X's dtype.
 
     epochs=0 evaluates the untouched model once and writes nothing.
-    epochs, batch_size and eval_chunk must be ints (>= 0, >= 1, >= 1),
-    and both datasets must match the model (check_datasets); anything
-    else raises ConfigError before any work.
+    epochs, batch_size and eval_chunk must be ints, not bools (>= 0,
+    >= 1, >= 1), and both datasets must match the model (check_datasets);
+    anything else raises ConfigError before any work.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     for key, value, low in (("epochs", epochs, 0),
                             ("batch_size", batch_size, 1),
                             ("eval_chunk", eval_chunk, 1)):
-        if not isinstance(value, int) or value < low:
+        if type(value) is not int or value < low:
             raise ConfigError(f"{key} must be an int >= {low}, got {value!r}")
     is_al = mode.startswith("al")
     if is_al and not isinstance(model, ALNetwork):
@@ -397,7 +397,7 @@ def bench_pipeline(n_batches: int, components: int,
     """Synthetic equal-cost workload: every task sleeps task_cost_ms, so
     the measured speedup isolates the scheduling machinery."""
     for key, value in (("n_batches", n_batches), ("components", components)):
-        if not isinstance(value, int) or value < 1:
+        if type(value) is not int or value < 1:
             raise ConfigError(f"{key} must be an int >= 1, got {value!r}")
     if not 0 <= task_cost_ms < np.inf:      # NaN fails both comparisons
         raise ConfigError(

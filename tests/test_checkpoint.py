@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,22 @@ def test_header_fields(tmp_path):
     assert len(arrays) == len(header["arrays"]) == len(params(net))
     names = [d["name"] for d in header["arrays"]]
     assert names[0] == "c1.f.0.W" and names[1] == "c1.f.0.bias"
+
+
+def test_save_holds_no_copy_of_a_tensor(tmp_path):
+    # Each tensor reaches the file through the buffer protocol, so saving
+    # desk-mlp never holds a copy of its largest tensor (1.6 MB).
+    net = build_network(get_plan("desk-mlp"), make_rng(6))
+    largest = max(a.nbytes for _, a in params(net))
+    tracemalloc.start()
+    try:
+        save_al(tmp_path / "model.bin", net, seed=6, epoch=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < largest // 4, (peak, largest)
+    _, arrays = load_checkpoint(tmp_path / "model.bin")
+    assert all(np.array_equal(a, b) for a, (_, b) in zip(arrays, params(net)))
 
 
 def test_bp_roundtrip_bit_exact(tmp_path):

@@ -189,6 +189,14 @@ def test_config_missing_file_exit_2(tmp_path, capsys):
      "lr_factor must be finite and positive, got -1.0"),
     ({"head": "hinge"},
      "head must be one of ('softmax', 'mse'), got 'hinge'"),
+    # A JSON true or false is not a number.
+    ({"seed": True, "epochs": True, "lr": True},
+     "seed (--seed) must be int, got True"),
+    ({"epochs": True}, "epochs (--epochs) must be int, got True"),
+    ({"batch_size": False}, "batch_size (--batch-size) must be int, got False"),
+    ({"lr": True}, "lr (--lr) must be float, got True"),
+    ({"lr_factor": False}, "lr_factor (--lr-factor) must be float, got False"),
+    ({"lr_drops": [80, True]}, "lr_drops (--lr-drops) must be list[int]"),
 ])
 def test_config_value_of_wrong_type_exit_2_writes_nothing(
         tmp_path, monkeypatch, capsys, bad, message):

@@ -336,6 +336,22 @@ def test_backward_without_forward_raises():
         layer.backward(np.zeros((1, 2)))
 
 
+def test_second_backward_without_forward_raises():
+    rng = make_rng(5)
+    layer = DenseLayer(3, 2, "elu", rng=rng)
+    out = layer.forward(rng.normal(size=(4, 3)), train=True)
+    layer.backward(np.ones_like(out))
+    assert layer._cache is None
+    with pytest.raises(StateError):
+        layer.backward(np.ones_like(out))
+    block = make_block([3, 5, 2], "sigmoid", rng)
+    out = block.forward(rng.normal(size=(4, 3)), train=True)
+    block.backward(np.ones_like(out), input_grad=False)
+    assert all(layer._cache is None for layer in block.layers)
+    with pytest.raises(StateError):
+        block.backward(np.ones_like(out))
+
+
 def test_eval_forward_clears_cache():
     layer = DenseLayer(2, 2, "identity", rng=make_rng(0))
     x = np.ones((1, 2))
@@ -438,8 +454,9 @@ def test_block_adam_bit_identical_to_textbook():
         for layer in block.layers:
             layer.grad_W = rng.normal(size=layer.W.shape)
             layer.grad_b = rng.normal(size=layer.bias.shape)
+        grads = block.grad_arrays()     # the step consumes them
         opt.step(0.3)
-        for ref, p, g in zip(refs, block.param_arrays(), block.grad_arrays()):
+        for ref, p, g in zip(refs, block.param_arrays(), grads):
             param, m, v = ref
             ref[:] = _textbook_adam(param, g, m, v, t, lr=0.3)
             assert _same_bits(p, ref[0])
@@ -499,6 +516,56 @@ def test_block_adam_requires_gradients():
         opt.step(1e-4)
 
 
+def _backward(block, rng):
+    out = block.forward(rng.normal(size=(5, block.fan_in)), train=True)
+    block.backward(mse_loss_grad(out, np.zeros_like(out)))
+
+
+def _stepped_block(rng):
+    """A two-layer block and its optimizer after one step, with the
+    gradients of a second backward on the block."""
+    block = make_block([3, 4, 2], "elu", rng)
+    opt = BlockAdam(block)
+    _backward(block, rng)
+    opt.step(1e-2)
+    _backward(block, rng)
+    return block, opt
+
+
+def _adam_bits(block, opt):
+    """The bytes of every parameter and moment, and every step count."""
+    return ([p.tobytes() for p in block.param_arrays()],
+            {k: (st.m.tobytes(), st.v.tobytes(), st.t)
+             for k, st in opt._states.items()})
+
+
+@pytest.mark.parametrize("fault,error", [
+    ("missing", StateError), ("misshapen", ShapeError)])
+def test_block_adam_checks_every_gradient_before_any_update(fault, error):
+    # Only the last layer's bias gradient is bad, so the first layer,
+    # which is updated first, must not move either.
+    block, opt = _stepped_block(make_rng(55))
+    last = block.layers[-1]
+    last.grad_b = None if fault == "missing" else np.ones((2, 2))
+    before = _adam_bits(block, opt)
+    with pytest.raises(error):
+        opt.step(1e-2)
+    assert _adam_bits(block, opt) == before
+    assert block.layers[0].grad_W is not None
+
+
+def test_block_adam_second_step_without_backward_raises():
+    # The step consumes the gradients, so a stale one is never applied
+    # twice.
+    block, opt = _stepped_block(make_rng(56))
+    opt.step(1e-2)
+    assert all(g is None for g in block.grad_arrays())
+    before = _adam_bits(block, opt)
+    with pytest.raises(StateError):
+        opt.step(1e-2)
+    assert _adam_bits(block, opt) == before
+
+
 def test_block_adam_step_applies_its_rate_to_the_states():
     # Three steps at one rate, then one at another: the fourth step is
     # the textbook step at the new rate on the moments the first three left.
@@ -510,8 +577,9 @@ def test_block_adam_step_applies_its_rate_to_the_states():
     for t, lr in enumerate((1e-3, 1e-3, 1e-3, 0.25), start=1):
         out = block.forward(rng.normal(size=(2, 2)), train=True)
         block.backward(np.ones_like(out))
+        grads = block.grad_arrays()     # the step consumes them
         opt.step(lr)
-        for ref, p, g in zip(refs, block.param_arrays(), block.grad_arrays()):
+        for ref, p, g in zip(refs, block.param_arrays(), grads):
             param, m, v = ref
             ref[:] = _textbook_adam(param, g, m, v, t, lr=lr)
             assert _same_bits(p, ref[0])

@@ -1,4 +1,5 @@
 import copy
+import gc
 import statistics
 import tracemalloc
 import weakref
@@ -448,6 +449,43 @@ def test_fit_bp_evaluation_memory_does_not_grow_with_rows():
     assert large - small < 2**20, (small, large)
 
 
+@pytest.mark.parametrize("mode", ["al-seq", "al-pipe", "bp"])
+def test_fit_leaves_no_gradient_and_no_training_cache(mode):
+    # Each step consumes its gradients and each backward its cache, so
+    # neither outlives the batch that made it.
+    ds, _ = blob_setup(seed=76, n=48)
+    model = (BPNetwork([8, 16, 4], make_rng(77)) if mode == "bp"
+             else build_network(get_plan("blobs"), make_rng(77)))
+    fit(model, ds, ds, mode=mode, epochs=1, batch_size=16,
+        rng=make_rng(78), seed=77, lr_drops=())
+    for name, layer in model.named_layers():
+        assert all(a is None for a in
+                   (layer.grad_W, layer.grad_b, layer._cache)), name
+
+
+def test_fit_retains_parameters_and_adam_state_only():
+    # After an al-seq fit of desk-mlp the model holds its parameters, the
+    # two Adam moments of each and its optimizers' work arrays; a copy
+    # of the gradients would add one more parameter size (5.8 MB).
+    plan = get_plan("desk-mlp")
+    ds = synth_blobs(1024, plan.input_dim, plan.target_dim,
+                     separation=6.0, rng=make_rng(95))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        net = build_network(plan, make_rng(96))
+        fit(net, ds, ds, mode="al-seq", epochs=1, batch_size=128,
+            rng=make_rng(97), seed=96, lr=1e-3, lr_drops=())
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    param_bytes = sum(a.nbytes for _, a in params(net))
+    work_bytes = sum(w.nbytes for opt in _optimizers(net) for w in opt._work)
+    assert retained <= 3 * param_bytes + work_bytes + 2**20, (
+        retained, param_bytes, work_bytes)
+
+
 def test_fit_mode_validation():
     net = build_network(get_plan("blobs"), make_rng(39))
     ds, _ = blob_setup(seed=40)
@@ -462,7 +500,9 @@ def test_fit_mode_validation():
 @pytest.mark.parametrize("key,value", [
     ("eval_chunk", 0), ("eval_chunk", -5), ("eval_chunk", 2.5),
     ("epochs", 2.5), ("batch_size", 2.5), ("batch_size", 0),
-], ids=["0", "-5", "2.5", "epochs-2.5", "batch_size-2.5", "batch_size-0"])
+    ("epochs", False), ("batch_size", True), ("eval_chunk", True),
+], ids=["0", "-5", "2.5", "epochs-2.5", "batch_size-2.5", "batch_size-0",
+        "epochs-False", "batch_size-True", "eval_chunk-True"])
 def test_fit_rejects_eval_chunk_before_training(key, value):
     net = build_network(get_plan("blobs"), make_rng(39))
     before = [a.copy() for _, a in params(net)]
@@ -518,8 +558,23 @@ def _optimizers(model):
             for opt in (c.opt_f, c.opt_g, c.opt_b, c.opt_h)]
 
 
+@pytest.fixture
+def step_grads(monkeypatch) -> list:
+    """Every gradient each BlockAdam.step is given, read before the step
+    consumes it."""
+    seen = []
+    step = nn.BlockAdam.step
+
+    def reading(opt, lr):
+        seen.extend(opt.block.grad_arrays())
+        return step(opt, lr)
+
+    monkeypatch.setattr(nn.BlockAdam, "step", reading)
+    return seen
+
+
 @pytest.mark.parametrize("plan_name", ["blobs", "desk-mlp"])
-def test_float32_tensors_train_in_float32(plan_name):
+def test_float32_tensors_train_in_float32(plan_name, step_grads):
     # nn decides no dtype: a net whose tensors were cast to float32,
     # trained on float32 data, keeps every tensor, gradient, Adam moment
     # and work array in float32, and al-seq and al-pipe stay bit-equal
@@ -536,7 +591,7 @@ def test_float32_tensors_train_in_float32(plan_name):
     train_epoch_sequential(seq_net, X, y1, 16, make_rng(72))
     train_epoch_pipelined(pipe_net, X, y1, 16, make_rng(72))
     bp_train_epoch(bp_net, X, y1, 16, make_rng(72))
-    _assert_all_float32(seq_net, pipe_net, bp_net)
+    _assert_all_float32(step_grads, seq_net, pipe_net, bp_net)
     _assert_same_bits(seq_net, pipe_net)
 
 
@@ -548,11 +603,13 @@ def _cast_float32(*models):
                 layer.bias = layer.bias.astype(np.float32)
 
 
-def _assert_all_float32(*models):
-    """Every tensor, gradient, Adam moment and work array is float32."""
+def _assert_all_float32(grads, *models):
+    """Every gradient a step was given, and every tensor, Adam moment and
+    work array, is float32."""
+    assert grads and {g.dtype for g in grads} == {np.dtype(np.float32)}
     for model in models:
         for opt in _optimizers(model):
-            arrays = (opt.block.param_arrays() + opt.block.grad_arrays()
+            arrays = (opt.block.param_arrays()
                       + [a for st in opt._states.values()
                          for a in (st.m, st.v)] + list(opt._work))
             assert len(opt._states) == len(opt.block.param_arrays())
@@ -564,7 +621,7 @@ def _assert_same_bits(net_a, net_b):
         assert a.tobytes() == b.tobytes(), name
 
 
-def test_fit_builds_targets_in_the_data_dtype():
+def test_fit_builds_targets_in_the_data_dtype(step_grads):
     # fit's one-hot targets follow train_ds.X, so a float32 net on
     # float32 data trains its g/h flows in float32 as well, and al-seq
     # and al-pipe stay bit-equal.
@@ -576,7 +633,7 @@ def test_fit_builds_targets_in_the_data_dtype():
     for mode, net in (("al-seq", seq_net), ("al-pipe", pipe_net)):
         fit(net, ds, ds, mode=mode, epochs=1, batch_size=16,
             rng=make_rng(75), seed=74, lr=1e-3, lr_drops=())
-    _assert_all_float32(seq_net, pipe_net)
+    _assert_all_float32(step_grads, seq_net, pipe_net)
     _assert_same_bits(seq_net, pipe_net)
 
 
@@ -652,6 +709,7 @@ def test_bench_reports_schedule_numbers():
 
 
 def test_bench_validation():
-    for n_batches, components in ((0, 2), (4, 0), (2.5, 2), (4, 2.5)):
+    for n_batches, components in ((0, 2), (4, 0), (2.5, 2), (4, 2.5),
+                                  (True, 2), (4, True)):
         with pytest.raises(ConfigError):
             bench_pipeline(n_batches, components, 1.0)
