@@ -11,8 +11,9 @@ output, squared loss) is available so the comparison can be replayed
 with the same loss family the local objectives use.
 
 ``bp_train_epoch`` only trains and returns the mean loss; train and test
-accuracy are measured by ``fit`` after the epoch, in ``eval_chunk`` rows,
-on the same path as the component network's.
+accuracy are measured by ``fit`` after the epoch, in chunks bounded by
+``eval_chunk`` rows and ``metrics.EVAL_ELEMS`` elements, on the same path
+as the component network's.
 
 ``BPNetwork`` has ``ALNetwork``'s ``named_layers()`` and ``features(x)``;
 its features are the activation after ``feature_layer`` layers.

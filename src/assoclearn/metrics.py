@@ -8,6 +8,9 @@ centroids, and the ratio inter/intra grows as clusters tighten and move
 apart. Distances use the Gram-matrix identity, no pairwise Python loops.
 ``geometry_report`` measures ``model.features`` of either model type.
 
+Every evaluation-mode pass runs in chunks of at most ``chunk`` rows and
+``EVAL_ELEMS`` elements of the model's widest layer output (``_slices``).
+
 CSV rows exclude wall-clock so that a rerun with the same seed produces
 a byte-identical file; timing lives in the JSON summary instead. Both
 files are replaced atomically, so an interrupted write leaves the
@@ -27,6 +30,9 @@ from .linalg import Matrix
 from .al_core import ALNetwork, component_forward, infer
 from .data import Dataset, one_hot
 from .fileio import atomic_open
+
+# Most elements one evaluation chunk may hold in a layer output (_slices).
+EVAL_ELEMS = 2**19
 
 
 @dataclass
@@ -70,18 +76,27 @@ def accuracy(predicted, labels) -> float:
     return float((predicted == labels).mean())
 
 
-def _chunked(fn, X: Matrix, chunk: int) -> list:
-    return [fn(X[i:i + chunk]) for i in range(0, X.shape[0], chunk)]
+def _slices(model, n: int, chunk: int):
+    """Row slices of an evaluation pass over n rows: at most chunk rows,
+    and at most EVAL_ELEMS elements of the model's widest layer output,
+    but never fewer than one row."""
+    width = max(layer.fan_out for _, layer in model.named_layers())
+    rows = max(1, min(chunk, EVAL_ELEMS // width))
+    return (slice(i, i + rows) for i in range(0, n, rows))
+
+
+def _chunked(fn, model, X: Matrix, chunk: int) -> list:
+    return [fn(X[sl]) for sl in _slices(model, X.shape[0], chunk)]
 
 
 def evaluate_al(net: ALNetwork, ds: Dataset, chunk: int = 2048) -> float:
     """Test accuracy of the composed inference path."""
-    parts = _chunked(lambda xs: infer(net, xs)[1], ds.X, chunk)
+    parts = _chunked(lambda xs: infer(net, xs)[1], net, ds.X, chunk)
     return accuracy(np.concatenate(parts), ds.y)
 
 
 def evaluate_bp(bp_net, ds: Dataset, chunk: int = 2048) -> float:
-    parts = _chunked(lambda xs: bp_net.predict(xs)[1], ds.X, chunk)
+    parts = _chunked(lambda xs: bp_net.predict(xs)[1], bp_net, ds.X, chunk)
     return accuracy(np.concatenate(parts), ds.y)
 
 
@@ -91,8 +106,8 @@ def associated_loss_profile(net: ALNetwork, ds: Dataset,
     averaged exactly by weighting chunks by their row counts."""
     y1 = one_hot(ds.y, net.target_dim)
     sums = np.zeros(net.n_components)
-    for i in range(0, ds.n, chunk):
-        s, t = ds.X[i:i + chunk], y1[i:i + chunk]
+    for sl in _slices(net, ds.n, chunk):
+        s, t = ds.X[sl], y1[sl]
         rows = s.shape[0]
         for k, c in enumerate(net.components):
             s, t, rec = component_forward(c, s, t)
@@ -101,8 +116,8 @@ def associated_loss_profile(net: ALNetwork, ds: Dataset,
 
 
 def features(model, X: Matrix, chunk: int = 2048) -> Matrix:
-    """model.features of every row of X, computed in chunk rows."""
-    return np.concatenate(_chunked(model.features, X, chunk))
+    """model.features of every row of X, computed in chunks (_slices)."""
+    return np.concatenate(_chunked(model.features, model, X, chunk))
 
 
 def _pairwise_mean_distance(P: Matrix) -> float:

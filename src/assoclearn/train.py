@@ -311,9 +311,10 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
     """Full training run: per-epoch metrics, step learning-rate schedule,
     best checkpoint persisted to out_dir. Each epoch starts by setting
     model.lr to that epoch's rate. After each epoch, train and test
-    accuracy are measured here, for every mode, in eval_chunk rows, so
-    evaluation holds O(eval_chunk x widest layer) activations whatever
-    the dataset size. The one-hot targets take train_ds.X's dtype.
+    accuracy are measured here, for every mode, in chunks (metrics._slices),
+    so evaluation holds O(metrics.EVAL_ELEMS) activations whatever
+    eval_chunk or the dataset size. The one-hot targets take train_ds.X's
+    dtype.
 
     epochs=0 evaluates the untouched model once and writes nothing.
     epochs, batch_size and eval_chunk must be ints, not bools (>= 0,

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from assoclearn.al_core import build_network, get_plan, infer
+from assoclearn import metrics
+from assoclearn.al_core import (ComponentPlan, NetworkPlan, build_network,
+                                get_plan, infer)
 from assoclearn.bp import BPNetwork
 from assoclearn.data import Dataset, synth_blobs
 from assoclearn.errors import GeometryError, ShapeError
@@ -92,6 +96,98 @@ def test_features_chunking_consistent(kind):
     whole = model.features(X)
     assert np.array_equal(features(model, X, chunk=8), whole)
     assert np.array_equal(features(model, X, chunk=4096), whole)
+
+
+# evaluation element budget --------------------------------------------
+
+def _wide_models():
+    """An AL net and a bp net on 8 inputs whose widest layer output is a
+    512-wide hidden layer below their 16-wide features, so
+    metrics.EVAL_ELEMS caps a chunk at EVAL_ELEMS // 512 rows."""
+    plan = NetworkPlan(name="wide", input_dim=8, target_dim=4, components=[
+        ComponentPlan(f=[8, 512, 16], g=[4, 8], b=[16, 8], h=[8, 4])])
+    return (build_network(plan, make_rng(40)),
+            BPNetwork([8, 512, 16, 4], make_rng(41), feature_layer=2))
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("what", ["evaluate_al", "evaluate_bp",
+                                  "features-al", "features-bp", "profile"])
+def test_evaluation_peak_does_not_grow_with_chunk(what):
+    # Both chunks exceed the EVAL_ELEMS // 512 = 1024-row cap, so both
+    # passes hold the same 1024x512 activations; an uncapped pass at 8192
+    # rows holds 4096x512 float64 (16 MB) at once instead of 2048x512.
+    al_net, bp_net = _wide_models()
+    ds = blob_fixture(seed=42, n=4096)
+    run = {"evaluate_al": lambda c: evaluate_al(al_net, ds, c),
+           "evaluate_bp": lambda c: evaluate_bp(bp_net, ds, c),
+           "features-al": lambda c: features(al_net, ds.X, c),
+           "features-bp": lambda c: features(bp_net, ds.X, c),
+           "profile": lambda c: associated_loss_profile(al_net, ds, c)}[what]
+    small = _traced_peak(lambda: run(2048))
+    large = _traced_peak(lambda: run(8192))
+    assert abs(large - small) < 2**20, (small, large)
+
+
+@pytest.fixture
+def chunk_rows(monkeypatch):
+    """Row count of every chunk the evaluation passes of metrics run."""
+    rows = []
+
+    def spy(fn):
+        def wrapped(model, x, *rest):
+            rows.append(x.shape[0])
+            return fn(model, x, *rest)
+        return wrapped
+
+    monkeypatch.setattr(metrics, "infer", spy(metrics.infer))
+    monkeypatch.setattr(metrics, "component_forward",
+                        spy(metrics.component_forward))
+    monkeypatch.setattr(BPNetwork, "predict", spy(BPNetwork.predict))
+    return rows
+
+
+@pytest.mark.parametrize("budget,rows", [(16 * 5, 5), (8, 1)],
+                         ids=["capped", "wider-than-budget"])
+def test_capped_evaluation_equals_whole_array(monkeypatch, chunk_rows,
+                                              budget, rows):
+    # The blobs models' widest layer output is 16. A budget of 80
+    # elements caps a chunk at 5 rows; a budget of 8 is below one row of
+    # that layer, so every pass runs one row at a time.
+    al_net = build_network(get_plan("blobs"), make_rng(43))
+    bp_net = BPNetwork([8, 16, 6, 4], make_rng(44), feature_layer=2)
+    ds = blob_fixture(seed=45, n=23)
+    whole_profile = associated_loss_profile(al_net, ds, chunk=23)
+    monkeypatch.setattr(metrics, "EVAL_ELEMS", budget)
+    expected_rows = [min(rows, 23 - i) for i in range(0, 23, rows)]
+    for model, evaluate, predict in (
+            (al_net, evaluate_al, lambda x: infer(al_net, x)[1]),
+            (bp_net, evaluate_bp, lambda x: bp_net.predict(x)[1])):
+        whole = accuracy(predict(ds.X), ds.y)
+        chunk_rows.clear()
+        assert evaluate(model, ds, chunk=4096) == whole
+        assert chunk_rows == expected_rows
+        assert evaluate(model, ds, chunk=rows) == whole
+        assert np.array_equal(features(model, ds.X, chunk=4096),
+                              features(model, ds.X, chunk=rows))
+        # BLAS may round a product of fewer rows differently in the last
+        # bits, so the whole-array features agree to rounding only.
+        assert np.allclose(features(model, ds.X, chunk=4096),
+                           model.features(ds.X), rtol=0, atol=1e-12)
+    chunk_rows.clear()
+    capped = associated_loss_profile(al_net, ds, chunk=4096)
+    assert chunk_rows == [r for r in expected_rows
+                          for _ in range(al_net.n_components)]
+    assert capped == associated_loss_profile(al_net, ds, chunk=rows)
+    assert np.allclose(capped, whole_profile, rtol=0, atol=1e-12)
 
 
 # class geometry -------------------------------------------------------

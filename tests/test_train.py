@@ -3,7 +3,8 @@ import gc
 import statistics
 import tracemalloc
 import weakref
-from threading import BoundedSemaphore, Thread
+from threading import (Barrier, BoundedSemaphore, BrokenBarrierError, Lock,
+                       Thread)
 
 import numpy as np
 import pytest
@@ -315,6 +316,80 @@ def test_run_pipeline_first_batch_error_depth_one_returns(failing_stage):
         stages, ((i, i) for i in range(1, 50)), capacity=1, depth=1))
     assert len(raised) == 1
     assert f"stage {failing_stage + 1} failed: boom on 1" in str(raised[0])
+
+
+def _barrier_stages(n_components: int, n_batches: int, timeout: float):
+    """One stage per component that waits at one shared barrier of C
+    parties on every batch it holds at a unit where Schedule.trace() has
+    all C components busy. Each stage has n - C + 1 such batches, met in
+    unit order, so the schedule completes only if the C stages really
+    run at the same time."""
+    barrier = Barrier(n_components, timeout=timeout)
+    full = {(c, m) for active in Schedule(n_batches, n_components).trace()
+            if len(active) == n_components for c, m in active}
+
+    def make_stage(c: int):
+        def stage(m):
+            if (c, m) in full:
+                barrier.wait()
+            return m
+        return stage
+
+    return [make_stage(c) for c in range(1, n_components + 1)]
+
+
+@pytest.mark.parametrize("n_components,n_batches",
+                         [(2, 20), (3, 30), (4, 50)],
+                         ids=["2-20", "3-30", "4-50"])
+def test_run_pipeline_runs_every_stage_at_once(n_components, n_batches):
+    stages = _barrier_stages(n_components, n_batches, timeout=10.0)
+    report = run_pipeline(stages, ((m, m) for m in range(1, n_batches + 1)))
+    assert report.completed == n_batches
+    assert report.time_units == n_batches + n_components - 1
+
+
+def test_run_pipeline_depth_one_breaks_the_overlap_barrier():
+    # One batch in flight leaves the other stages idle, so the first
+    # stage to reach the barrier waits out its timeout.
+    stages = _barrier_stages(2, 6, timeout=0.2)
+    with pytest.raises(TrainingError) as raised:
+        run_pipeline(stages, ((m, m) for m in range(1, 7)), depth=1)
+    assert isinstance(raised.value.__cause__, BrokenBarrierError)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_run_pipeline_keeps_at_most_depth_batches_in_flight(depth):
+    # A batch is in flight from the start of stage 1 to the end of the
+    # last stage; at depth=C = 3 the overlap barrier makes the count
+    # reach depth, so the cap is also met, not only respected.
+    lock = Lock()
+    count = peak = 0
+
+    def enter(m):
+        nonlocal count, peak
+        with lock:
+            count += 1
+            peak = max(peak, count)
+        return m
+
+    def leave(m):
+        nonlocal count
+        with lock:
+            count -= 1
+        return m
+
+    n_batches = 30
+    inner = (_barrier_stages(3, n_batches, timeout=10.0) if depth == 3
+             else [lambda m: m] * 3)
+    stages = [lambda m: inner[0](enter(m)), inner[1],
+              lambda m: leave(inner[2](m))]
+    report = run_pipeline(stages, ((m, m) for m in range(1, n_batches + 1)),
+                          depth=depth)
+    assert report.completed == n_batches
+    assert count == 0
+    assert 1 <= peak <= depth
+    if depth == 3:
+        assert peak == 3
 
 
 def test_run_pipeline_rejects_nonmonotone_ids():
