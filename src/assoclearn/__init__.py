@@ -18,7 +18,6 @@ from .al_core import (
     component_forward,
     component_update,
     get_plan,
-    infer,
     plan_names,
 )
 from .bp import BPNetwork, build_bp_network, match_effective_params
@@ -33,7 +32,7 @@ __all__ = [
     "ALNetwork", "BPNetwork", "Component", "ComponentPlan", "Dataset",
     "LossRecord", "MetricsRecord", "NetworkPlan", "Schedule", "accuracy",
     "bench_pipeline", "build_bp_network", "build_network", "class_geometry",
-    "component_forward", "component_update", "fit", "get_plan", "infer",
+    "component_forward", "component_update", "fit", "get_plan",
     "load_idx", "load_mnist", "make_rng", "match_effective_params",
     "one_hot", "plan_names", "spawn_rngs", "synth_blobs", "synth_xor",
     "train_epoch_pipelined", "train_epoch_sequential",

@@ -25,10 +25,12 @@ all f blocks upward, the last bridge, then all h blocks downward,
 
 ``inference_layers`` lists the layers of that path. Their parameters are
 the "effective" set; everything else (all g_i, bridges below the top) is
-"affiliated" and provably cannot change ``infer`` output.
+"affiliated" and provably cannot change what ``predict`` returns.
 
-``named_layers()`` names the layers for ``nn.param_items``/``set_params``
-and ``features(x)`` is s_C; ``bp.BPNetwork`` has the same two methods.
+``ALNetwork`` and ``bp.BPNetwork`` share the model contract that fit,
+evaluation, geometry and checkpoints use: ``kind`` (the checkpoint tag),
+``n_classes``, ``predict(x)`` (scores, labels), ``features(x)`` (here s_C),
+``named_layers()`` and ``plan_dict()`` (what a checkpoint rebuilds from).
 """
 
 from __future__ import annotations
@@ -308,6 +310,8 @@ class ALNetwork:
     """Ordered chain of components plus the overall input/target widths
     and the learning rate every component trains at."""
 
+    kind = "al"
+
     def __init__(self, components: list[Component], input_dim: int,
                  target_dim: int, plan: NetworkPlan | None = None,
                  lr: float = 1e-4):
@@ -315,13 +319,23 @@ class ALNetwork:
                     [c.plan for c in components]).validate()
         self.components = components
         self.input_dim = input_dim
-        self.target_dim = target_dim
+        self.n_classes = target_dim
         self.plan = plan
         self.lr = lr
 
     @property
     def n_components(self) -> int:
         return len(self.components)
+
+    def plan_dict(self) -> dict | None:
+        return self.plan.to_dict() if self.plan is not None else None
+
+    def predict(self, x: Matrix):
+        """Prediction through inference_layers. Returns (y_hat, predicted
+        class per row). Encoders and inner bridges are never evaluated."""
+        for layer in inference_layers(self):
+            x = layer.forward(x, train=False)
+        return x, row_argmax(x)
 
     def named_layers(self) -> list[tuple[str, DenseLayer]]:
         """Every layer, components in order, blocks f, g, b, h: the order
@@ -358,15 +372,6 @@ def inference_layers(net: ALNetwork) -> list[DenseLayer]:
     up = [layer for c in net.components for layer in c.f.layers]
     down = [layer for c in reversed(net.components) for layer in c.h.layers]
     return up + net.components[-1].b.layers + down
-
-
-def infer(net: ALNetwork, x: Matrix):
-    """Prediction through inference_layers. Returns (y_hat, predicted
-    class per row). Encoders and inner bridges are never evaluated."""
-    z = x
-    for layer in inference_layers(net):
-        z = layer.forward(z, train=False)
-    return z, row_argmax(z)
 
 
 def effective_param_count(net: ALNetwork) -> int:

@@ -15,8 +15,8 @@ accuracy are measured by ``fit`` after the epoch, in chunks bounded by
 ``eval_chunk`` rows and ``metrics.EVAL_ELEMS`` elements, on the same path
 as the component network's.
 
-``BPNetwork`` has ``ALNetwork``'s ``named_layers()`` and ``features(x)``;
-its features are the activation after ``feature_layer`` layers.
+``BPNetwork`` has ``ALNetwork``'s model contract (see ``al_core``); its
+features are the activation after ``feature_layer`` layers.
 """
 
 from __future__ import annotations
@@ -75,6 +75,8 @@ def match_effective_params(al_plan: NetworkPlan) -> BPPlan:
 class BPNetwork:
     """One dense stack, ELU hidden layers, trained end to end with Adam."""
 
+    kind = "bp"
+
     def __init__(self, widths: list[int], rng: Rng, lr: float = 1e-4,
                  head: str = "softmax", feature_layer: int | None = None,
                  name: str = "bp"):
@@ -120,6 +122,11 @@ class BPNetwork:
     def named_layers(self) -> list[tuple[str, DenseLayer]]:
         return [(f"stack.{i}", layer)
                 for i, layer in enumerate(self.stack.layers)]
+
+    def plan_dict(self) -> dict:
+        """The constructor keywords, but rng and lr, that rebuild it."""
+        return {"name": self.name, "widths": self.widths,
+                "feature_layer": self.feature_layer, "head": self.head}
 
     def features(self, x: Matrix) -> Matrix:
         """Activations after the first feature_layer layers."""

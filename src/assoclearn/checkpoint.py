@@ -1,14 +1,17 @@
 """Model persistence: one JSON header line, then raw parameter blobs.
 
-Layout: the first line is UTF-8 JSON (tag, plan, seed, epoch, dtype, and
-the name/shape of every tensor, in order); everything after the newline
-is the concatenation of those tensors as little-endian float64 bytes,
-which the dtype field declares as "<f8" and a loader requires. The
-tensor order is ``nn.param_items`` over the model's ``named_layers()``,
-so a reader needs nothing beyond the header, and every loader checks the
-names. Neither the optimizer moments nor the learning rate is stored: a
-restored model predicts identically but restarts Adam cold. A checkpoint
-is replaced atomically, so a write that fails leaves the previous one.
+Layout: the first line is UTF-8 JSON (tag ``model.kind``, plan
+``model.plan_dict()``, seed, epoch, dtype, and the name/shape of every
+tensor, in order); everything after the newline is the concatenation of
+those tensors as little-endian float64 bytes, which the dtype field
+declares as "<f8" and a loader requires. The tensor order is
+``nn.param_items`` over the model's ``named_layers()``, so a reader needs
+nothing beyond the header, and both loaders check the names: ``load``
+rebuilds the model the tag names from its plan and seed, ``load_into``
+overwrites a model of that kind. Neither the optimizer moments nor the
+learning rate is stored: a restored model predicts identically but
+restarts Adam cold. A checkpoint is replaced atomically, so a write that
+fails leaves the previous one.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from .errors import DataError, TruncatedFileError
 from .fileio import atomic_open
 from .linalg import make_rng
-from .al_core import ALNetwork, NetworkPlan, build_network
+from .al_core import NetworkPlan, build_network
 from .bp import BPNetwork
 from .nn import param_items, set_params
 
@@ -31,12 +34,13 @@ _FORMAT = "alnet-ckpt-1"
 _DTYPE = "<f8"
 
 
-def _write(path, tag: str, plan: dict | None, seed: int, epoch: int,
-           items, extra: dict | None) -> None:
+def save(path, model, seed: int, epoch: int,
+         extra: dict | None = None) -> None:
+    items = param_items(model.named_layers())
     header = {
         "format": _FORMAT,
-        "tag": tag,
-        "plan": plan,
+        "tag": model.kind,
+        "plan": model.plan_dict(),
         "seed": seed,
         "epoch": epoch,
         "dtype": _DTYPE,
@@ -48,6 +52,11 @@ def _write(path, tag: str, plan: dict | None, seed: int, epoch: int,
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for _, a in items:     # through the buffer: no copy of a tensor
             fh.write(np.ascontiguousarray(a, dtype=_DTYPE))
+
+
+# Benchmark shims: perfbench traces these until ROADMAP item 1 traces save.
+save_al = save
+save_bp = save
 
 
 def _tensor_descs(path, header) -> list[tuple[str, tuple[int, ...]]]:
@@ -113,32 +122,16 @@ def load_checkpoint(path):
     return header, arrays
 
 
-def _read(path, tag: str):
-    """(header, arrays) of a checkpoint; DataError unless its tag is tag."""
-    header, arrays = load_checkpoint(path)
-    if header["tag"] != tag:
-        raise DataError(f"{path}: tag {header['tag']!r}, expected {tag!r}")
-    return header, arrays
+# plan dict and seeded rng -> model, for each checkpoint tag
+_BUILDERS = {
+    "al": lambda plan, rng: build_network(NetworkPlan.from_dict(plan), rng),
+    "bp": lambda plan, rng: BPNetwork(rng=rng, **plan),
+}
 
 
-def _rebuild(path, header, build):
-    """build(plan, rng) from the header's plan dict and an rng seeded from
-    its seed; DataError naming path when either is missing or malformed."""
-    plan, seed = header["plan"], header["seed"]
-    if plan is None:
-        raise DataError(f"{path}: checkpoint has no plan; "
-                        f"use load_al_into with a compatible network")
-    if type(seed) is not int or seed < 0:
-        raise DataError(f"{path}: malformed seed {seed!r}")
-    try:
-        return build(plan, make_rng(seed))
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"{path}: malformed plan {plan!r}: {e!r}") from e
-
-
-def _assign(net: ALNetwork | BPNetwork, path, header, arrays) -> None:
-    """Assign the tensors to net if their names are net's, in order."""
-    layers = net.named_layers()
+def _assign(model, path, header, arrays) -> None:
+    """Assign the tensors to model if their names are model's, in order."""
+    layers = model.named_layers()
     names = [n for n, _ in param_items(layers)]
     stored = [d["name"] for d in header["arrays"]]
     if names != stored:
@@ -149,42 +142,35 @@ def _assign(net: ALNetwork | BPNetwork, path, header, arrays) -> None:
     set_params(layers, arrays)
 
 
-def save_al(path, net: ALNetwork, seed: int, epoch: int,
-            extra: dict | None = None) -> None:
-    plan = net.plan.to_dict() if net.plan is not None else None
-    _write(path, "al", plan, seed, epoch,
-           param_items(net.named_layers()), extra)
-
-
-def load_al_into(net: ALNetwork, path) -> dict:
-    """Overwrite net's parameters from a checkpoint; returns the header."""
-    header, arrays = _read(path, "al")
-    _assign(net, path, header, arrays)
+def load_into(model, path) -> dict:
+    """Overwrite model's parameters from a checkpoint of its kind; returns
+    the header."""
+    header, arrays = load_checkpoint(path)
+    if header["tag"] != model.kind:
+        raise DataError(f"{path}: tag {header['tag']!r}, expected "
+                        f"{model.kind!r}")
+    _assign(model, path, header, arrays)
     return header
 
 
-def load_al(path) -> tuple[ALNetwork, dict]:
-    """Rebuild a network from a checkpoint that carries its plan."""
-    header, arrays = _read(path, "al")
-    net = _rebuild(path, header, lambda plan, rng: build_network(
-        NetworkPlan.from_dict(plan), rng))
-    _assign(net, path, header, arrays)
-    return net, header
-
-
-def save_bp(path, net: BPNetwork, seed: int, epoch: int,
-            extra: dict | None = None) -> None:
-    plan = {"name": net.name, "widths": net.widths,
-            "feature_layer": net.feature_layer, "head": net.head}
-    _write(path, "bp", plan, seed, epoch,
-           param_items(net.named_layers()), extra)
-
-
-def load_bp(path) -> tuple[BPNetwork, dict]:
-    header, arrays = _read(path, "bp")
-    net = _rebuild(path, header, lambda plan, rng: BPNetwork(
-        plan["widths"], rng, head=plan.get("head", "softmax"),
-        feature_layer=plan.get("feature_layer"),
-        name=plan.get("name", "bp")))
-    _assign(net, path, header, arrays)
-    return net, header
+def load(path):
+    """(model, header): the model the tag names, rebuilt from the plan and
+    an rng seeded from the seed the checkpoint carries, then assigned its
+    tensors; DataError naming path when any of them is missing or
+    malformed."""
+    header, arrays = load_checkpoint(path)
+    tag, plan, seed = header["tag"], header["plan"], header["seed"]
+    if tag not in _BUILDERS:
+        raise DataError(f"{path}: tag {tag!r}, expected one of "
+                        f"{sorted(_BUILDERS)}")
+    if plan is None:
+        raise DataError(f"{path}: checkpoint has no plan; "
+                        f"use load_into with a compatible network")
+    if type(seed) is not int or seed < 0:
+        raise DataError(f"{path}: malformed seed {seed!r}")
+    try:
+        model = _BUILDERS[tag](plan, make_rng(seed))
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: malformed plan {plan!r}: {e!r}") from e
+    _assign(model, path, header, arrays)
+    return model, header

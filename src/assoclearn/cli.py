@@ -228,10 +228,7 @@ def cmd_train(cfg: RunConfig) -> int:
     if result.reports:
         summary["throughput_epochs"] = [asdict(r) for r in result.reports]
     try:
-        if cfg.mode == "bp":
-            summary["geometry"] = geometry_report(test_ds, bp_net=model)
-        else:
-            summary["geometry"] = geometry_report(test_ds, net=model)
+        summary["geometry"] = geometry_report(test_ds, model)
     except Exception as e:  # geometry is reporting, never a run failure
         summary["geometry"] = {"error": str(e)}
     write_json_summary(out_dir / "summary.json", summary)

@@ -6,10 +6,12 @@ class (averaged over classes that have at least two points), the
 interclass distance is the mean pairwise distance between class
 centroids, and the ratio inter/intra grows as clusters tighten and move
 apart. Distances use the Gram-matrix identity, no pairwise Python loops.
-``geometry_report`` measures ``model.features`` of either model type.
 
-Every evaluation-mode pass runs in chunks of at most ``chunk`` rows and
-``EVAL_ELEMS`` elements of the model's widest layer output (``_slices``).
+``evaluate`` (accuracy of ``model.predict``), ``features`` and
+``geometry_report`` serve either model through the model contract
+(``al_core``). Every evaluation-mode pass runs in chunks of at most
+``chunk`` rows and ``EVAL_ELEMS`` elements of the model's widest layer
+output (``_slices``).
 
 CSV rows exclude wall-clock so that a rerun with the same seed produces
 a byte-identical file; timing lives in the JSON summary instead. Both
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import GeometryError, ShapeError
 from .linalg import Matrix
-from .al_core import ALNetwork, component_forward, infer
+from .al_core import ALNetwork, component_forward
 from .data import Dataset, one_hot
 from .fileio import atomic_open
 
@@ -85,26 +87,24 @@ def _slices(model, n: int, chunk: int):
     return (slice(i, i + rows) for i in range(0, n, rows))
 
 
-def _chunked(fn, model, X: Matrix, chunk: int) -> list:
-    return [fn(X[sl]) for sl in _slices(model, X.shape[0], chunk)]
+def evaluate(model, ds: Dataset, chunk: int = 2048) -> float:
+    """Accuracy of model.predict over ds, computed in chunks (_slices)."""
+    labels = [model.predict(ds.X[sl])[1]
+              for sl in _slices(model, ds.n, chunk)]
+    return accuracy(np.concatenate(labels), ds.y)
 
 
-def evaluate_al(net: ALNetwork, ds: Dataset, chunk: int = 2048) -> float:
-    """Test accuracy of the composed inference path."""
-    parts = _chunked(lambda xs: infer(net, xs)[1], net, ds.X, chunk)
-    return accuracy(np.concatenate(parts), ds.y)
-
-
-def evaluate_bp(bp_net, ds: Dataset, chunk: int = 2048) -> float:
-    parts = _chunked(lambda xs: bp_net.predict(xs)[1], bp_net, ds.X, chunk)
-    return accuracy(np.concatenate(parts), ds.y)
+# Benchmark shims: perfbench traces these until ROADMAP item 1 traces evaluate.
+infer = ALNetwork.predict
+evaluate_al = evaluate
+evaluate_bp = evaluate
 
 
 def associated_loss_profile(net: ALNetwork, ds: Dataset,
                             chunk: int = 2048) -> list[float]:
     """Evaluation-mode mse1 per component over the whole dataset,
     averaged exactly by weighting chunks by their row counts."""
-    y1 = one_hot(ds.y, net.target_dim)
+    y1 = one_hot(ds.y, net.n_classes)
     sums = np.zeros(net.n_components)
     for sl in _slices(net, ds.n, chunk):
         s, t = ds.X[sl], y1[sl]
@@ -116,8 +116,13 @@ def associated_loss_profile(net: ALNetwork, ds: Dataset,
 
 
 def features(model, X: Matrix, chunk: int = 2048) -> Matrix:
-    """model.features of every row of X, computed in chunks (_slices)."""
-    return np.concatenate(_chunked(model.features, model, X, chunk))
+    """model.features of every row of X, computed in chunks (_slices),
+    each written into one preallocated output as soon as it is done."""
+    probe = model.features(X[:0])
+    out = np.empty((X.shape[0],) + probe.shape[1:], probe.dtype)
+    for sl in _slices(model, X.shape[0], chunk):
+        out[sl] = model.features(X[sl])
+    return out
 
 
 def _pairwise_mean_distance(P: Matrix) -> float:
@@ -161,16 +166,12 @@ def class_geometry(features: Matrix, labels) -> ClassGeometry:
                          ratio=inter / intra)
 
 
-def geometry_report(ds: Dataset, net: ALNetwork | None = None,
-                    bp_net=None, chunk: int = 2048) -> dict:
-    """Geometry of raw features plus, when given, of the learned features
-    of either model at the matched depth."""
-    report = {"raw": asdict(class_geometry(ds.X, ds.y))}
-    for key, model in (("al", net), ("bp", bp_net)):
-        if model is not None:
-            report[key] = asdict(class_geometry(
-                features(model, ds.X, chunk), ds.y))
-    return report
+def geometry_report(ds: Dataset, model, chunk: int = 2048) -> dict:
+    """Geometry of the raw features (key "raw") and of the model's learned
+    features (key model.kind)."""
+    return {"raw": asdict(class_geometry(ds.X, ds.y)),
+            model.kind: asdict(class_geometry(features(model, ds.X, chunk),
+                                              ds.y))}
 
 
 # emission -------------------------------------------------------------

@@ -20,6 +20,11 @@ and the synthetic throughput bench both run on it, and both take its
 loop over its input queue; a batch it does not pass on (finished by the
 last stage, failed, or dropped after the stage's first failure) leaves
 the pipeline at one place, which hands back its in-flight token.
+
+``fit`` runs every mode on one path through the model contract
+(``al_core``): it checks the mode against ``model.kind``, evaluates with
+``metrics.evaluate`` and checkpoints with ``checkpoint.save``; the mode
+only picks the epoch trainer.
 """
 
 from __future__ import annotations
@@ -36,14 +41,18 @@ from . import blas
 from .errors import ConfigError, NumericError, TrainingError
 from .linalg import Matrix, Rng
 from .al_core import ALNetwork, component_update
-from .bp import BPNetwork, bp_train_epoch
+from .bp import bp_train_epoch
 from .data import BatchIterator, Dataset, one_hot
-from .metrics import MetricsRecord, evaluate_al, evaluate_bp
+from .metrics import MetricsRecord, evaluate
 from . import checkpoint as ckpt
 
 _STOP = object()
 
 MODES = ("al-seq", "al-pipe", "bp")
+
+# Benchmark shims: perfbench traces these until ROADMAP item 1 traces evaluate.
+evaluate_al = evaluate
+evaluate_bp = evaluate
 
 # BLAS threads per pipeline stage during a pipelined epoch. Each stage
 # thread drives BLAS itself, so BLAS's own threads would compete with
@@ -294,13 +303,12 @@ class FitResult:
 def check_datasets(model, train_ds: Dataset, test_ds: Dataset) -> None:
     """ConfigError unless both datasets have the model's input width and
     class count."""
-    n_classes = (model.target_dim if isinstance(model, ALNetwork)
-                 else model.n_classes)
     for name, ds in (("train", train_ds), ("test", test_ds)):
-        if ds.dim != model.input_dim or ds.n_classes != n_classes:
+        if ds.dim != model.input_dim or ds.n_classes != model.n_classes:
             raise ConfigError(
-                f"model expects {model.input_dim} features / {n_classes} "
-                f"classes, {name} set has {ds.dim} / {ds.n_classes}")
+                f"model expects {model.input_dim} features / "
+                f"{model.n_classes} classes, {name} set has {ds.dim} / "
+                f"{ds.n_classes}")
 
 
 def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
@@ -318,8 +326,9 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
 
     epochs=0 evaluates the untouched model once and writes nothing.
     epochs, batch_size and eval_chunk must be ints, not bools (>= 0,
-    >= 1, >= 1), and both datasets must match the model (check_datasets);
-    anything else raises ConfigError before any work.
+    >= 1, >= 1), the mode must be one for model.kind, and both datasets
+    must match the model (check_datasets); anything else raises
+    ConfigError before any work.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -328,13 +337,11 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
                             ("eval_chunk", eval_chunk, 1)):
         if type(value) is not int or value < low:
             raise ConfigError(f"{key} must be an int >= {low}, got {value!r}")
-    is_al = mode.startswith("al")
-    if is_al and not isinstance(model, ALNetwork):
-        raise ConfigError(f"mode {mode} needs a component network")
-    if not is_al and not isinstance(model, BPNetwork):
-        raise ConfigError("mode bp needs a BPNetwork")
+    kind = mode.split("-")[0]
+    if model.kind != kind:
+        raise ConfigError(f"mode {mode} needs a model of kind {kind!r}, "
+                          f"got {model.kind!r}")
     check_datasets(model, train_ds, test_ds)
-    evaluate = evaluate_al if is_al else evaluate_bp
 
     y1 = one_hot(train_ds.y, train_ds.n_classes).astype(train_ds.X.dtype,
                                                         copy=False)
@@ -376,11 +383,8 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
             best_acc = rec.test_accuracy
             best_epoch = e
             if ckpt_path is not None:
-                extra = {"test_accuracy": best_acc}
-                if is_al:
-                    ckpt.save_al(ckpt_path, model, seed, e, extra)
-                else:
-                    ckpt.save_bp(ckpt_path, model, seed, e, extra)
+                ckpt.save(ckpt_path, model, seed, e,
+                          {"test_accuracy": best_acc})
     return FitResult(records, best_acc, best_epoch,
                      str(ckpt_path) if ckpt_path else None,
                      time.perf_counter() - t_total, reports)

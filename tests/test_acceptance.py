@@ -26,7 +26,6 @@ from assoclearn.al_core import (
     get_plan,
     gradcheck_component_flows,
     gradcheck_cross_component,
-    infer,
     perturb_affiliated,
 )
 from assoclearn.bp import build_bp_network, gradcheck_bp, match_effective_params
@@ -40,7 +39,7 @@ from assoclearn.data import (
 from assoclearn.linalg import make_rng
 from assoclearn.metrics import (
     associated_loss_profile,
-    evaluate_al,
+    evaluate,
     geometry_report,
 )
 from assoclearn.nn import DenseLayer, MLPBlock, grad_check_block, make_block
@@ -124,7 +123,7 @@ def trend_runs():
         for e in range(1, 151):
             train_epoch_sequential(net, train.X, y1, 32, shuffle, epoch=e)
         runs.append({"profile": associated_loss_profile(net, train),
-                     "geometry": geometry_report(test, net=net)})
+                     "geometry": geometry_report(test, net)})
     return runs
 
 
@@ -242,11 +241,11 @@ def test_criterion_03_inference_invariance(capsys):
         train_epoch_sequential(net, ds.X, y1, 32, make_rng(52 + e), epoch=e)
 
     probe = make_rng(60).uniform(size=(64, 8))
-    logits, classes = infer(net, probe)
+    logits, classes = net.predict(probe)
     g_w = np.array(net.components[0].g.layers[0].W, copy=True)
     perturb_affiliated(net, 1000.0)
     assert not np.array_equal(g_w, net.components[0].g.layers[0].W)
-    logits2, classes2 = infer(net, probe)
+    logits2, classes2 = net.predict(probe)
 
     ok = np.array_equal(logits, logits2) and np.array_equal(classes, classes2)
     check(capsys, 3, ok,
@@ -441,7 +440,8 @@ def test_criterion_09_geometry_mnist(capsys):
                               make_rng(s))
         fit(bp, train_ds, test_ds, mode="bp", epochs=30, batch_size=128,
             rng=make_rng(s + 20), seed=s, lr=1e-3, lr_drops=())
-        rep = geometry_report(test_ds, net=net, bp_net=bp)
+        rep = {**geometry_report(test_ds, net),
+               **geometry_report(test_ds, bp)}
         ratios.append((rep["al"]["ratio"], rep["raw"]["ratio"],
                        rep["bp"]["ratio"]))
         wins += rep["al"]["ratio"] > rep["raw"]["ratio"]
@@ -466,7 +466,7 @@ def _pipe_seq_gap(train_ds, test_ds, seed, epochs):
     for e in range(1, epochs + 1):
         train_epoch_pipelined(net_pipe, train_ds.X, y1, 128,
                               rng_pipe, epoch=e)
-    return abs(evaluate_al(net_seq, test_ds) - evaluate_al(net_pipe, test_ds))
+    return abs(evaluate(net_seq, test_ds) - evaluate(net_pipe, test_ds))
 
 
 def test_criterion_10_pipeline_parity_standin(capsys, desk_standin):

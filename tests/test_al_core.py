@@ -17,7 +17,6 @@ from assoclearn.al_core import (
     get_plan,
     gradcheck_component_flows,
     gradcheck_cross_component,
-    infer,
     net_param_items,
     perturb_affiliated,
     plan_names,
@@ -297,7 +296,7 @@ def test_infer_identity_network_passes_input_through():
     comp = identity_component(3)
     net = ALNetwork([comp], 3, 3)
     x = make_rng(19).normal(size=(5, 3))
-    y_hat, classes = infer(net, x)
+    y_hat, classes = net.predict(x)
     assert np.array_equal(y_hat, x)
     assert np.array_equal(classes, x.argmax(axis=1))
 
@@ -312,7 +311,7 @@ def test_infer_two_component_hand_oracle():
     c2 = Component(2, diag(5.0), diag(100.0), diag(7.0), diag(11.0))
     net = ALNetwork([c1, c2], 2, 2)
     x = np.array([[1.0, -2.0]])
-    y_hat, classes = infer(net, x)
+    y_hat, classes = net.predict(x)
     assert np.allclose(y_hat, [[2310.0, -4620.0]], atol=1e-9)
     assert classes.tolist() == [0]
 
@@ -320,9 +319,9 @@ def test_infer_two_component_hand_oracle():
 def test_infer_unaffected_by_affiliated_parameters():
     net = build_network(get_plan("blobs"), make_rng(20))
     x = make_rng(21).uniform(size=(6, 8))
-    y_before, cls_before = infer(net, x)
+    y_before, cls_before = net.predict(x)
     perturb_affiliated(net, delta=1000.0)
-    y_after, cls_after = infer(net, x)
+    y_after, cls_after = net.predict(x)
     assert np.array_equal(y_before, y_after)
     assert np.array_equal(cls_before, cls_after)
 
@@ -339,7 +338,7 @@ def test_features_are_top_f_output():
 def test_infer_dim_mismatch():
     net = build_network(get_plan("xor"), make_rng(24))
     with pytest.raises(ShapeError):
-        infer(net, np.zeros((1, 5)))
+        net.predict(np.zeros((1, 5)))
 
 
 # plans and construction -----------------------------------------------
@@ -369,7 +368,7 @@ def test_unknown_plan_name():
 def test_single_component_network_valid():
     net = build_network(get_plan("xor"), make_rng(25))
     assert net.n_components == 1
-    y_hat, _ = infer(net, np.zeros((1, 2)))
+    y_hat, _ = net.predict(np.zeros((1, 2)))
     assert y_hat.shape == (1, 2)
 
 
@@ -442,8 +441,8 @@ def test_param_items_roundtrip():
     other = build_network(get_plan("blobs"), make_rng(31))
     set_params(other.named_layers(), [p for _, p in params(net)])
     x = make_rng(32).uniform(size=(4, 8))
-    ya, _ = infer(net, x)
-    yb, _ = infer(other, x)
+    ya, _ = net.predict(x)
+    yb, _ = other.predict(x)
     assert np.array_equal(ya, yb)
 
 

@@ -20,7 +20,7 @@ from assoclearn.bp import (
 from assoclearn.data import one_hot, synth_blobs
 from assoclearn.errors import ConfigError, NumericError, ShapeError
 from assoclearn.linalg import make_rng
-from assoclearn.metrics import evaluate_bp
+from assoclearn.metrics import evaluate
 from assoclearn.nn import set_params
 from conftest import params
 
@@ -95,7 +95,7 @@ def test_blobs_reach_full_train_accuracy():
     acc = 0.0
     for epoch in range(50):
         bp_train_epoch(net, data.X, y, 16, shuffle, epoch=epoch)
-        acc = evaluate_bp(net, data)
+        acc = evaluate(net, data)
         if acc == 1.0:
             break
     assert acc == 1.0

@@ -6,17 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from assoclearn.al_core import build_network, get_plan, infer
+from assoclearn.al_core import build_network, get_plan
 from assoclearn import checkpoint
 from assoclearn.bp import BPNetwork
-from assoclearn.checkpoint import (
-    load_al,
-    load_al_into,
-    load_bp,
-    load_checkpoint,
-    save_al,
-    save_bp,
-)
+from assoclearn.checkpoint import load, load_checkpoint, load_into, save
 from assoclearn.errors import DataError, ShapeError, TruncatedFileError
 from assoclearn.linalg import make_rng
 from conftest import params
@@ -26,33 +19,46 @@ def al_fixture(seed=0):
     return build_network(get_plan("blobs"), make_rng(seed))
 
 
-def test_al_roundtrip_bit_exact(tmp_path):
-    net = al_fixture(0)
+def bp_fixture(seed=0):
+    return BPNetwork([8, 6, 4], make_rng(seed), head="mse", name="toy")
+
+
+FIXTURES = {"al": al_fixture, "bp": bp_fixture}
+
+
+@pytest.mark.parametrize("kind", ["al", "bp"])
+def test_roundtrip_bit_exact(tmp_path, kind):
+    net = FIXTURES[kind](0)
     path = tmp_path / "model.bin"
-    save_al(path, net, seed=0, epoch=7)
-    restored, header = load_al(path)
+    save(path, net, seed=0, epoch=7)
+    restored, header = load(path)
+    assert type(restored) is type(net)
+    assert restored.plan_dict() == net.plan_dict() == header["plan"]
     for (na, pa), (nb, pb) in zip(params(net), params(restored)):
         assert na == nb
         assert np.array_equal(pa, pb)
     x = make_rng(1).uniform(size=(5, 8))
-    assert np.array_equal(infer(net, x)[0], infer(restored, x)[0])
+    assert np.array_equal(net.predict(x)[0], restored.predict(x)[0])
     assert header["epoch"] == 7 and header["seed"] == 0
+    other = FIXTURES[kind](3)
+    assert load_into(other, path) == header
+    assert np.array_equal(net.predict(x)[0], other.predict(x)[0])
 
 
 def test_al_load_into_existing_network(tmp_path):
     net = al_fixture(2)
     other = al_fixture(3)
     path = tmp_path / "model.bin"
-    save_al(path, net, seed=2, epoch=1)
-    load_al_into(other, path)
+    save(path, net, seed=2, epoch=1)
+    load_into(other, path)
     x = make_rng(4).uniform(size=(3, 8))
-    assert np.array_equal(infer(net, x)[0], infer(other, x)[0])
+    assert np.array_equal(net.predict(x)[0], other.predict(x)[0])
 
 
 def test_header_fields(tmp_path):
     net = al_fixture(5)
     path = tmp_path / "model.bin"
-    save_al(path, net, seed=5, epoch=3, extra={"test_accuracy": 0.5})
+    save(path, net, seed=5, epoch=3, extra={"test_accuracy": 0.5})
     header, arrays = load_checkpoint(path)
     assert header["format"] == "alnet-ckpt-1"
     assert header["tag"] == "al"
@@ -71,7 +77,7 @@ def test_save_holds_no_copy_of_a_tensor(tmp_path):
     largest = max(a.nbytes for _, a in params(net))
     tracemalloc.start()
     try:
-        save_al(tmp_path / "model.bin", net, seed=6, epoch=1)
+        save(tmp_path / "model.bin", net, seed=6, epoch=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -80,33 +86,24 @@ def test_save_holds_no_copy_of_a_tensor(tmp_path):
     assert all(np.array_equal(a, b) for a, (_, b) in zip(arrays, params(net)))
 
 
-def test_bp_roundtrip_bit_exact(tmp_path):
-    net = BPNetwork([8, 6, 4], make_rng(6), head="mse", name="toy")
-    path = tmp_path / "bp.bin"
-    save_bp(path, net, seed=6, epoch=2)
-    restored, header = load_bp(path)
-    assert restored.head == "mse"
-    assert restored.widths == [8, 6, 4]
-    x = make_rng(7).uniform(size=(4, 8))
-    assert np.array_equal(net.predict(x)[0], restored.predict(x)[0])
-    assert header["plan"]["name"] == "toy"
-
-
 def test_tag_mismatch(tmp_path):
-    net = BPNetwork([4, 2], make_rng(8))
     path = tmp_path / "bp.bin"
-    save_bp(path, net, seed=8, epoch=0)
-    with pytest.raises(DataError, match="tag"):
-        load_al(path)
+    save(path, BPNetwork([8, 4], make_rng(8)), seed=8, epoch=0)
+    with pytest.raises(DataError, match="tag 'bp', expected 'al'"):
+        load_into(al_fixture(9), path)
     al_path = tmp_path / "al.bin"
-    save_al(al_path, al_fixture(9), seed=9, epoch=0)
-    with pytest.raises(DataError, match="tag"):
-        load_bp(al_path)
+    save(al_path, al_fixture(9), seed=9, epoch=0)
+    with pytest.raises(DataError, match="tag 'al', expected 'bp'"):
+        load_into(BPNetwork([8, 4], make_rng(8)), al_path)
+    _rewrite_header(al_path, lambda h: h.update(tag="cnn"))
+    with pytest.raises(DataError, match=re.escape(
+            f"{al_path}: tag 'cnn', expected one of ['al', 'bp']")):
+        load(al_path)
 
 
 def test_truncated_blob_detected(tmp_path):
     path = tmp_path / "model.bin"
-    save_al(path, al_fixture(10), seed=10, epoch=0)
+    save(path, al_fixture(10), seed=10, epoch=0)
     path.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(TruncatedFileError, match="needs"):
         load_checkpoint(path)
@@ -126,7 +123,7 @@ def declare_first_shape(path, shape):
                          ids=["wraps-2e32x2e32", "wraps-2e62x4", "oversized-1e12"])
 def test_declared_size_beyond_the_file_is_truncation(tmp_path, shape):
     path = tmp_path / "model.bin"
-    save_al(path, al_fixture(12), seed=12, epoch=0)
+    save(path, al_fixture(12), seed=12, epoch=0)
     declare_first_shape(path, shape)
     with pytest.raises(TruncatedFileError,
                        match=rf"model\.bin: tensor c1\.f\.0\.W needs "
@@ -143,7 +140,7 @@ def test_unterminated_header_detected(tmp_path):
 
 def test_trailing_bytes_detected(tmp_path):
     path = tmp_path / "model.bin"
-    save_al(path, al_fixture(11), seed=11, epoch=0)
+    save(path, al_fixture(11), seed=11, epoch=0)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(DataError, match="trailing"):
         load_checkpoint(path)
@@ -174,7 +171,7 @@ def _rewrite_header(path, edit):
                                  "dtype"])
 def test_header_without_field_rejected(tmp_path, key):
     path = tmp_path / "model.bin"
-    save_al(path, al_fixture(14), seed=14, epoch=0)
+    save(path, al_fixture(14), seed=14, epoch=0)
     _rewrite_header(path, lambda h: h.pop(key))
     with pytest.raises(DataError, match=f"header lacks {key}"):
         load_checkpoint(path)
@@ -182,7 +179,7 @@ def test_header_without_field_rejected(tmp_path, key):
 
 def test_header_tensor_without_shape_rejected(tmp_path):
     path = tmp_path / "model.bin"
-    save_al(path, al_fixture(15), seed=15, epoch=0)
+    save(path, al_fixture(15), seed=15, epoch=0)
     _rewrite_header(path, lambda h: h["arrays"][1].pop("shape"))
     with pytest.raises(DataError, match="malformed shape None"):
         load_checkpoint(path)
@@ -190,7 +187,7 @@ def test_header_tensor_without_shape_rejected(tmp_path):
 
 def test_header_negative_dimension_rejected(tmp_path):
     path = tmp_path / "model.bin"
-    save_al(path, al_fixture(16), seed=16, epoch=0)
+    save(path, al_fixture(16), seed=16, epoch=0)
     _rewrite_header(path, lambda h: h["arrays"][0].update(shape=[-1, 4]))
     with pytest.raises(DataError, match=r"malformed shape \[-1, 4\]"):
         load_checkpoint(path)
@@ -199,7 +196,7 @@ def test_header_negative_dimension_rejected(tmp_path):
 def test_header_boolean_dimension_rejected(tmp_path):
     # JSON true is a Python bool, which isinstance(..., int) accepts.
     path = tmp_path / "model.bin"
-    save_al(path, al_fixture(16), seed=16, epoch=0)
+    save(path, al_fixture(16), seed=16, epoch=0)
     _rewrite_header(path, lambda h: h["arrays"][0].update(shape=[True, 128]))
     with pytest.raises(DataError,
                        match=r"tensor c1\.f\.0\.W has malformed shape "
@@ -212,7 +209,7 @@ def test_header_boolean_dimension_rejected(tmp_path):
 @pytest.mark.parametrize("shape", [[0, 2**62], [2**62, 0], [0, 2**63]])
 def test_header_shape_numpy_cannot_hold_rejected(tmp_path, shape):
     path = tmp_path / "model.bin"
-    save_al(path, al_fixture(16), seed=16, epoch=0)
+    save(path, al_fixture(16), seed=16, epoch=0)
     declare_first_shape(path, shape)
     with pytest.raises(DataError,
                        match=rf"model\.bin: tensor c1\.f\.0\.W has shape "
@@ -223,24 +220,23 @@ def test_header_shape_numpy_cannot_hold_rejected(tmp_path, shape):
 
 def test_load_into_wrong_architecture(tmp_path):
     path = tmp_path / "model.bin"
-    save_al(path, al_fixture(12), seed=12, epoch=0)
+    save(path, al_fixture(12), seed=12, epoch=0)
     other = build_network(get_plan("xor"), make_rng(13))
     with pytest.raises(DataError, match="tensor names"):
-        load_al_into(other, path)
+        load_into(other, path)
 
 
 @pytest.mark.parametrize("loader", ["al", "bp"])
 def test_renamed_tensors_raise_data_error(tmp_path, loader):
     path = tmp_path / "model.bin"
-    if loader == "al":
-        save_al(path, al_fixture(21), seed=21, epoch=0)
-    else:
-        save_bp(path, BPNetwork([4, 3, 2], make_rng(21)), seed=21, epoch=0)
+    model = (al_fixture(21) if loader == "al"
+             else BPNetwork([4, 3, 2], make_rng(21)))
+    save(path, model, seed=21, epoch=0)
     _rewrite_header(path, lambda h: [d.update(name="zzz." + d["name"])
                                      for d in h["arrays"]])
     with pytest.raises(DataError, match=re.escape(str(path)) +
                        ": tensor names do not match"):
-        (load_al if loader == "al" else load_bp)(path)
+        load(path)
 
 
 def test_load_into_same_names_other_shapes_leaves_net_untouched(tmp_path):
@@ -249,11 +245,11 @@ def test_load_into_same_names_other_shapes_leaves_net_untouched(tmp_path):
     plan = get_plan("blobs")
     plan.components[1].b = [16, 24, 8]
     path = tmp_path / "model.bin"
-    save_al(path, build_network(plan, make_rng(17)), seed=17, epoch=0)
+    save(path, build_network(plan, make_rng(17)), seed=17, epoch=0)
     net = al_fixture(18)
     before = [p.tobytes() for _, p in params(net)]
     with pytest.raises(ShapeError, match="c2.b.0"):
-        load_al_into(net, path)
+        load_into(net, path)
     assert [p.tobytes() for _, p in params(net)] == before
 
 
@@ -271,20 +267,19 @@ def test_load_into_same_names_other_shapes_leaves_net_untouched(tmp_path):
 def test_malformed_plan_or_seed_raises_data_error(tmp_path, loader, edit,
                                                   says):
     path = tmp_path / "model.bin"
-    if loader == "al":
-        save_al(path, al_fixture(19), seed=19, epoch=0)
-    else:
-        save_bp(path, BPNetwork([4, 3, 2], make_rng(19)), seed=19, epoch=0)
+    model = (al_fixture(19) if loader == "al"
+             else BPNetwork([4, 3, 2], make_rng(19)))
+    save(path, model, seed=19, epoch=0)
     _rewrite_header(path, edit)
     with pytest.raises(DataError, match=re.escape(f"{path}: {says}")):
-        (load_al if loader == "al" else load_bp)(path)
+        load(path)
 
 
 def test_load_al_reads_the_file_once(tmp_path, monkeypatch):
     # Two reads could pair one write's header with another write's tensors
     # when a running fit replaces the checkpoint in between.
     path = tmp_path / "model.bin"
-    save_al(path, al_fixture(20), seed=20, epoch=0)
+    save(path, al_fixture(20), seed=20, epoch=0)
     reads = []
 
     def counted(p):
@@ -292,17 +287,19 @@ def test_load_al_reads_the_file_once(tmp_path, monkeypatch):
         return load_checkpoint(p)
 
     monkeypatch.setattr(checkpoint, "load_checkpoint", counted)
-    load_al(path)
+    load(path)
     assert len(reads) == 1
+    load_into(al_fixture(21), path)
+    assert len(reads) == 2
 
 
 def test_load_al_needs_plan(tmp_path):
     net = al_fixture(14)
     net.plan = None
     path = tmp_path / "model.bin"
-    save_al(path, net, seed=14, epoch=0)
-    with pytest.raises(DataError, match="no plan"):
-        load_al(path)
+    save(path, net, seed=14, epoch=0)
+    with pytest.raises(DataError, match="no plan; use load_into"):
+        load(path)
 
 
 def test_restored_network_trains_further(tmp_path):
@@ -311,8 +308,8 @@ def test_restored_network_trains_further(tmp_path):
     from assoclearn.data import one_hot, synth_blobs
 
     path = tmp_path / "model.bin"
-    save_al(path, al_fixture(15), seed=15, epoch=0)
-    restored, _ = load_al(path)
+    save(path, al_fixture(15), seed=15, epoch=0)
+    restored, _ = load(path)
     ds = synth_blobs(16, 8, 4, separation=6.0, rng=make_rng(16))
     s, t = ds.X, one_hot(ds.y, 4)
     for c in restored.components:

@@ -23,7 +23,7 @@ from assoclearn.errors import (
     TruncatedFileError,
 )
 from assoclearn.linalg import make_rng
-from assoclearn.metrics import evaluate_bp
+from assoclearn.metrics import evaluate
 
 from conftest import MNIST_DIR, requires_mnist
 
@@ -186,7 +186,7 @@ def test_blobs_linear_classifier_separates():
     acc = 0.0
     for epoch in range(50):
         bp_train_epoch(net, data.X, y, 16, shuffle, epoch=epoch)
-        acc = evaluate_bp(net, data)
+        acc = evaluate(net, data)
         if acc == 1.0:
             break
     assert acc == 1.0

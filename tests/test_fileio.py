@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from assoclearn import checkpoint
+from assoclearn.bp import BPNetwork
+from assoclearn.linalg import make_rng
 from assoclearn.metrics import (
     MetricsRecord,
     write_json_summary,
@@ -18,9 +20,10 @@ class Unwritable:
 
 def write_checkpoint(path, fail):
     # the header and the first tensor are written before the second fails
-    items = [("a", np.arange(4.0)),
-             ("b", np.array([Unwritable()]) if fail else np.ones(2))]
-    checkpoint._write(path, "al", None, 0, 1, items, None)
+    model = BPNetwork([2, 2], make_rng(0))
+    if fail:
+        model.stack.layers[0].bias = np.array([Unwritable()])
+    checkpoint.save(path, model, seed=0, epoch=1)
 
 
 def write_summary(path, fail):

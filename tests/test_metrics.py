@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from assoclearn import metrics
-from assoclearn.al_core import (ComponentPlan, NetworkPlan, build_network,
-                                get_plan, infer)
+from assoclearn.al_core import (ALNetwork, ComponentPlan, NetworkPlan,
+                                build_network, get_plan)
 from assoclearn.bp import BPNetwork
 from assoclearn.data import Dataset, synth_blobs
 from assoclearn.errors import GeometryError, ShapeError
@@ -17,8 +17,7 @@ from assoclearn.metrics import (
     associated_loss_profile,
     class_geometry,
     csv_header,
-    evaluate_al,
-    evaluate_bp,
+    evaluate,
     features,
     geometry_report,
     record_row,
@@ -75,15 +74,15 @@ def test_profile_chunking_exact():
 def test_evaluate_al_matches_direct_inference():
     net = build_network(get_plan("blobs"), make_rng(4))
     ds = blob_fixture(seed=5)
-    _, classes = infer(net, ds.X)
-    assert evaluate_al(net, ds, chunk=10) == accuracy(classes, ds.y)
+    _, classes = net.predict(ds.X)
+    assert evaluate(net, ds, chunk=10) == accuracy(classes, ds.y)
 
 
 def test_evaluate_bp_matches_direct_prediction():
     net = BPNetwork([8, 6, 4], make_rng(6))
     ds = blob_fixture(seed=7)
     _, classes = net.predict(ds.X)
-    assert evaluate_bp(net, ds, chunk=10) == accuracy(classes, ds.y)
+    assert evaluate(net, ds, chunk=10) == accuracy(classes, ds.y)
 
 
 @pytest.mark.parametrize("kind", ["al", "bp"])
@@ -127,14 +126,26 @@ def test_evaluation_peak_does_not_grow_with_chunk(what):
     # rows holds 4096x512 float64 (16 MB) at once instead of 2048x512.
     al_net, bp_net = _wide_models()
     ds = blob_fixture(seed=42, n=4096)
-    run = {"evaluate_al": lambda c: evaluate_al(al_net, ds, c),
-           "evaluate_bp": lambda c: evaluate_bp(bp_net, ds, c),
+    run = {"evaluate_al": lambda c: evaluate(al_net, ds, c),
+           "evaluate_bp": lambda c: evaluate(bp_net, ds, c),
            "features-al": lambda c: features(al_net, ds.X, c),
            "features-bp": lambda c: features(bp_net, ds.X, c),
            "profile": lambda c: associated_loss_profile(al_net, ds, c)}[what]
     small = _traced_peak(lambda: run(2048))
     large = _traced_peak(lambda: run(8192))
     assert abs(large - small) < 2**20, (small, large)
+
+
+def test_features_holds_its_result_once():
+    # Each chunk's features go straight into the one output array, so the
+    # pass holds the 16 MiB result plus one 1024x512 chunk (4 MiB), not
+    # the result twice as a list of chunks and their concatenation would.
+    model = BPNetwork([8, 512, 4], make_rng(46), feature_layer=1)
+    X = blob_fixture(seed=47, n=4096).X
+    rows = min(2048, metrics.EVAL_ELEMS // 512)
+    result_bytes = 4096 * 512 * 8
+    peak = _traced_peak(lambda: features(model, X, chunk=2048))
+    assert peak <= result_bytes + rows * 512 * 8 + 2**20, peak
 
 
 @pytest.fixture
@@ -148,7 +159,7 @@ def chunk_rows(monkeypatch):
             return fn(model, x, *rest)
         return wrapped
 
-    monkeypatch.setattr(metrics, "infer", spy(metrics.infer))
+    monkeypatch.setattr(ALNetwork, "predict", spy(ALNetwork.predict))
     monkeypatch.setattr(metrics, "component_forward",
                         spy(metrics.component_forward))
     monkeypatch.setattr(BPNetwork, "predict", spy(BPNetwork.predict))
@@ -168,10 +179,8 @@ def test_capped_evaluation_equals_whole_array(monkeypatch, chunk_rows,
     whole_profile = associated_loss_profile(al_net, ds, chunk=23)
     monkeypatch.setattr(metrics, "EVAL_ELEMS", budget)
     expected_rows = [min(rows, 23 - i) for i in range(0, 23, rows)]
-    for model, evaluate, predict in (
-            (al_net, evaluate_al, lambda x: infer(al_net, x)[1]),
-            (bp_net, evaluate_bp, lambda x: bp_net.predict(x)[1])):
-        whole = accuracy(predict(ds.X), ds.y)
+    for model in (al_net, bp_net):
+        whole = accuracy(model.predict(ds.X)[1], ds.y)
         chunk_rows.clear()
         assert evaluate(model, ds, chunk=4096) == whole
         assert chunk_rows == expected_rows
@@ -260,8 +269,9 @@ def test_geometry_report_keys():
     ds = blob_fixture(seed=12)
     net = build_network(get_plan("blobs"), make_rng(13))
     bp = BPNetwork([8, 6, 4], make_rng(14))
-    report = geometry_report(ds, net=net, bp_net=bp)
-    assert set(report) == {"raw", "al", "bp"}
+    assert set(geometry_report(ds, net)) == {"raw", "al"}
+    assert set(geometry_report(ds, bp)) == {"raw", "bp"}
+    report = {**geometry_report(ds, net), **geometry_report(ds, bp)}
     for part in report.values():
         assert set(part) == {"inter_class", "intra_class", "ratio"}
         geo = ClassGeometry(**part)

@@ -14,11 +14,11 @@ from assoclearn import nn
 from assoclearn.al_core import build_network, get_plan
 from assoclearn.bp import (BPNetwork, bp_train_epoch, build_bp_network,
                            match_effective_params)
-from assoclearn.checkpoint import load_al
+from assoclearn.checkpoint import load
 from assoclearn.data import one_hot, synth_blobs, synth_xor
 from assoclearn.errors import ConfigError, NumericError, TrainingError
 from assoclearn.linalg import make_rng
-from assoclearn.metrics import evaluate_al, evaluate_bp, write_metrics_csv
+from assoclearn.metrics import evaluate, write_metrics_csv
 from conftest import params
 from assoclearn.train import (
     Schedule,
@@ -132,7 +132,7 @@ def test_xor_single_component_reaches_full_accuracy():
     acc = 0.0
     for _ in range(2000):
         train_epoch_sequential(net, ds.X, y1, 4, shuffle)
-        acc = evaluate_al(net, ds)
+        acc = evaluate(net, ds)
         if acc == 1.0:
             break
     assert acc == 1.0
@@ -453,7 +453,7 @@ def test_fit_writes_best_checkpoint(tmp_path):
                  rng=make_rng(29), seed=27, lr=1e-3, lr_drops=[],
                  out_dir=tmp_path)
     assert result.checkpoint_path == str(tmp_path / "checkpoint.bin")
-    restored, header = load_al(result.checkpoint_path)
+    restored, header = load(result.checkpoint_path)
     assert header["extra"]["test_accuracy"] == result.best_test_accuracy
     assert header["epoch"] == result.best_epoch
     assert restored.n_components == 2
@@ -493,8 +493,8 @@ def test_fit_bp_train_accuracy_is_the_chunked_evaluation():
     result = fit(net, ds, test, mode="bp", epochs=1, batch_size=16,
                  rng=make_rng(38), seed=36, lr=1e-3, lr_drops=[],
                  eval_chunk=24)
-    assert result.final.train_accuracy == evaluate_bp(net, ds)
-    assert result.final.test_accuracy == evaluate_bp(net, test)
+    assert result.final.train_accuracy == evaluate(net, ds)
+    assert result.final.test_accuracy == evaluate(net, test)
 
 
 def _traced_fit_peak(n: int) -> int:
@@ -567,9 +567,14 @@ def test_fit_mode_validation():
     with pytest.raises(ConfigError, match="mode"):
         fit(net, ds, ds, mode="magic", epochs=1, batch_size=8,
             rng=make_rng(41), seed=39)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="mode bp needs a model of kind "
+                                          "'bp', got 'al'"):
         fit(net, ds, ds, mode="bp", epochs=1, batch_size=8,
             rng=make_rng(41), seed=39)
+    with pytest.raises(ConfigError, match="mode al-pipe needs a model of "
+                                          "kind 'al', got 'bp'"):
+        fit(BPNetwork([8, 4], make_rng(39)), ds, ds, mode="al-pipe",
+            epochs=1, batch_size=8, rng=make_rng(41), seed=39)
 
 
 @pytest.mark.parametrize("key,value", [

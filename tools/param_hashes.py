@@ -10,7 +10,8 @@ cells joined by "," and rows ended by a newline, as in metrics.csv),
 and of the ``checkpoint.bin`` file the run wrote. A change that keeps
 the training bits, the seeded metrics and the checkpoint format must
 print the hashes that ROADMAP.md quotes. Exits 1 when the al-seq and
-al-pipe parameters differ.
+al-pipe parameters or ``checkpoint.bin`` bytes differ (the checkpoint
+holds no mode, so the two runs write the same file).
 
     PYTHONPATH=src python3 tools/param_hashes.py
 """
@@ -67,10 +68,12 @@ def main() -> int:
     for mode, (params, rows, checkpoint) in hashes.items():
         print(f"{mode:8s} params {params}  metrics {rows}  "
               f"checkpoint {checkpoint}")
-    if hashes["al-seq"][0] != hashes["al-pipe"][0]:
-        print("al-seq and al-pipe differ", file=sys.stderr)
-        return 1
-    return 0
+    status = 0
+    for i, what in ((0, "parameters"), (2, "checkpoint.bin bytes")):
+        if hashes["al-seq"][i] != hashes["al-pipe"][i]:
+            print(f"al-seq and al-pipe {what} differ", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
