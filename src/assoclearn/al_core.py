@@ -62,10 +62,6 @@ class LossRecord:
     mse1: float
     mse2: float
 
-    @property
-    def local_obj(self) -> float:
-        return self.mse1 + self.mse2
-
 
 @dataclass
 class ComponentPlan:
@@ -308,27 +304,28 @@ def component_update(c: Component, s_prev: Matrix, t_prev: Matrix,
 
 class ALNetwork:
     """Ordered chain of components plus the overall input/target widths
-    and the learning rate every component trains at."""
+    and the learning rate every component trains at. Its plan, which a
+    checkpoint stores, is the NetworkPlan called name that the
+    components' widths spell out."""
 
     kind = "al"
 
     def __init__(self, components: list[Component], input_dim: int,
-                 target_dim: int, plan: NetworkPlan | None = None,
-                 lr: float = 1e-4):
-        NetworkPlan("network", input_dim, target_dim,
-                    [c.plan for c in components]).validate()
+                 target_dim: int, name: str, lr: float = 1e-4):
+        self.plan = NetworkPlan(name, input_dim, target_dim,
+                                [c.plan for c in components])
+        self.plan.validate()
         self.components = components
         self.input_dim = input_dim
         self.n_classes = target_dim
-        self.plan = plan
         self.lr = lr
 
     @property
     def n_components(self) -> int:
         return len(self.components)
 
-    def plan_dict(self) -> dict | None:
-        return self.plan.to_dict() if self.plan is not None else None
+    def plan_dict(self) -> dict:
+        return self.plan.to_dict()
 
     def predict(self, x: Matrix):
         """Prediction through inference_layers. Returns (y_hat, predicted
@@ -362,7 +359,7 @@ def build_network(plan: NetworkPlan, rng: Rng, lr: float = 1e-4) -> ALNetwork:
         b = make_block(cp.b, "sigmoid", rng)
         h = make_block(cp.h, "sigmoid", rng)
         comps.append(Component(i, f, g, b, h))
-    return ALNetwork(comps, plan.input_dim, plan.target_dim, plan, lr)
+    return ALNetwork(comps, plan.input_dim, plan.target_dim, plan.name, lr)
 
 
 def inference_layers(net: ALNetwork) -> list[DenseLayer]:
@@ -377,25 +374,6 @@ def inference_layers(net: ALNetwork) -> list[DenseLayer]:
 def effective_param_count(net: ALNetwork) -> int:
     """Parameters of inference_layers."""
     return sum(layer.param_count() for layer in inference_layers(net))
-
-
-def affiliated_param_count(net: ALNetwork) -> int:
-    """Parameters that shape training but never inference: every g and
-    every bridge except the last."""
-    return total_param_count(net) - effective_param_count(net)
-
-
-def total_param_count(net: ALNetwork) -> int:
-    return sum(layer.param_count() for _, layer in net.named_layers())
-
-
-def perturb_affiliated(net: ALNetwork, delta: float = 1000.0) -> None:
-    """Shift every parameter outside inference_layers by delta."""
-    used = {id(layer) for layer in inference_layers(net)}
-    for _, layer in net.named_layers():
-        if id(layer) not in used:
-            layer.W = layer.W + delta
-            layer.bias = layer.bias + delta
 
 
 def net_param_items(net: ALNetwork) -> list[tuple[str, Matrix]]:

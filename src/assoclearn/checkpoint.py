@@ -6,12 +6,12 @@ tensor, in order); everything after the newline is the concatenation of
 those tensors as little-endian float64 bytes, which the dtype field
 declares as "<f8" and a loader requires. The tensor order is
 ``nn.param_items`` over the model's ``named_layers()``, so a reader needs
-nothing beyond the header, and both loaders check the names: ``load``
-rebuilds the model the tag names from its plan and seed, ``load_into``
-overwrites a model of that kind. Neither the optimizer moments nor the
-learning rate is stored: a restored model predicts identically but
-restarts Adam cold. A checkpoint is replaced atomically, so a write that
-fails leaves the previous one.
+nothing beyond the header: ``load`` rebuilds the model the tag names from
+its plan and seed and checks the names before it assigns the tensors.
+Every model has a plan, so ``load`` reads every checkpoint ``save``
+writes. Neither the optimizer moments nor the learning rate is stored: a
+restored model predicts identically but restarts Adam cold. A checkpoint
+is replaced atomically, so a write that fails leaves the previous one.
 """
 
 from __future__ import annotations
@@ -129,8 +129,22 @@ _BUILDERS = {
 }
 
 
-def _assign(model, path, header, arrays) -> None:
-    """Assign the tensors to model if their names are model's, in order."""
+def load(path):
+    """(model, header): the model the tag names, rebuilt from the plan and
+    an rng seeded from the seed the checkpoint carries, then assigned its
+    tensors if their names are the model's, in order; DataError naming
+    path when any of them is missing or malformed."""
+    header, arrays = load_checkpoint(path)
+    tag, plan, seed = header["tag"], header["plan"], header["seed"]
+    if tag not in _BUILDERS:
+        raise DataError(f"{path}: tag {tag!r}, expected one of "
+                        f"{sorted(_BUILDERS)}")
+    if type(seed) is not int or seed < 0:
+        raise DataError(f"{path}: malformed seed {seed!r}")
+    try:
+        model = _BUILDERS[tag](plan, make_rng(seed))
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: malformed plan {plan!r}: {e!r}") from e
     layers = model.named_layers()
     names = [n for n, _ in param_items(layers)]
     stored = [d["name"] for d in header["arrays"]]
@@ -140,37 +154,4 @@ def _assign(model, path, header, arrays) -> None:
         raise DataError(
             f"{path}: tensor names do not match this network ({diff})")
     set_params(layers, arrays)
-
-
-def load_into(model, path) -> dict:
-    """Overwrite model's parameters from a checkpoint of its kind; returns
-    the header."""
-    header, arrays = load_checkpoint(path)
-    if header["tag"] != model.kind:
-        raise DataError(f"{path}: tag {header['tag']!r}, expected "
-                        f"{model.kind!r}")
-    _assign(model, path, header, arrays)
-    return header
-
-
-def load(path):
-    """(model, header): the model the tag names, rebuilt from the plan and
-    an rng seeded from the seed the checkpoint carries, then assigned its
-    tensors; DataError naming path when any of them is missing or
-    malformed."""
-    header, arrays = load_checkpoint(path)
-    tag, plan, seed = header["tag"], header["plan"], header["seed"]
-    if tag not in _BUILDERS:
-        raise DataError(f"{path}: tag {tag!r}, expected one of "
-                        f"{sorted(_BUILDERS)}")
-    if plan is None:
-        raise DataError(f"{path}: checkpoint has no plan; "
-                        f"use load_into with a compatible network")
-    if type(seed) is not int or seed < 0:
-        raise DataError(f"{path}: malformed seed {seed!r}")
-    try:
-        model = _BUILDERS[tag](plan, make_rng(seed))
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"{path}: malformed plan {plan!r}: {e!r}") from e
-    _assign(model, path, header, arrays)
     return model, header

@@ -136,9 +136,13 @@ def resolve_train_config(args) -> RunConfig:
             raise ConfigError(f"config file not found: {path}")
         with open(path) as fh:
             try:
-                values.update(json.load(fh))
+                loaded = json.load(fh)
             except json.JSONDecodeError as e:
                 raise ConfigError(f"{path}: invalid JSON: {e}") from e
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{path}: top level must be a JSON object, "
+                              f"got {type(loaded).__name__}")
+        values.update(loaded)
         unknown = set(values) - set(RunConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(
@@ -200,7 +204,10 @@ def cmd_train(cfg: RunConfig) -> int:
     check_datasets(model, train_ds, test_ds)
 
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot make the --out directory: {e}") from e
     write_json_summary(out_dir / "config.json", asdict(cfg))
 
     blas_threads = blas.threads()

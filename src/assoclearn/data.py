@@ -163,12 +163,11 @@ def stratified_subset(ds: Dataset, n: int, rng: Rng) -> Dataset:
     return Dataset(X=ds.X[chosen], y=ds.y[chosen], n_classes=ds.n_classes)
 
 
-def mnist_subset(train: Dataset, test: Dataset, n_train: int = 6000,
-                 n_test: int = 1000, seed: int = 0):
+def mnist_subset(train: Dataset, test: Dataset, seed: int = 0):
     """The desk-scale fixture: 6000 train / 1000 test, stratified."""
     r_train, r_test = spawn_rngs(seed, 2)
-    return (stratified_subset(train, n_train, r_train),
-            stratified_subset(test, n_test, r_test))
+    return (stratified_subset(train, 6000, r_train),
+            stratified_subset(test, 1000, r_test))
 
 
 def one_hot(labels, n_classes: int) -> Matrix:

@@ -1,4 +1,4 @@
-"""Run metrics: accuracy, per-component loss profiles, class geometry.
+"""Run metrics: accuracy, class geometry and the metrics files.
 
 ``class_geometry`` quantifies how well features separate classes: the
 intraclass distance is the mean pairwise Euclidean distance within a
@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import GeometryError, ShapeError
 from .linalg import Matrix
-from .al_core import ALNetwork, component_forward
-from .data import Dataset, one_hot
+from .al_core import ALNetwork
+from .data import Dataset
 from .fileio import atomic_open
 
 # Most elements one evaluation chunk may hold in a layer output (_slices).
@@ -98,21 +98,6 @@ def evaluate(model, ds: Dataset, chunk: int = 2048) -> float:
 infer = ALNetwork.predict
 evaluate_al = evaluate
 evaluate_bp = evaluate
-
-
-def associated_loss_profile(net: ALNetwork, ds: Dataset,
-                            chunk: int = 2048) -> list[float]:
-    """Evaluation-mode mse1 per component over the whole dataset,
-    averaged exactly by weighting chunks by their row counts."""
-    y1 = one_hot(ds.y, net.n_classes)
-    sums = np.zeros(net.n_components)
-    for sl in _slices(net, ds.n, chunk):
-        s, t = ds.X[sl], y1[sl]
-        rows = s.shape[0]
-        for k, c in enumerate(net.components):
-            s, t, rec = component_forward(c, s, t)
-            sums[k] += rec.mse1 * rows
-    return [float(v) for v in sums / ds.n]
 
 
 def features(model, X: Matrix, chunk: int = 2048) -> Matrix:

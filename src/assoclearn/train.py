@@ -13,7 +13,7 @@ trajectory is identical by construction at any pipeline depth; a queue
 only changes how much wall-clock overlap the stages get.
 
 ``run_pipeline`` is the schedule-agnostic core (stages, queues bounded
-at ``QUEUE_CAPACITY`` batches by default, an optional in-flight cap,
+at ``QUEUE_CAPACITY`` batches, an optional in-flight cap,
 monotone batch-id enforcement, error propagation); the pipelined trainer
 and the synthetic throughput bench both run on it, and both take its
 ``ThroughputReport`` as the one record of the run. Each worker is one
@@ -117,14 +117,14 @@ class ThroughputReport:
     speedup: float | None = None
 
 
-def run_pipeline(stages, feed, capacity: int = QUEUE_CAPACITY,
-                 depth: int | None = None) -> ThroughputReport:
+def run_pipeline(stages, feed, depth: int | None = None) -> ThroughputReport:
     """Push (batch_id, payload) pairs through worker threads.
 
     stages: one callable per stage, payload -> payload. feed: iterable of
-    (batch_id, payload) with strictly increasing ids. capacity bounds
-    each inter-stage queue; depth, when given, caps how many batches are
-    in flight anywhere (depth=1 degenerates to fully serial execution).
+    (batch_id, payload) with strictly increasing ids. Each inter-stage
+    queue holds at most QUEUE_CAPACITY batches; depth, when given, caps
+    how many batches are in flight anywhere (depth=1 degenerates to fully
+    serial execution).
     A batch that a stage does not put on the next queue leaves the
     pipeline, and hands back its in-flight token, at one place: when the
     last stage finished it, when it failed, or when it was dropped after
@@ -134,12 +134,10 @@ def run_pipeline(stages, feed, capacity: int = QUEUE_CAPACITY,
     """
     if not stages:
         raise ConfigError("need at least one stage")
-    if capacity < 1:
-        raise ConfigError(f"queue capacity must be >= 1, got {capacity}")
     if depth is not None and depth < 1:
         raise ConfigError(f"pipeline depth must be >= 1, got {depth}")
     n = len(stages)
-    queues = [Queue(maxsize=capacity) for _ in range(n)]
+    queues = [Queue(maxsize=QUEUE_CAPACITY) for _ in range(n)]
     completed = 0
     errors: list = []
     busy = [0.0] * n
@@ -260,7 +258,6 @@ def train_epoch_sequential(net: ALNetwork, X: Matrix, y_onehot: Matrix,
 
 def train_epoch_pipelined(net: ALNetwork, X: Matrix, y_onehot: Matrix,
                           batch_size: int, rng: Rng, epoch: int = 0,
-                          capacity: int = QUEUE_CAPACITY,
                           depth: int | None = None):
     """One epoch with the stages of train_epoch_sequential, one worker per
     component; see the module docstring for the equivalence. OpenBLAS runs
@@ -273,7 +270,7 @@ def train_epoch_pipelined(net: ALNetwork, X: Matrix, y_onehot: Matrix,
     stages = _component_stages(net, epoch, sums1, sums2)
     with blas.pinned_threads(PIPELINE_BLAS_THREADS):
         report = run_pipeline(stages, _feed(X, y_onehot, batch_size, rng),
-                              capacity=capacity, depth=depth)
+                              depth=depth)
     if report.completed != n_batches:
         raise TrainingError(
             f"epoch ended with {report.completed} of {n_batches} batches")
@@ -301,9 +298,11 @@ class FitResult:
 
 
 def check_datasets(model, train_ds: Dataset, test_ds: Dataset) -> None:
-    """ConfigError unless both datasets have the model's input width and
-    class count."""
+    """ConfigError unless both datasets have rows, the model's input width
+    and its class count."""
     for name, ds in (("train", train_ds), ("test", test_ds)):
+        if ds.n == 0:
+            raise ConfigError(f"{name} set is empty")
         if ds.dim != model.input_dim or ds.n_classes != model.n_classes:
             raise ConfigError(
                 f"model expects {model.input_dim} features / "
@@ -327,8 +326,8 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
     epochs=0 evaluates the untouched model once and writes nothing.
     epochs, batch_size and eval_chunk must be ints, not bools (>= 0,
     >= 1, >= 1), the mode must be one for model.kind, and both datasets
-    must match the model (check_datasets); anything else raises
-    ConfigError before any work.
+    must have rows and match the model (check_datasets); anything else
+    raises ConfigError before any work.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")

@@ -57,7 +57,7 @@ def mnist_full():
 @pytest.fixture(scope="session")
 def mnist_desk(mnist_full):
     train, test = mnist_full
-    return mnist_subset(train, test, 6000, 1000, seed=0)
+    return mnist_subset(train, test, seed=0)
 
 
 def given_layer(W, bias=None, activation="identity"):

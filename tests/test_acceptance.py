@@ -22,11 +22,12 @@ from assoclearn.al_core import (
     NetworkPlan,
     build_network,
     collect_messages,
+    component_forward,
     component_update,
     get_plan,
     gradcheck_component_flows,
     gradcheck_cross_component,
-    perturb_affiliated,
+    inference_layers,
 )
 from assoclearn.bp import build_bp_network, gradcheck_bp, match_effective_params
 from assoclearn.data import (
@@ -37,11 +38,7 @@ from assoclearn.data import (
     synth_blobs,
 )
 from assoclearn.linalg import make_rng
-from assoclearn.metrics import (
-    associated_loss_profile,
-    evaluate,
-    geometry_report,
-)
+from assoclearn.metrics import evaluate, geometry_report
 from assoclearn.nn import DenseLayer, MLPBlock, grad_check_block, make_block
 from assoclearn.train import (
     Schedule,
@@ -84,7 +81,7 @@ def mnist_full_sets():
 def mnist_desk_sets():
     if "desk" not in _mnist_cache:
         train, test = mnist_full_sets()
-        _mnist_cache["desk"] = mnist_subset(train, test, 6000, 1000, seed=0)
+        _mnist_cache["desk"] = mnist_subset(train, test, seed=0)
     return _mnist_cache["desk"]
 
 
@@ -122,7 +119,12 @@ def trend_runs():
         shuffle = make_rng(300 + s)
         for e in range(1, 151):
             train_epoch_sequential(net, train.X, y1, 32, shuffle, epoch=e)
-        runs.append({"profile": associated_loss_profile(net, train),
+        # evaluation-mode mse1 of each component over the whole train set
+        s, t, profile = train.X, y1, []
+        for c in net.components:
+            s, t, rec = component_forward(c, s, t)
+            profile.append(rec.mse1)
+        runs.append({"profile": profile,
                      "geometry": geometry_report(test, net)})
     return runs
 
@@ -243,7 +245,11 @@ def test_criterion_03_inference_invariance(capsys):
     probe = make_rng(60).uniform(size=(64, 8))
     logits, classes = net.predict(probe)
     g_w = np.array(net.components[0].g.layers[0].W, copy=True)
-    perturb_affiliated(net, 1000.0)
+    used = {id(layer) for layer in inference_layers(net)}
+    for _, layer in net.named_layers():
+        if id(layer) not in used:
+            layer.W = layer.W + 1000.0
+            layer.bias = layer.bias + 1000.0
     assert not np.array_equal(g_w, net.components[0].g.layers[0].W)
     logits2, classes2 = net.predict(probe)
 
@@ -283,8 +289,7 @@ def _depth1_equivalence(train_ds, seed):
                 for e in (1, 2)]
     rng_pipe = make_rng(seed + 1)
     recs_pipe = [train_epoch_pipelined(net_pipe, train_ds.X, y1, 128,
-                                       rng_pipe, epoch=e,
-                                       capacity=1, depth=1)[0]
+                                       rng_pipe, epoch=e, depth=1)[0]
                  for e in (1, 2)]
     params_equal = all(
         np.array_equal(pa, pb)
@@ -405,7 +410,10 @@ def test_criterion_08_loss_refinement_mnist(capsys):
         fit(net, train_ds, test_ds, mode="al-seq", epochs=30,
             batch_size=128, rng=make_rng(s + 10), seed=s, lr=1e-3,
             lr_drops=())
-        p = associated_loss_profile(net, train_ds)
+        s, t, p = train_ds.X, one_hot(train_ds.y, 10), []
+        for c in net.components:
+            s, t, rec = component_forward(c, s, t)
+            p.append(rec.mse1)
         ordered += p[2] < p[1] < p[0]
     check(capsys, 8, ordered >= 2,
           f"loss refinement on the image subset: bridge fit tightens "

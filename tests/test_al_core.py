@@ -9,7 +9,6 @@ from assoclearn.al_core import (
     Component,
     ComponentPlan,
     NetworkPlan,
-    affiliated_param_count,
     build_network,
     component_forward,
     component_update,
@@ -17,10 +16,9 @@ from assoclearn.al_core import (
     get_plan,
     gradcheck_component_flows,
     gradcheck_cross_component,
+    inference_layers,
     net_param_items,
-    perturb_affiliated,
     plan_names,
-    total_param_count,
 )
 from assoclearn.errors import NumericError, PlanError, ShapeError
 from assoclearn.linalg import make_rng
@@ -69,7 +67,6 @@ def test_forward_random_losses_positive_finite():
                                   rng.normal(size=(5, 3)))
     assert rec.mse1 > 0.0 and math.isfinite(rec.mse1)
     assert rec.mse2 > 0.0 and math.isfinite(rec.mse2)
-    assert rec.local_obj == rec.mse1 + rec.mse2
 
 
 def test_forward_hand_oracle():
@@ -192,7 +189,7 @@ def test_update_decreases_local_obj():
         probe = copy.deepcopy(comp)
         _, _, before = component_update(probe, x, t, lr)
         _, _, after = component_forward(probe, x, t)
-        if after.local_obj < before.local_obj:
+        if after.mse1 + after.mse2 < before.mse1 + before.mse2:
             return
     pytest.fail("local objective did not decrease at lr 1e-4 or 5e-5")
 
@@ -294,7 +291,7 @@ def test_cross_component_gradients_vanish():
 
 def test_infer_identity_network_passes_input_through():
     comp = identity_component(3)
-    net = ALNetwork([comp], 3, 3)
+    net = ALNetwork([comp], 3, 3, "identity")
     x = make_rng(19).normal(size=(5, 3))
     y_hat, classes = net.predict(x)
     assert np.array_equal(y_hat, x)
@@ -309,7 +306,7 @@ def test_infer_two_component_hand_oracle():
 
     c1 = Component(1, diag(2.0), diag(100.0), diag(-55.0), diag(3.0))
     c2 = Component(2, diag(5.0), diag(100.0), diag(7.0), diag(11.0))
-    net = ALNetwork([c1, c2], 2, 2)
+    net = ALNetwork([c1, c2], 2, 2, "diagonal")
     x = np.array([[1.0, -2.0]])
     y_hat, classes = net.predict(x)
     assert np.allclose(y_hat, [[2310.0, -4620.0]], atol=1e-9)
@@ -320,7 +317,11 @@ def test_infer_unaffected_by_affiliated_parameters():
     net = build_network(get_plan("blobs"), make_rng(20))
     x = make_rng(21).uniform(size=(6, 8))
     y_before, cls_before = net.predict(x)
-    perturb_affiliated(net, delta=1000.0)
+    used = {id(layer) for layer in inference_layers(net)}
+    for _, layer in net.named_layers():
+        if id(layer) not in used:
+            layer.W = layer.W + 1000.0
+            layer.bias = layer.bias + 1000.0
     y_after, cls_after = net.predict(x)
     assert np.array_equal(y_before, y_after)
     assert np.array_equal(cls_before, cls_after)
@@ -406,14 +407,14 @@ def test_component_rejects_bad_bridge_naming_its_index():
 
 def test_network_rejects_input_dim_mismatch():
     with pytest.raises(PlanError, match="component 1: f input 3"):
-        ALNetwork([identity_component(3)], 4, 3)
+        ALNetwork([identity_component(3)], 4, 3, "mismatch")
 
 
 def test_network_rejects_nonchaining_components():
     a = identity_component(3, index=1)
     b = identity_component(4, index=2)
     with pytest.raises(PlanError, match="do not chain"):
-        ALNetwork([a, b], 3, 3)
+        ALNetwork([a, b], 3, 3, "nonchaining")
 
 
 # parameter bookkeeping ------------------------------------------------
@@ -422,18 +423,22 @@ def test_param_counts_blobs_plan():
     # c1: f 8x16+16=144, g 4x8+8=40, b 16x8+8=136, h 8x4+4=36
     # c2: f 16x16+16=272, g 8x8+8=72, b (16x16+16)+(16x8+8)=408, h 8x8+8=72
     net = build_network(get_plan("blobs"), make_rng(28))
-    assert effective_param_count(net) == 144 + 272 + 36 + 72 + 408
-    assert affiliated_param_count(net) == 40 + 72 + 136
-    assert effective_param_count(net) == 932
-    assert affiliated_param_count(net) == 248
-    assert total_param_count(net) == 932 + 248
+    assert effective_param_count(net) == 144 + 272 + 36 + 72 + 408 == 932
+    total = sum(layer.param_count() for _, layer in net.named_layers())
+    assert total == 932 + 40 + 72 + 136
 
 
 def test_param_split_sums_to_total():
+    # The affiliated parameters, every g and every bridge but the last,
+    # make up the rest.
     for name in ("xor", "blobs", "desk-3"):
         net = build_network(get_plan(name), make_rng(29))
-        assert (effective_param_count(net) + affiliated_param_count(net)
-                == total_param_count(net))
+        affiliated = sum(layer.param_count() for c in net.components
+                         for layer in c.g.layers + c.b.layers)
+        affiliated -= sum(layer.param_count()
+                          for layer in net.components[-1].b.layers)
+        total = sum(layer.param_count() for _, layer in net.named_layers())
+        assert effective_param_count(net) + affiliated == total
 
 
 def test_param_items_roundtrip():

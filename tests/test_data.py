@@ -279,8 +279,8 @@ def test_stratified_subset_size_validation():
 def test_mnist_subset_fixture_sizes():
     train = make_labeled(800, 10)
     test = make_labeled(200, 10)
-    sub_train, sub_test = mnist_subset(train, test, 600, 100, seed=1)
-    assert sub_train.n == 600 and sub_test.n == 100
+    sub_train, sub_test = mnist_subset(train, test, seed=1)
+    assert sub_train.n == 6000 and sub_test.n == 1000
     assert sub_train.n_classes == 10
 
 

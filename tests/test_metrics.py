@@ -14,7 +14,6 @@ from assoclearn.metrics import (
     ClassGeometry,
     MetricsRecord,
     accuracy,
-    associated_loss_profile,
     class_geometry,
     csv_header,
     evaluate,
@@ -49,26 +48,10 @@ def test_accuracy_empty():
         accuracy([], [])
 
 
-# loss profile and evaluation ------------------------------------------
+# evaluation -----------------------------------------------------------
 
 def blob_fixture(seed=0, n=64):
     return synth_blobs(n, 8, 4, separation=6.0, rng=make_rng(seed))
-
-
-def test_profile_positive_and_length_c():
-    net = build_network(get_plan("blobs"), make_rng(1))
-    ds = blob_fixture()
-    profile = associated_loss_profile(net, ds)
-    assert len(profile) == net.n_components == 2
-    assert all(v > 0 for v in profile)
-
-
-def test_profile_chunking_exact():
-    net = build_network(get_plan("blobs"), make_rng(2))
-    ds = blob_fixture(seed=3, n=50)
-    whole = associated_loss_profile(net, ds, chunk=4096)
-    pieces = associated_loss_profile(net, ds, chunk=7)
-    assert np.allclose(whole, pieces, rtol=0, atol=1e-12)
 
 
 def test_evaluate_al_matches_direct_inference():
@@ -119,7 +102,7 @@ def _traced_peak(fn) -> int:
 
 
 @pytest.mark.parametrize("what", ["evaluate_al", "evaluate_bp",
-                                  "features-al", "features-bp", "profile"])
+                                  "features-al", "features-bp"])
 def test_evaluation_peak_does_not_grow_with_chunk(what):
     # Both chunks exceed the EVAL_ELEMS // 512 = 1024-row cap, so both
     # passes hold the same 1024x512 activations; an uncapped pass at 8192
@@ -129,8 +112,7 @@ def test_evaluation_peak_does_not_grow_with_chunk(what):
     run = {"evaluate_al": lambda c: evaluate(al_net, ds, c),
            "evaluate_bp": lambda c: evaluate(bp_net, ds, c),
            "features-al": lambda c: features(al_net, ds.X, c),
-           "features-bp": lambda c: features(bp_net, ds.X, c),
-           "profile": lambda c: associated_loss_profile(al_net, ds, c)}[what]
+           "features-bp": lambda c: features(bp_net, ds.X, c)}[what]
     small = _traced_peak(lambda: run(2048))
     large = _traced_peak(lambda: run(8192))
     assert abs(large - small) < 2**20, (small, large)
@@ -160,8 +142,6 @@ def chunk_rows(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(ALNetwork, "predict", spy(ALNetwork.predict))
-    monkeypatch.setattr(metrics, "component_forward",
-                        spy(metrics.component_forward))
     monkeypatch.setattr(BPNetwork, "predict", spy(BPNetwork.predict))
     return rows
 
@@ -176,7 +156,6 @@ def test_capped_evaluation_equals_whole_array(monkeypatch, chunk_rows,
     al_net = build_network(get_plan("blobs"), make_rng(43))
     bp_net = BPNetwork([8, 16, 6, 4], make_rng(44), feature_layer=2)
     ds = blob_fixture(seed=45, n=23)
-    whole_profile = associated_loss_profile(al_net, ds, chunk=23)
     monkeypatch.setattr(metrics, "EVAL_ELEMS", budget)
     expected_rows = [min(rows, 23 - i) for i in range(0, 23, rows)]
     for model in (al_net, bp_net):
@@ -191,12 +170,6 @@ def test_capped_evaluation_equals_whole_array(monkeypatch, chunk_rows,
         # bits, so the whole-array features agree to rounding only.
         assert np.allclose(features(model, ds.X, chunk=4096),
                            model.features(ds.X), rtol=0, atol=1e-12)
-    chunk_rows.clear()
-    capped = associated_loss_profile(al_net, ds, chunk=4096)
-    assert chunk_rows == [r for r in expected_rows
-                          for _ in range(al_net.n_components)]
-    assert capped == associated_loss_profile(al_net, ds, chunk=rows)
-    assert np.allclose(capped, whole_profile, rtol=0, atol=1e-12)
 
 
 # class geometry -------------------------------------------------------

@@ -15,7 +15,7 @@ from assoclearn.al_core import build_network, get_plan
 from assoclearn.bp import (BPNetwork, bp_train_epoch, build_bp_network,
                            match_effective_params)
 from assoclearn.checkpoint import load
-from assoclearn.data import one_hot, synth_blobs, synth_xor
+from assoclearn.data import Dataset, one_hot, synth_blobs, synth_xor
 from assoclearn.errors import ConfigError, NumericError, TrainingError
 from assoclearn.linalg import make_rng
 from assoclearn.metrics import evaluate, write_metrics_csv
@@ -148,8 +148,7 @@ def test_pipeline_depth_one_matches_sequential_bit_exact():
 
     rec_seq = train_epoch_sequential(seq_net, ds.X, y1, 8, make_rng(14))
     rec_pipe, report = train_epoch_pipelined(pipe_net, ds.X, y1, 8,
-                                             make_rng(14), capacity=1,
-                                             depth=1)
+                                             make_rng(14), depth=1)
     for (name, a), (_, b) in zip(params(seq_net), params(pipe_net)):
         assert np.array_equal(a, b), name
     assert rec_seq.mse1 == rec_pipe.mse1
@@ -167,8 +166,7 @@ def test_pipeline_free_depth_matches_sequential_bit_exact():
     seq_net = build_network(plan, make_rng(16))
     pipe_net = copy.deepcopy(seq_net)
     train_epoch_sequential(seq_net, ds.X, y1, 16, make_rng(17))
-    _, report = train_epoch_pipelined(pipe_net, ds.X, y1, 16, make_rng(17),
-                                      capacity=2)
+    _, report = train_epoch_pipelined(pipe_net, ds.X, y1, 16, make_rng(17))
     for (name, a), (_, b) in zip(params(seq_net), params(pipe_net)):
         assert np.array_equal(a, b), name
     assert report.time_units == 3 + 3 - 1
@@ -193,7 +191,7 @@ def test_pipeline_depth_one_failure_leaves_sequential_state(monkeypatch):
     record_updates(monkeypatch, nan_on_batch_3)
     with pytest.raises(TrainingError, match=r"stage 2 failed: epoch 1, batch 3"):
         train_epoch_pipelined(pipe_net, ds.X, y1, 8, make_rng(47), epoch=1,
-                              capacity=1, depth=1)
+                              depth=1)
     for (name, a), (_, b) in zip(params(seq_net), params(pipe_net)):
         assert a.tobytes() == b.tobytes(), name
 
@@ -212,8 +210,7 @@ def test_run_pipeline_preserves_order():
     seen = []
     double = [lambda p: (p[0], p[1] * 2),
               lambda p: seen.append((p[0], p[1] + 1))]
-    run = run_pipeline(double, ((i, (i, i)) for i in range(1, 20)),
-                       capacity=3)
+    run = run_pipeline(double, ((i, (i, i)) for i in range(1, 20)))
     assert [bid for bid, _ in seen] == list(range(1, 20))
     assert [out for _, out in seen] == [i * 2 + 1 for i in range(1, 20)]
     assert run.completed == 19
@@ -243,8 +240,7 @@ def test_run_pipeline_keeps_no_finished_batch():
         refs.append(weakref.ref(out))
         return out
 
-    run = run_pipeline([lambda v: v, last], ((i, i) for i in range(1, 9)),
-                       capacity=2)
+    run = run_pipeline([lambda v: v, last], ((i, i) for i in range(1, 9)))
     assert len(refs) == 8
     assert sum(r() is not None for r in refs) == 0
     assert run.completed == 8
@@ -258,7 +254,7 @@ def test_run_pipeline_stage_error_no_deadlock():
 
     with pytest.raises(TrainingError, match="stage 1 failed.*boom on 3"):
         run_pipeline([boom, lambda v: v],
-                     ((i, i) for i in range(1, 50)), capacity=2)
+                     ((i, i) for i in range(1, 50)))
 
 
 def _run_in_thread(fn) -> list:
@@ -297,7 +293,7 @@ def test_run_pipeline_error_with_depth_cap_no_deadlock(
     stages = [lambda v: v] * 3
     stages[failing_stage - 1] = boom
     raised = _run_in_thread(lambda: run_pipeline(
-        stages, ((i, i) for i in range(1, 50)), capacity=1, depth=depth))
+        stages, ((i, i) for i in range(1, 50)), depth=depth))
     assert len(raised) == 1
     assert (f"stage {failing_stage} failed: boom on {bad_batch}"
             in str(raised[0]))
@@ -313,7 +309,7 @@ def test_run_pipeline_first_batch_error_depth_one_returns(failing_stage):
     stages = [lambda v: v, lambda v: v]
     stages[failing_stage] = boom
     raised = _run_in_thread(lambda: run_pipeline(
-        stages, ((i, i) for i in range(1, 50)), capacity=1, depth=1))
+        stages, ((i, i) for i in range(1, 50)), depth=1))
     assert len(raised) == 1
     assert f"stage {failing_stage + 1} failed: boom on 1" in str(raised[0])
 
@@ -395,14 +391,12 @@ def test_run_pipeline_keeps_at_most_depth_batches_in_flight(depth):
 def test_run_pipeline_rejects_nonmonotone_ids():
     feed = iter([(2, "a"), (1, "b")])
     with pytest.raises(TrainingError, match="arrived after"):
-        run_pipeline([lambda v: v], feed, capacity=2)
+        run_pipeline([lambda v: v], feed)
 
 
 def test_run_pipeline_validation():
     with pytest.raises(ConfigError, match="stage"):
         run_pipeline([], iter([]))
-    with pytest.raises(ConfigError, match="capacity"):
-        run_pipeline([lambda v: v], iter([]), capacity=0)
     with pytest.raises(ConfigError, match="depth"):
         run_pipeline([lambda v: v], iter([]), depth=0)
 
@@ -609,11 +603,13 @@ def test_fit_rejects_negative_epochs_before_any_work(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["train-wide", "test-wide",
-                                  "test-classes"])
+                                  "test-classes", "train-empty",
+                                  "test-empty", "train-empty-0-epochs"])
 @pytest.mark.parametrize("mode", ["al-seq", "al-pipe", "bp"])
 def test_fit_rejects_mismatched_datasets_before_training(mode, case):
     # The blobs plan and its bp stack take 8 features and 4 classes; a
-    # dataset of another width or class count fails before any update.
+    # dataset of another width or class count, or with no rows, fails
+    # before any update, at any epoch count.
     if mode == "bp":
         model = build_bp_network(match_effective_params(get_plan("blobs")),
                                  make_rng(95))
@@ -623,10 +619,14 @@ def test_fit_rejects_mismatched_datasets_before_training(mode, case):
     ds, _ = blob_setup(seed=96)
     width, classes = (8, 3) if case == "test-classes" else (9, 4)
     odd = synth_blobs(40, width, classes, 6.0, make_rng(97))
-    train, test = (odd, ds) if case == "train-wide" else (ds, odd)
-    with pytest.raises(ConfigError, match="expects 8 features / 4 classes"):
-        fit(model, train, test, mode=mode, epochs=1, batch_size=8,
-            rng=make_rng(98), seed=95, lr=1e-2)
+    says = "expects 8 features / 4 classes"
+    if "empty" in case:
+        odd = Dataset(X=np.zeros((0, 8)), y=np.zeros(0), n_classes=4)
+        says = f"{case.split('-')[0]} set is empty"
+    train, test = (odd, ds) if case.startswith("train") else (ds, odd)
+    with pytest.raises(ConfigError, match=says):
+        fit(model, train, test, mode=mode, batch_size=8, rng=make_rng(98),
+            seed=95, lr=1e-2, epochs=0 if case.endswith("0-epochs") else 1)
     assert all(np.array_equal(a, b)
                for a, (_, b) in zip(before, params(model)))
 

@@ -9,9 +9,11 @@ in order), of the metrics rows (``metrics.record_row`` of every record,
 cells joined by "," and rows ended by a newline, as in metrics.csv),
 and of the ``checkpoint.bin`` file the run wrote. A change that keeps
 the training bits, the seeded metrics and the checkpoint format must
-print the hashes that ROADMAP.md quotes. Exits 1 when the al-seq and
-al-pipe parameters or ``checkpoint.bin`` bytes differ (the checkpoint
-holds no mode, so the two runs write the same file).
+print the hashes that ROADMAP.md quotes, whose prefixes ``EXPECTED``
+holds; a change that alters them edits the table and says so. Exits 1
+when a hash does not start with its ``EXPECTED`` prefix, or when the
+al-seq and al-pipe parameters or ``checkpoint.bin`` bytes differ (the
+checkpoint holds no mode, so the two runs write the same file).
 
     PYTHONPATH=src python3 tools/param_hashes.py
 """
@@ -34,6 +36,13 @@ from workloads import (  # noqa: E402
 EPOCHS = 2
 RUNS = (("al-seq", "deskmlp-seq"), ("al-pipe", "deskmlp-pipe"),
         ("bp", "deskmlp-bp"))
+KINDS = ("params", "metrics", "checkpoint")
+# Per mode, the (params, metrics, checkpoint) hash prefixes ROADMAP.md quotes.
+EXPECTED = {
+    "al-seq": ("e989df2a", "aafc7b6a", "20aada29"),
+    "al-pipe": ("e989df2a", "094405be", "20aada29"),
+    "bp": ("36c48016", "d474074a", "32058729"),
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -65,10 +74,16 @@ def run_hashes(name: str) -> tuple[str, str, str]:
 
 def main() -> int:
     hashes = {mode: run_hashes(name) for mode, name in RUNS}
-    for mode, (params, rows, checkpoint) in hashes.items():
-        print(f"{mode:8s} params {params}  metrics {rows}  "
-              f"checkpoint {checkpoint}")
+    for mode, values in hashes.items():
+        print(f"{mode:8s} " + "  ".join(f"{kind} {value}" for kind, value
+                                        in zip(KINDS, values)))
     status = 0
+    for mode, values in hashes.items():
+        for kind, value, prefix in zip(KINDS, values, EXPECTED[mode]):
+            if not value.startswith(prefix):
+                print(f"{mode} {kind} hash {value[:8]}, expected {prefix}",
+                      file=sys.stderr)
+                status = 1
     for i, what in ((0, "parameters"), (2, "checkpoint.bin bytes")):
         if hashes["al-seq"][i] != hashes["al-pipe"][i]:
             print(f"al-seq and al-pipe {what} differ", file=sys.stderr)
