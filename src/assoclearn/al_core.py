@@ -14,6 +14,9 @@ to flow 2's code: ``mse1 = MSE(b(s_i), t_i)`` with t_i held constant.
 Flow 2 updates g and h only; flow 1 updates f and b only. Activations
 crossing a component boundary are plain arrays with no gradient linkage,
 so no update of component i can depend on parameters of component j != i.
+``gradcheck_network`` checks it: each component's objective, differenced
+over every parameter of the network, must match both flows' analytic
+gradients on its own tensors and vanish on every other component's.
 Only after both flows succeed does ``component_update`` step each block's
 Adam optimizer, in g, h, f, b order, at the network's one rate
 (``ALNetwork.lr``).
@@ -206,6 +209,11 @@ def get_plan(name: str) -> NetworkPlan:
     return plan
 
 
+# The activation of every layer of each block, in build order: a plan
+# holds widths only, and these are what it builds.
+BLOCK_ACTIVATIONS = {"f": "elu", "g": "sigmoid", "b": "sigmoid", "h": "sigmoid"}
+
+
 class Component:
     """One fold unit: the four blocks plus one Adam optimizer per block."""
 
@@ -325,6 +333,15 @@ class ALNetwork:
         return len(self.components)
 
     def plan_dict(self) -> dict:
+        """The plan a checkpoint stores. A plan holds widths only, so a
+        layer whose activation is not its block's in BLOCK_ACTIVATIONS
+        raises PlanError: the plan would rebuild another network."""
+        for name, layer in self.named_layers():
+            want = BLOCK_ACTIVATIONS[name.split(".")[1]]
+            if layer.activation != want:
+                raise PlanError(
+                    f"plan {self.plan.name!r} cannot rebuild layer {name}: "
+                    f"activation {layer.activation!r}, a plan gives {want!r}")
         return self.plan.to_dict()
 
     def predict(self, x: Matrix):
@@ -350,15 +367,12 @@ class ALNetwork:
 
 def build_network(plan: NetworkPlan, rng: Rng, lr: float = 1e-4) -> ALNetwork:
     """Materialize a plan: He-init weights drawn from rng in component
-    order, blocks in f, g, b, h order within each component."""
+    order, blocks in f, g, b, h order within each component, each with
+    its activation in BLOCK_ACTIVATIONS."""
     plan.validate()
-    comps = []
-    for i, cp in enumerate(plan.components, start=1):
-        f = make_block(cp.f, "elu", rng)
-        g = make_block(cp.g, "sigmoid", rng)
-        b = make_block(cp.b, "sigmoid", rng)
-        h = make_block(cp.h, "sigmoid", rng)
-        comps.append(Component(i, f, g, b, h))
+    comps = [Component(i, **{k: make_block(getattr(cp, k), act, rng)
+                             for k, act in BLOCK_ACTIVATIONS.items()})
+             for i, cp in enumerate(plan.components, start=1)]
     return ALNetwork(comps, plan.input_dim, plan.target_dim, plan.name, lr)
 
 
@@ -381,70 +395,35 @@ def net_param_items(net: ALNetwork) -> list[tuple[str, Matrix]]:
     return param_items(net.named_layers())
 
 
-# finite-difference harnesses ------------------------------------------
+# finite-difference harness -------------------------------------------
 
-def _flow_losses(c: Component, s_prev: Matrix, t_prev: Matrix):
-    """Leave both flows' analytic gradients on c's blocks and return the
-    losses of flow 1 and flow 2 as functions of the current parameters,
-    in evaluation mode, with t_i frozen at its evaluation-mode value."""
-    _flows(c, s_prev, t_prev, train=True)
-    _, t_i, _ = component_forward(c, s_prev, t_prev)
-    where = f"component {c.index} gradient check"
-    return (lambda: _flow(c.f, c.b, s_prev, t_i, False, where)[1],
-            lambda: _flow(c.g, c.h, t_prev, t_prev, False, where)[1])
-
-
-def _gradcheck(loss_fn, *blocks: MLPBlock) -> float:
-    return gradcheck(loss_fn, [p for blk in blocks for p in blk.param_arrays()],
-                     [g for blk in blocks for g in blk.grad_arrays()])
-
-
-def gradcheck_component_flows(c: Component, s_prev: Matrix,
-                              t_prev: Matrix) -> dict[str, float]:
-    """gradcheck of each flow's analytic gradients.
-
-    Flow 1 differentiates mse1 with t_i frozen at its forward value, over
-    the f and b parameters; flow 2 differentiates mse2 over g and h.
-    Returns the max floored-relative error per flow.
-    """
-    flow1, flow2 = _flow_losses(c, s_prev, t_prev)
-    return {"flow1": _gradcheck(flow1, c.f, c.b),
-            "flow2": _gradcheck(flow2, c.g, c.h)}
-
-
-def collect_messages(net: ALNetwork, x: Matrix, y_onehot: Matrix):
-    """Per-component training inputs (s_prev, t_prev) for one batch, the
-    arrays a training step would hand each component."""
-    msgs = []
+def gradcheck_network(net: ALNetwork, x: Matrix,
+                      y_onehot: Matrix) -> dict[str, float]:
+    """Difference each component's local objective mse1 + mse2, as
+    trained (t_i frozen), once over every parameter of the network, on
+    the arrays a training step would hand it. Returns "c<i>.flow1" and
+    "c<i>.flow2", gradcheck of its f, b and its g, h tensors against both
+    flows' analytic gradients, and "cross", the largest |fd| over other
+    components' tensors, which must vanish."""
+    res, cross = {}, 0.0
     s, t = x, y_onehot
     for c in net.components:
-        msgs.append((s, t))
-        s, t, _ = component_forward(c, s, t)
-    return msgs
-
-
-def gradcheck_cross_component(net: ALNetwork, x: Matrix,
-                              y_onehot: Matrix) -> dict[str, float]:
-    """Differentiate every component's local objective, as trained (t_i
-    frozen), with respect to every parameter in the network.
-
-    Training hands component i fixed input arrays, so its objective is a
-    function of component i's parameters only; the finite-difference
-    gradient with respect to any other component's parameters must vanish.
-    Returns {"cross": max |fd| over foreign parameters, "within": gradcheck
-    of own-parameter fd vs the analytic flows}.
-    """
-    cross = within = 0.0
-    for ci, (s_prev, t_prev) in zip(net.components,
-                                    collect_messages(net, x, y_onehot)):
-        flow1, flow2 = _flow_losses(ci, s_prev, t_prev)
+        s_prev, t_prev = s, t
+        _flows(c, s_prev, t_prev, train=True)
+        s, t, _ = component_forward(c, s_prev, t_prev)
+        where = f"component {c.index} gradient check"
 
         def obj() -> float:
-            return flow1() + flow2()
+            return (_flow(c.f, c.b, s_prev, t, False, where)[1]
+                    + _flow(c.g, c.h, t_prev, t_prev, False, where)[1])
 
-        within = max(within, _gradcheck(obj, *ci.blocks().values()))
-        foreign = [p for cj in net.components if cj is not ci
+        for flow, blocks in (("flow1", (c.f, c.b)), ("flow2", (c.g, c.h))):
+            res[f"c{c.index}.{flow}"] = gradcheck(
+                obj, [p for blk in blocks for p in blk.param_arrays()],
+                [g for blk in blocks for g in blk.grad_arrays()])
+        foreign = [p for cj in net.components if cj is not c
                    for blk in cj.blocks().values() for p in blk.param_arrays()]
         for n in finite_diff_loss_grads(obj, foreign):
             cross = max(cross, float(np.abs(n).max()))
-    return {"cross": cross, "within": within}
+    res["cross"] = cross
+    return res

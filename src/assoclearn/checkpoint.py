@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, TruncatedFileError
+from .errors import DataError, ShapeError, TruncatedFileError
 from .fileio import atomic_open
 from .linalg import make_rng
 from .al_core import NetworkPlan, build_network
@@ -153,5 +153,8 @@ def load(path):
                     f"{len(stored)} tensors vs {len(names)}")
         raise DataError(
             f"{path}: tensor names do not match this network ({diff})")
-    set_params(layers, arrays)
+    try:
+        set_params(layers, arrays)
+    except ShapeError as e:
+        raise DataError(f"{path}: {e}") from e
     return model, header

@@ -2,9 +2,10 @@
 
 Subcommands: ``train`` (full runs with metrics/checkpoint artifacts),
 ``bench-pipeline`` (synthetic throughput comparison), ``gradcheck``
-(every finite-difference suite). Configuration comes from an optional
-JSON file plus flags, flags winning; the seed is mandatory so no run is
-ever wall-clock seeded.
+(finite differences of an nn block, of both flows of every component
+with the cross-component term, and of the bp stack). Configuration
+comes from an optional JSON file plus flags, flags winning; the seed is
+mandatory so no run is ever wall-clock seeded.
 
 Exit codes: 0 success, 2 configuration or data problem, 3 numeric
 failure during training, 4 gradient-check threshold breach.
@@ -31,10 +32,8 @@ from .errors import (
 from .linalg import make_rng, spawn_rngs
 from .al_core import (
     build_network,
-    collect_messages,
-    gradcheck_component_flows,
-    gradcheck_cross_component,
     get_plan,
+    gradcheck_network,
     plan_names,
 )
 from .bp import HEADS, build_bp_network, gradcheck_bp, match_effective_params
@@ -132,13 +131,13 @@ def resolve_train_config(args) -> RunConfig:
     values: dict = {}
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        with open(path) as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 loaded = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path}: invalid JSON: {e}") from e
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except (OSError, ValueError) as e:     # a directory, bad bytes
+            raise ConfigError(f"{path}: not a UTF-8 JSON file: {e}") from e
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be a JSON object, "
                               f"got {type(loaded).__name__}")
@@ -294,14 +293,12 @@ def cmd_gradcheck(args) -> int:
                  grad_check_block(block, x, target,
                                   inject_fault=args.inject_fault), 1e-4))
 
-    for c, (s, t) in zip(net.components, collect_messages(net, x, y1)):
-        errs = gradcheck_component_flows(c, s, t)
-        rows.append((f"component {c.index} flow1 (f,b)", errs["flow1"], 1e-4))
-        rows.append((f"component {c.index} flow2 (g,h)", errs["flow2"], 1e-4))
-
-    cross = gradcheck_cross_component(net, x, y1)
-    rows.append(("cross-component |fd| (abs)", cross["cross"], 1e-7))
-    rows.append(("within-component fd vs flows", cross["within"], 1e-4))
+    al = gradcheck_network(net, x, y1)
+    for c in net.components:
+        for flow, blocks in (("flow1", "f,b"), ("flow2", "g,h")):
+            rows.append((f"component {c.index} {flow} ({blocks})",
+                         al[f"c{c.index}.{flow}"], 1e-4))
+    rows.append(("cross-component |fd| (abs)", al["cross"], 1e-7))
 
     bp_net = build_bp_network(match_effective_params(plan), rng)
     rows.append(("bp full stack", gradcheck_bp(bp_net, x, y1), 1e-4))

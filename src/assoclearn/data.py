@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,10 +71,14 @@ def _open_data(path: Path):
 
 def _read_exact(fh, count: int, path: Path) -> bytearray:
     """count bytes, read in chunks of at most 16 MiB: a header that
-    declares more than the file holds never allocates the declared size."""
+    declares more than the file holds never allocates the declared size.
+    A gzip stream that is cut short or corrupt raises DataError."""
     data = bytearray()
     while len(data) < count:
-        part = fh.read(min(count - len(data), 1 << 24))
+        try:
+            part = fh.read(min(count - len(data), 1 << 24))
+        except (EOFError, zlib.error, gzip.BadGzipFile) as e:
+            raise DataError(f"{path}: corrupt gzip stream: {e}") from e
         if not part:
             raise TruncatedFileError(f"{path}: needed {count} bytes, "
                                      f"file ended after {len(data)}")

@@ -43,11 +43,14 @@ born (``linalg.he_normal_init``, or the data).
 ``param_items`` / ``set_params`` name and assign the tensors of a list of
 named layers; the component network and the baseline both go through them.
 
-``gradcheck`` is the one finite-difference oracle: every gradient check in
-the package compares analytic gradients against ``finite_diff_loss_grads``
+``gradcheck`` is the one finite-difference oracle: every comparison of
+analytic gradients against ``finite_diff_loss_grads`` in the package goes
 through it, measuring relative errors as ``|a - n| / max(1, |a|, |n|)``
-so that roundoff-scale gradients do not inflate the ratio. The
-central-difference step is the constant ``FD_EPS``.
+so that roundoff-scale gradients do not inflate the ratio. The one other
+caller, ``al_core.gradcheck_network``, differences a component's
+objective over other components' parameters, which have no analytic
+gradient: the differences must vanish. The central-difference step is
+the constant ``FD_EPS``.
 """
 
 from __future__ import annotations

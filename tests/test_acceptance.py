@@ -21,12 +21,10 @@ from assoclearn.al_core import (
     ComponentPlan,
     NetworkPlan,
     build_network,
-    collect_messages,
     component_forward,
     component_update,
     get_plan,
-    gradcheck_component_flows,
-    gradcheck_cross_component,
+    gradcheck_network,
     inference_layers,
 )
 from assoclearn.bp import build_bp_network, gradcheck_bp, match_effective_params
@@ -161,11 +159,9 @@ def test_criterion_01_gradient_correctness(capsys):
     net = build_network(get_plan("blobs"), make_rng(45))
     x = make_rng(46).uniform(size=(6, 8))
     y1 = np.eye(4)[make_rng(47).integers(0, 4, size=6)]
-    for (s_prev, t_prev), comp in zip(collect_messages(net, x, y1),
-                                      net.components):
-        res = gradcheck_component_flows(comp, s_prev, t_prev)
-        worst[f"c{comp.index}-flow1"] = res["flow1"]
-        worst[f"c{comp.index}-flow2"] = res["flow2"]
+    res = gradcheck_network(net, x, y1)
+    cross = res.pop("cross")
+    worst.update(res)
 
     toy = NetworkPlan(
         "toy3", 4, 3,
@@ -174,10 +170,10 @@ def test_criterion_01_gradient_correctness(capsys):
          ComponentPlan(f=[5, 4], g=[4, 3], b=[4, 3], h=[3, 4])])
     net3 = build_network(toy, make_rng(17))
     rng3 = make_rng(18)
-    res = gradcheck_cross_component(net3, rng3.normal(size=(2, 4)),
-                                    np.eye(3)[rng3.integers(0, 3, size=2)])
-    worst["within"] = res["within"]
-    cross = res["cross"]
+    res = gradcheck_network(net3, rng3.normal(size=(2, 4)),
+                            np.eye(3)[rng3.integers(0, 3, size=2)])
+    cross = max(cross, res.pop("cross"))
+    worst.update({f"toy3-{k}": v for k, v in res.items()})
 
     wall = time.perf_counter() - t0
     rel = max(worst.values())

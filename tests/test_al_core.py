@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from assoclearn import al_core, nn
 from assoclearn.al_core import (
     ALNetwork,
     Component,
@@ -14,8 +15,7 @@ from assoclearn.al_core import (
     component_update,
     effective_param_count,
     get_plan,
-    gradcheck_component_flows,
-    gradcheck_cross_component,
+    gradcheck_network,
     inference_layers,
     net_param_items,
     plan_names,
@@ -40,12 +40,14 @@ def identity_component(dim, index=1):
                      identity_block(dim), identity_block(dim))
 
 
-def random_component(rng, s_in=4, s_out=6, t_in=3, t_out=5):
+def random_net(rng, s_in=4, s_out=6, t_in=3, t_out=5):
     plan = ComponentPlan(f=[s_in, s_out], g=[t_in, t_out],
                          b=[s_out, t_out], h=[t_out, t_in])
-    net = build_network(
-        NetworkPlan("tmp", s_in, t_in, [plan]), rng)
-    return net.components[0]
+    return build_network(NetworkPlan("tmp", s_in, t_in, [plan]), rng)
+
+
+def random_component(rng, **widths):
+    return random_net(rng, **widths).components[0]
 
 
 # component forward ----------------------------------------------------
@@ -262,12 +264,14 @@ def test_nonfinite_input_steps_no_block_and_no_adam_state(bad_input, where):
 # gradient checks ------------------------------------------------------
 
 def test_component_flow_gradients_match_finite_differences():
-    comp = random_component(make_rng(15))
+    net = random_net(make_rng(15))
     rng = make_rng(16)
-    res = gradcheck_component_flows(comp, rng.normal(size=(3, 4)),
-                                    rng.uniform(size=(3, 3)))
-    assert res["flow1"] < 1e-4
-    assert res["flow2"] < 1e-4
+    res = gradcheck_network(net, rng.normal(size=(3, 4)),
+                            rng.uniform(size=(3, 3)))
+    assert res.keys() == {"c1.flow1", "c1.flow2", "cross"}
+    assert res["c1.flow1"] < 1e-4
+    assert res["c1.flow2"] < 1e-4
+    assert res["cross"] == 0.0      # one component: nothing foreign
 
 
 def test_cross_component_gradients_vanish():
@@ -282,9 +286,35 @@ def test_cross_component_gradients_vanish():
     rng = make_rng(18)
     x = rng.normal(size=(2, 4))
     y = np.eye(3)[rng.integers(0, 3, size=2)]
-    res = gradcheck_cross_component(net, x, y)
+    res = gradcheck_network(net, x, y)
+    assert len(res) == 2 * 3 + 1
+    assert all(v < 1e-4 for k, v in res.items() if k != "cross")
     assert res["cross"] < 1e-7
-    assert res["within"] < 1e-4
+
+
+def test_gradcheck_differences_each_parameter_once_per_component(
+        monkeypatch):
+    # One finite-difference pass per component over every parameter of
+    # the network: C x P elements in all, 2 x 1,180 on blobs.
+    sizes = []
+
+    def counting(fd):
+        def wrapped(loss_fn, ps):
+            sizes.extend(p.size for p in ps)
+            return fd(loss_fn, ps)
+        return wrapped
+
+    monkeypatch.setattr(nn, "finite_diff_loss_grads",
+                        counting(nn.finite_diff_loss_grads))
+    monkeypatch.setattr(al_core, "finite_diff_loss_grads",
+                        counting(al_core.finite_diff_loss_grads))
+    net = build_network(get_plan("blobs"), make_rng(0))
+    rng = make_rng(1)
+    gradcheck_network(net, rng.random((8, 8)),
+                      np.eye(4)[rng.integers(0, 4, size=8)])
+    total = sum(p.size for _, p in net_param_items(net))
+    assert total == 1180
+    assert sum(sizes) == net.n_components * total == 2360
 
 
 # inference ------------------------------------------------------------

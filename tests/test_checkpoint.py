@@ -6,13 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from assoclearn.al_core import build_network, get_plan
+from assoclearn.al_core import ALNetwork, Component, build_network, get_plan
 from assoclearn import checkpoint
 from assoclearn.bp import BPNetwork
 from assoclearn.checkpoint import load, load_checkpoint, save
-from assoclearn.errors import DataError, ShapeError, TruncatedFileError
+from assoclearn.errors import DataError, PlanError, TruncatedFileError
 from assoclearn.linalg import make_rng
-from conftest import params
+from assoclearn.nn import MLPBlock
+from conftest import given_layer, params
 
 
 def al_fixture(seed=0):
@@ -231,8 +232,18 @@ def test_load_same_names_other_shapes_raises(tmp_path):
     path = tmp_path / "model.bin"
     save(path, build_network(plan, make_rng(17)), seed=17, epoch=0)
     _rewrite_header(path, lambda h: h.update(plan=get_plan("blobs").to_dict()))
-    with pytest.raises(ShapeError, match="c2.b.0"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*c2.b.0"):
         load(path)
+
+
+def test_save_refuses_a_net_its_plan_cannot_rebuild(tmp_path):
+    # Identity layers throughout: the plan holds widths only, so load
+    # would rebuild ELU and sigmoid blocks, another model.
+    comp = Component(1, *(MLPBlock([given_layer(np.eye(3))]) for _ in "fgbh"))
+    net = ALNetwork([comp], 3, 3, "identity")
+    with pytest.raises(PlanError, match="c1.f.0: activation 'identity'"):
+        save(tmp_path / "model.bin", net, seed=0, epoch=0)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("loader,edit,says", [

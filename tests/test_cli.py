@@ -231,6 +231,20 @@ def test_unusable_config_or_out_exit_2_writes_nothing(
     assert Path("cfg.json").read_text() == (config or "{}")
 
 
+@pytest.mark.parametrize("make", [
+    lambda p: p.mkdir(),
+    lambda p: p.write_bytes(b'\xff\xfe{"dataset": "xor"}'),
+], ids=["directory", "not-utf8"])
+def test_unreadable_config_exit_2_writes_nothing(
+        tmp_path, monkeypatch, capsys, make):
+    monkeypatch.chdir(tmp_path)
+    make(Path("cfg.json"))
+    assert run_cli(["train", "--config", "cfg.json", "--dataset", "xor",
+                    "--mode", "al-seq", "--seed", "0", "--out", "run"]) == 2
+    assert "error: cfg.json: not a UTF-8 JSON file" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_config_lr_drops_as_list_or_flag_string(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     for drops in ([80, 120], "80,120"):
@@ -320,11 +334,13 @@ def test_gradcheck_default_plan_passes(capsys):
     assert run_cli(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "all gradient checks passed" in out
-    # one row per component and flow, plus the cross/within and bp rows
+    # one row per component and flow, plus the cross and bp rows; a
+    # "within" row would repeat the larger flow row of each component
     assert "component 1 flow1 (f,b)" in out
     assert "component 2 flow2 (g,h)" in out
     assert "cross-component" in out
     assert "bp full stack" in out
+    assert "within" not in out
 
 
 def test_gradcheck_single_component_has_no_cross_terms(capsys):
@@ -428,8 +444,8 @@ def test_every_public_name_is_reached_by_the_program():
 
 
 def test_only_flow_differentiates_in_al_core():
-    # A local flow is defined once, by al_core._flow: training and both
-    # gradient checks reach backward passes only through it.
+    # A local flow is defined once, by al_core._flow: training and the
+    # gradient check reach backward passes only through it.
     tree = next(t for p, t in _src_modules() if p.name == "al_core.py")
 
     def grad_calls(node):

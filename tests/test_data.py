@@ -120,6 +120,23 @@ def test_load_idx_declared_size_beyond_the_file(tmp_path, gzipped):
         load_idx(img_path, lab_path)
 
 
+@pytest.mark.parametrize("corrupt,says", [
+    (lambda gz: gz[:len(gz) // 2], "end-of-stream marker"),
+    # 0xff opens a deflate block of the reserved type 3
+    (lambda gz: gz[:10] + b"\xff" * (len(gz) - 10), "invalid block type"),
+    (lambda gz: gz[:2] + b"\x09" + gz[3:], "Unknown compression method"),
+], ids=["truncated-stream", "corrupt-body", "bad-header"])
+def test_load_idx_corrupt_gzip_raises_data_error(tmp_path, corrupt, says):
+    img_path, lab_path = write_idx_pair(
+        tmp_path, np.ones((3, 2, 2), dtype=np.uint8),
+        np.zeros(3, dtype=np.uint8))
+    # gzip.compress writes a 10-byte header: no file name field
+    img_path.write_bytes(corrupt(gzip.compress(img_path.read_bytes())))
+    with pytest.raises(DataError,
+                       match=f"{img_path.name}: corrupt gzip stream: .*{says}"):
+        load_idx(img_path, lab_path)
+
+
 def test_load_idx_count_mismatch(tmp_path):
     img_path, _ = write_idx_pair(
         tmp_path, np.ones((3, 2, 2), dtype=np.uint8),
