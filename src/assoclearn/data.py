@@ -2,9 +2,10 @@
 
 The IDX reader understands the classic big-endian layout: a uint32 magic
 (0x00000803 for image files, 0x00000801 for label files), uint32 counts
-and dimensions, then raw uint8 payload. Gzipped files are detected by
-their two-byte signature and decompressed transparently. Pixels are
-flattened row-major and scaled by 1/255 so every feature lands in [0,1].
+and dimensions, then raw uint8 payload, which ends the file. Gzipped
+files are detected by their two-byte signature and decompressed
+transparently, CRC-32 and length checked. Pixels are flattened row-major and
+scaled by 1/255 so every feature lands in [0,1].
 """
 
 from __future__ import annotations
@@ -69,20 +70,27 @@ def _open_data(path: Path):
     return open(path, "rb")
 
 
-def _read_exact(fh, count: int, path: Path) -> bytearray:
+def _read_exact(fh, count: int, path: Path, last: bool = False) -> bytearray:
     """count bytes, read in chunks of at most 16 MiB: a header that
     declares more than the file holds never allocates the declared size.
-    A gzip stream that is cut short or corrupt raises DataError."""
-    data = bytearray()
-    while len(data) < count:
+    With last, the file must end there: a byte after it raises DataError,
+    and reading on to the end makes gzip check its CRC-32 and length. A
+    gzip stream that is cut short or corrupt, or fails that check, raises
+    DataError."""
+    data, want = bytearray(), count + 1 if last else count
+    while len(data) < want:
         try:
-            part = fh.read(min(count - len(data), 1 << 24))
+            part = fh.read(min(want - len(data), 1 << 24))
         except (EOFError, zlib.error, gzip.BadGzipFile) as e:
             raise DataError(f"{path}: corrupt gzip stream: {e}") from e
         if not part:
-            raise TruncatedFileError(f"{path}: needed {count} bytes, "
-                                     f"file ended after {len(data)}")
+            break
         data += part
+    if len(data) < count:
+        raise TruncatedFileError(f"{path}: needed {count} bytes, "
+                                 f"file ended after {len(data)}")
+    if len(data) > count:
+        raise DataError(f"{path}: bytes after the declared payload")
     return data
 
 
@@ -100,9 +108,9 @@ def load_idx(images_path, labels_path) -> Dataset:
             raise BadMagicError(
                 f"{images_path}: magic 0x{magic:08x}, "
                 f"expected 0x{_IMAGE_MAGIC:08x}")
-        raw = _read_exact(fh, n * rows * cols, images_path)
+        raw = _read_exact(fh, n * rows * cols, images_path, last=True)
     X = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
-    X = X.astype(DTYPE) / 255.0
+    X = np.divide(X, 255.0, dtype=DTYPE)    # one float64 array, exact cast
 
     with _open_data(labels_path) as fh:
         magic, m = struct.unpack(">II", _read_exact(fh, 8, labels_path))
@@ -110,7 +118,7 @@ def load_idx(images_path, labels_path) -> Dataset:
             raise BadMagicError(
                 f"{labels_path}: magic 0x{magic:08x}, "
                 f"expected 0x{_LABEL_MAGIC:08x}")
-        raw = _read_exact(fh, m, labels_path)
+        raw = _read_exact(fh, m, labels_path, last=True)
     y = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
     if n != m:

@@ -9,14 +9,16 @@ applies Adam with bias correction per parameter tensor, in place, and
 consumes the gradients. So a gradient lives from the backward that makes
 it to the step that applies it, a training cache from the forward that
 fills it to the backward that reads it, and a model holds neither between
-batches. The step overwrites the layer's tensors and the moments, and the
-result is bit-identical to the textbook formula evaluated with fresh
-arrays, because every operation runs in the same order. Layers therefore
-own their tensors: a layer draws its own when it is built, and
-``set_params`` is the one way to give it others, as copies.
-A tensor's Adam state is its moments m, v and step count t; beta1, beta2
-and eps are module constants, and the learning rate is not state at all:
-the model holds it, and ``BlockAdam.step(lr)`` takes it on every call.
+batches. The step overwrites the layer's tensors, the moments and the
+gradients it consumes, and the result is bit-identical to the textbook
+formula evaluated with fresh arrays, because every operation runs in
+the same order. Layers therefore own their tensors: a layer draws its
+own when it is built, and ``set_params`` is the one way to give it
+others, as copies. Adam state is a block's: one moment pair m, v per
+tensor and one step count t for them all, on its ``BlockAdam``; beta1,
+beta2 and eps are module constants, and the learning rate is not state
+at all: the model holds it, and ``BlockAdam.step(lr)`` takes it on
+every call.
 
 The memory-bound elementwise passes run in row blocks of at most
 ``BLOCK_ELEMS`` elements (``row_blocks``), so their operands and
@@ -36,7 +38,7 @@ exp(0) is exactly 1). A layer overwrites its own pre-activation with
 its output, except a training-mode ELU, whose backward pass reads it.
 
 No code here decides a dtype. The activations, each layer's products,
-gradients and caches, the Adam moments and the work arrays all take the
+gradients and caches, the Adam moments and the work array all take the
 dtype of the tensors they work on; a tensor gets its dtype where it is
 born (``linalg.he_normal_init``, or the data).
 
@@ -56,7 +58,6 @@ the constant ``FD_EPS``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -388,91 +389,67 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
-class AdamState:
-    """Per-tensor Adam moments; t counts applied updates."""
+def adam_update(param: Matrix, grad: Matrix, m: Matrix, v: Matrix, t: int,
+                lr: float, work: Matrix) -> Matrix:
+    """The t-th bias-corrected Adam step at rate lr, in place; returns param.
 
-    m: Matrix
-    v: Matrix
-    t: int = 0
-
-    @classmethod
-    def for_param(cls, param: Matrix) -> "AdamState":
-        return cls(m=np.zeros_like(param), v=np.zeros_like(param))
-
-
-def adam_update(param: Matrix, grad: Matrix, state: AdamState, lr: float,
-                scratch: tuple[Matrix, Matrix] | None = None) -> Matrix:
-    """One bias-corrected Adam step at rate lr, in place; returns param.
-
-    param, state.m and state.v are overwritten. The textbook update
+    param, m and v are overwritten, and so is grad: once both moments
+    have read it, it holds the step. The textbook update
 
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
         param - lr*(m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)
 
     is evaluated one operation at a time in exactly that order, on each
     of param's row_blocks in turn, so the result is bit-identical to
-    computing it with fresh arrays. scratch is a pair of 1-D work arrays
-    that each hold at least param's first (largest) row block; two are
-    allocated when it is None.
+    computing it with fresh arrays. work is a 1-D array that holds at
+    least param's first (largest) row block.
     """
-    if param.shape != grad.shape or param.shape != state.m.shape:
+    if not param.shape == grad.shape == m.shape == v.shape:
         raise ShapeError(
             f"adam_update: param {param.shape}, grad {grad.shape}, "
-            f"state {state.m.shape}")
-    if scratch is None:
-        scratch = (_block_work(param), _block_work(param))
-    state.t += 1
-    c1 = 1.0 - ADAM_BETA1 ** state.t
-    c2 = 1.0 - ADAM_BETA2 ** state.t
+            f"moments {m.shape}, {v.shape}")
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for rows in row_blocks(param):
-        p, g, m, v = param[rows], grad[rows], state.m[rows], state.v[rows]
-        s1, s2 = (w[:p.size].reshape(p.shape) for w in scratch)
-        np.multiply(m, ADAM_BETA1, out=m)
-        np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
-        np.add(m, s1, out=m)
-        np.multiply(v, ADAM_BETA2, out=v)
-        np.multiply(g, g, out=s1)
-        np.multiply(s1, 1.0 - ADAM_BETA2, out=s1)
-        np.add(v, s1, out=v)
-        np.divide(m, c1, out=s1)
-        np.multiply(s1, lr, out=s1)
-        np.divide(v, c2, out=s2)
-        np.sqrt(s2, out=s2)
-        np.add(s2, ADAM_EPS, out=s2)
-        np.divide(s1, s2, out=s1)
-        np.subtract(p, s1, out=p)
+        p, g, mb, vb = param[rows], grad[rows], m[rows], v[rows]
+        s = work[:p.size].reshape(p.shape)
+        np.multiply(mb, ADAM_BETA1, out=mb)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+        np.add(mb, s, out=mb)
+        np.multiply(vb, ADAM_BETA2, out=vb)
+        np.multiply(g, g, out=s)
+        np.multiply(s, 1.0 - ADAM_BETA2, out=s)
+        np.add(vb, s, out=vb)
+        np.divide(mb, c1, out=g)
+        np.multiply(g, lr, out=g)
+        np.divide(vb, c2, out=s)
+        np.sqrt(s, out=s)
+        np.add(s, ADAM_EPS, out=s)
+        np.divide(g, s, out=g)
+        np.subtract(p, g, out=p)
     return param
-
-
-def _block_work(*params: Matrix) -> Matrix:
-    """A 1-D work array the size of the largest row block of params, of
-    the dtype their arithmetic has."""
-    size = max(p[:_block_rows(p)].size for p in params)
-    return np.empty(size, dtype=np.result_type(*params))
 
 
 class BlockAdam:
     """Adam over every parameter tensor of one MLPBlock, at the rate each
     step is given.
 
-    States are created lazily on the first step so that freshly built
-    networks stay cheap until training actually starts. The tensors are
-    updated in place, through one pair of work arrays of this optimizer's
-    own, sized to the largest row block of the block's tensors; two
-    optimizers never share them, since pipeline stages step concurrently.
+    The state is the block's: moments m and v, lists aligned with
+    block.param_arrays(), and one step count t, which every tensor shares
+    since a step updates them all. The moments are created on the first
+    step, so freshly built networks stay cheap until training starts.
+    The tensors are updated in place through one work array of this
+    optimizer's own, sized to the largest row block of the block's
+    tensors; two optimizers never share it, since pipeline stages step
+    concurrently.
     """
 
     def __init__(self, block: MLPBlock):
         self.block = block
-        self._states: dict[tuple[int, str], AdamState] = {}
-        self._work: tuple[Matrix, Matrix] | None = None
-
-    def _state(self, key: tuple[int, str], param: Matrix) -> AdamState:
-        st = self._states.get(key)
-        if st is None:
-            st = self._states[key] = AdamState.for_param(param)
-        return st
+        self.m: list[Matrix] = []
+        self.v: list[Matrix] = []
+        self.t = 0
+        self._work: Matrix | None = None
 
     def step(self, lr: float) -> None:
         """Apply every layer's gradients at rate lr, then set them to None.
@@ -482,19 +459,21 @@ class BlockAdam:
         when one does not have its tensor's shape. A step that raises
         changes no parameter, no moment and no step count.
         """
-        for p, g in zip(self.block.param_arrays(), self.block.grad_arrays()):
+        params, grads = self.block.param_arrays(), self.block.grad_arrays()
+        for p, g in zip(params, grads):
             if g is None:
                 raise StateError("step without gradients; run backward first")
             if g.shape != p.shape:
                 raise ShapeError(f"gradient {g.shape} vs tensor {p.shape}")
-        if self._work is None:
-            params = self.block.param_arrays()
-            self._work = (_block_work(*params), _block_work(*params))
-        for i, layer in enumerate(self.block.layers):
-            adam_update(layer.W, layer.grad_W, self._state((i, "W"), layer.W),
-                        lr, self._work)
-            adam_update(layer.bias, layer.grad_b,
-                        self._state((i, "b"), layer.bias), lr, self._work)
+        if not self.m:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+            self._work = np.empty(max(p[:_block_rows(p)].size for p in params),
+                                  dtype=np.result_type(*params))
+        self.t += 1
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            adam_update(p, g, m, v, self.t, lr, self._work)
+        for layer in self.block.layers:
             layer.grad_W = layer.grad_b = None
 
 

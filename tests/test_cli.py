@@ -412,34 +412,93 @@ def _top_level_names(stmt) -> set:
             if isinstance(n, ast.Name)}
 
 
-def _references(tree) -> set:
-    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-            | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
-               for a in n.names})
+def _package_source(node) -> str | None:
+    """The package module an ImportFrom reads from ("__init__" for the
+    package itself), or None when it reads from elsewhere."""
+    if node.level:
+        return node.module or "__init__"
+    if node.module == "assoclearn":
+        return "__init__"
+    if (node.module or "").startswith("assoclearn."):
+        return node.module.split(".")[1]
+    return None
+
+
+def _modules_bound(tree, stems) -> dict:
+    """Names a file binds by import to the package ("__init__") or to one
+    of its modules (the module's stem)."""
+    bound = {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            for a in n.names:
+                head, *rest = a.name.split(".")
+                if head == "assoclearn":
+                    bound[a.asname or head] = (
+                        rest[0] if a.asname and rest else "__init__")
+        elif isinstance(n, ast.ImportFrom) and \
+                _package_source(n) == "__init__":
+            bound.update((a.asname or a.name, a.name) for a in n.names
+                         if a.name in stems)
+    return bound
+
+
+def _references(tree, bound) -> tuple[set, set]:
+    """(bare names, (module, name) pairs) that tree refers to. X.name is
+    a (module, name) pair when X is bound to a module of the package, or
+    to the package; a name imported from one of them is one too. Any
+    other attribute, such as json.load, refers to nothing here."""
+    bare = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    pairs = {(bound[n.value.id], n.attr) for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute)
+             and isinstance(n.value, ast.Name) and n.value.id in bound}
+    pairs |= {(_package_source(n), a.name) for n in ast.walk(tree)
+              if isinstance(n, ast.ImportFrom) and _package_source(n)
+              for a in n.names}
+    return bare, pairs
 
 
 def test_every_public_name_is_reached_by_the_program():
     # The program is src itself, the benchmark under perfbench/ and the
     # hash tool under tools/; a public name only tests reach is dead
-    # code. perfbench names the sites it wraps as strings (setattr), so
-    # an identifier-shaped string there is a reference too.
-    defined, reached = {}, set()
-    for path, tree in _src_modules():
+    # code. A name counts as reached through its defining module, or a
+    # module or the package that imports it from there. perfbench names
+    # the sites it wraps as strings (setattr), so an identifier-shaped
+    # string there is a reference too.
+    modules = dict(_src_modules())
+    stems = {path.stem for path in modules}
+    defined, imports, bare, pairs = {}, {}, set(), set()
+    for path, tree in modules.items():
+        imports[path.stem] = {
+            a.asname or a.name: _package_source(n) for n in tree.body
+            if isinstance(n, ast.ImportFrom) and _package_source(n)
+            for a in n.names}
         if path.name == "__init__.py":    # re-exports are not uses
             continue
+        bound = _modules_bound(tree, stems)
         for stmt in tree.body:
             names = _top_level_names(stmt)
             defined.update((n, path.stem) for n in names
                            if not n.startswith("_"))
-            reached |= _references(stmt) - names
+            b, q = _references(stmt, bound)
+            bare |= b - names
+            pairs |= q
     root = Path(__file__).resolve().parents[1]
     for path in sorted(root.glob("perfbench/*.py")) + sorted(
             root.glob("tools/*.py")):
         tree = ast.parse(path.read_text())
-        reached |= _references(tree) | {
+        b, q = _references(tree, _modules_bound(tree, stems))
+        bare |= b | {
             n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
             and isinstance(n.value, str) and n.value.isidentifier()}
+        pairs |= q
+
+    def defining(module, name):
+        # follow re-imports to the module that defines name
+        while name in imports.get(module, {}):
+            module = imports[module][name]
+        return module
+
+    reached = bare | {n for m, n in pairs if defining(m, n) == defined.get(n)}
     assert sorted(f"{defined[n]}.{n}" for n in set(defined) - reached) == []
 
 

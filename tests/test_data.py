@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,49 @@ def test_load_idx_corrupt_gzip_raises_data_error(tmp_path, corrupt, says):
     with pytest.raises(DataError,
                        match=f"{img_path.name}: corrupt gzip stream: .*{says}"):
         load_idx(img_path, lab_path)
+
+
+def test_load_idx_checks_the_gzip_trailer(tmp_path):
+    # A level-0 gzip stores the payload verbatim, so flipping a bit of
+    # the last pixel (11 -> 75) keeps the deflate stream valid; only the
+    # CRC-32 in the trailer, which follows it, tells.
+    images = np.arange(12, dtype=np.uint8).reshape(3, 2, 2)
+    img_path, lab_path = write_idx_pair(tmp_path, images,
+                                        np.zeros(3, dtype=np.uint8))
+    gz = bytearray(gzip.compress(img_path.read_bytes(), compresslevel=0))
+    assert gz[-9] == 11         # the last payload byte, before the trailer
+    gz[-9] ^= 64
+    img_path.write_bytes(bytes(gz))
+    with pytest.raises(DataError, match="CRC check failed") as err:
+        load_idx(img_path, lab_path)
+    assert str(err.value).startswith(f"{img_path}: ")
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["images", "labels"])
+def test_load_idx_rejects_bytes_after_the_payload(tmp_path, which):
+    paths = write_idx_pair(tmp_path, np.ones((3, 2, 2), dtype=np.uint8),
+                           np.zeros(3, dtype=np.uint8))
+    paths[which].write_bytes(paths[which].read_bytes() + b"\x00")
+    with pytest.raises(DataError) as err:
+        load_idx(*paths)
+    assert str(err.value).startswith(f"{paths[which]}: ")
+
+
+def test_load_idx_scales_pixels_in_one_float64_array(tmp_path):
+    # Every byte value scales to the bits of u8.astype(float64) / 255,
+    # and loading holds the float64 pixels once: the uint8 payload and
+    # the finiteness mask are an eighth of them each.
+    images = np.resize(np.arange(256, dtype=np.uint8), (300, 28, 28))
+    paths = write_idx_pair(tmp_path, images, np.zeros(300, dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        ds = load_idx(*paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = images.reshape(300, -1).astype(np.float64) / 255.0
+    assert ds.X.tobytes() == expected.tobytes()
+    assert peak < 1.5 * ds.X.nbytes, (peak, ds.X.nbytes)
 
 
 def test_load_idx_count_mismatch(tmp_path):

@@ -1,10 +1,13 @@
 """Artifacts are replaced atomically: a write that fails part-way leaves
-the previous file byte for byte, and no temporary file behind."""
+the previous file byte for byte, and no temporary file behind. A write
+that succeeds reaches the disk before it replaces the file."""
+
+import os
 
 import numpy as np
 import pytest
 
-from assoclearn import checkpoint
+from assoclearn import checkpoint, fileio
 from assoclearn.bp import BPNetwork
 from assoclearn.linalg import make_rng
 from assoclearn.metrics import (
@@ -48,3 +51,29 @@ def test_failed_write_leaves_previous_file(tmp_path, write):
         write(path, fail=True)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+def test_write_is_fsynced_before_it_replaces_the_file(tmp_path, monkeypatch):
+    # The file's data is on disk before the rename makes it visible, and
+    # the directory holding the rename is fsynced after it (POSIX).
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def fsyncing(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def replacing(src, dst):
+        events.append(("replace", os.stat(src).st_ino))
+        replace(src, dst)
+
+    monkeypatch.setattr(fileio.os, "fsync", fsyncing)
+    monkeypatch.setattr(fileio.os, "replace", replacing)
+    path = tmp_path / "artifact"
+    with fileio.atomic_open(path) as fh:
+        fh.write("done")
+    written = path.stat().st_ino
+    assert events[:2] == [("fsync", written), ("replace", written)]
+    if os.name == "posix":
+        assert events[2:] == [("fsync", tmp_path.stat().st_ino)]
+    assert path.read_text() == "done"

@@ -5,7 +5,6 @@ from assoclearn import nn
 from assoclearn.errors import ShapeError, StateError
 from assoclearn.linalg import he_normal_init, make_rng, matmul, sliced_matmul
 from assoclearn.nn import (
-    AdamState,
     BlockAdam,
     DenseLayer,
     MLPBlock,
@@ -80,7 +79,7 @@ def test_sigmoid_grad_from_output():
 
 
 def _same_bits(a, b):
-    return np.array_equal(a.view(np.int64), b.view(np.int64))
+    return np.array_equal(a.view(f"i{a.itemsize}"), b.view(f"i{b.itemsize}"))
 
 
 def _sigmoid_two_branch(x):
@@ -375,38 +374,45 @@ def test_unknown_activation_rejected():
 
 # Adam -----------------------------------------------------------------
 
+def _adam_state(theta):
+    """Zero moments for theta and a work array of one row block."""
+    rows = theta[:nn._block_rows(theta)]
+    return (np.zeros_like(theta), np.zeros_like(theta),
+            np.empty(rows.size, dtype=theta.dtype))
+
+
 def test_adam_scalar_oracle():
     # g=1 with zero moments: m_hat = v_hat = 1 after bias correction,
     # so the step is -lr/(1 + eps)
     theta = np.array([[0.0]])
     grad = np.array([[1.0]])
-    state = AdamState.for_param(theta)
-    new = adam_update(theta, grad, state, 1e-3)
+    m, v, work = _adam_state(theta)
+    new = adam_update(theta, grad, m, v, 1, 1e-3, work)
     assert abs(float(new[0, 0]) - (-0.001)) < 1e-9
-    assert state.t == 1
 
 
 def test_adam_zero_grad_zero_state():
     theta = np.array([[0.7, -0.2]])
-    state = AdamState.for_param(theta)
-    new = adam_update(theta, np.zeros_like(theta), state, 1e-3)
+    m, v, work = _adam_state(theta)
+    new = adam_update(theta, np.zeros_like(theta), m, v, 1, 1e-3, work)
     assert np.array_equal(new, theta)
 
 
 def test_adam_first_step_is_lr_times_sign():
     for g in (0.5, -2.0, 1.0, -0.25):
         theta = np.array([[0.0]])
-        state = AdamState.for_param(theta)
-        new = adam_update(theta, np.array([[g]]), state, 1e-3)
+        m, v, work = _adam_state(theta)
+        new = adam_update(theta, np.array([[g]]), m, v, 1, 1e-3, work)
         assert abs(float(new[0, 0]) - (-1e-3 * np.sign(g))) < 1e-6
 
 
 def test_adam_deterministic():
     def run():
         theta = np.array([[1.0, 2.0]])
-        state = AdamState.for_param(theta)
-        for g in ([[0.3, -0.1]], [[-0.5, 0.2]], [[0.1, 0.1]]):
-            theta = adam_update(theta, np.array(g), state, 1e-2)
+        m, v, work = _adam_state(theta)
+        for t, g in enumerate(([[0.3, -0.1]], [[-0.5, 0.2]], [[0.1, 0.1]]),
+                              start=1):
+            theta = adam_update(theta, np.array(g), m, v, t, 1e-2, work)
         return theta
 
     assert np.array_equal(run(), run())
@@ -414,35 +420,57 @@ def test_adam_deterministic():
 
 def test_adam_shape_mismatch():
     theta = np.zeros((2, 2))
-    state = AdamState.for_param(theta)
+    m, v, work = _adam_state(theta)
     with pytest.raises(ShapeError):
-        adam_update(theta, np.zeros((2, 3)), state, 1e-4)
+        adam_update(theta, np.zeros((2, 3)), m, v, 1, 1e-4, work)
 
 
 def _textbook_adam(param, grad, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """(new param, m, v, step) of the t-th textbook Adam step."""
     m = b1 * m + (1.0 - b1) * grad
     v = b2 * v + (1.0 - b2) * (grad * grad)
     m_hat = m / (1.0 - b1 ** t)
     v_hat = v / (1.0 - b2 ** t)
-    return param - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+    step = lr * m_hat / (np.sqrt(v_hat) + eps)
+    return param - step, m, v, step
 
 
 def test_adam_in_place_bit_identical_to_textbook():
+    _check_adam_against_textbook(np.float64)
+
+
+def test_adam_in_place_bit_identical_to_textbook_in_float32():
+    _check_adam_against_textbook(np.float32)
+
+
+def _check_adam_against_textbook(dtype):
+    # Twelve steps at gradient scales from 1e-6 to 1e2; the consumed
+    # gradient is left holding the step.
     rng = make_rng(8)
-    theta = rng.normal(size=(7, 5))
+    theta = rng.normal(size=(7, 5)).astype(dtype)
     ref, m, v = theta.copy(), np.zeros_like(theta), np.zeros_like(theta)
-    state = AdamState.for_param(theta)
+    m_in, v_in, work = _adam_state(theta)
     for t in range(1, 13):
-        grad = rng.normal(0.0, 10.0 ** rng.integers(-6, 3), size=theta.shape)
-        out = adam_update(theta, grad, state, 3e-3)
-        ref, m, v = _textbook_adam(ref, grad, m, v, t, lr=3e-3)
-        assert out is theta
-        assert _same_bits(theta, ref)
-        assert _same_bits(state.m, m) and _same_bits(state.v, v)
+        grad = rng.normal(0.0, 10.0 ** rng.integers(-6, 3),
+                          size=theta.shape).astype(dtype)
+        ref, m, v, step = _textbook_adam(ref, grad, m, v, t, lr=3e-3)
+        out = adam_update(theta, grad, m_in, v_in, t, 3e-3, work)
+        assert out is theta and ref.dtype == dtype
+        assert _same_bits(theta, ref) and _same_bits(grad, step)
+        assert _same_bits(m_in, m) and _same_bits(v_in, v)
+
+
+def _set_grads(block, rng):
+    """Random gradients on every layer; returns copies of them, which the
+    step that consumes them leaves intact."""
+    for layer in block.layers:
+        layer.grad_W = rng.normal(size=layer.W.shape)
+        layer.grad_b = rng.normal(size=layer.bias.shape)
+    return [g.copy() for g in block.grad_arrays()]
 
 
 def test_block_adam_bit_identical_to_textbook():
-    # Tensors of four sizes share the block's work arrays.
+    # Tensors of four sizes share the block's work array and step count.
     rng = make_rng(10)
     block = make_block([6, 9, 4], "elu", rng)
     # A large lr makes the step comparable to the parameters, so a
@@ -451,15 +479,15 @@ def test_block_adam_bit_identical_to_textbook():
     refs = [[p.copy(), np.zeros_like(p), np.zeros_like(p)]
             for p in block.param_arrays()]
     for t in range(1, 11):
-        for layer in block.layers:
-            layer.grad_W = rng.normal(size=layer.W.shape)
-            layer.grad_b = rng.normal(size=layer.bias.shape)
-        grads = block.grad_arrays()     # the step consumes them
+        grads = _set_grads(block, rng)
         opt.step(0.3)
-        for ref, p, g in zip(refs, block.param_arrays(), grads):
+        assert opt.t == t
+        for ref, p, g, m_opt, v_opt in zip(
+                refs, block.param_arrays(), grads, opt.m, opt.v):
             param, m, v = ref
-            ref[:] = _textbook_adam(param, g, m, v, t, lr=0.3)
+            ref[:] = _textbook_adam(param, g, m, v, t, lr=0.3)[:3]
             assert _same_bits(p, ref[0])
+            assert _same_bits(m_opt, ref[1]) and _same_bits(v_opt, ref[2])
 
 
 # (shape of the array, view of it that Adam updates): blocks of 128,
@@ -479,34 +507,52 @@ _ADAM_TENSORS = {
 
 @pytest.mark.parametrize("case", list(_ADAM_TENSORS))
 def test_adam_row_blocks_bit_identical_to_textbook(case):
+    # A work array of one row block serves every block of the tensor.
     shape, view = _ADAM_TENSORS[case]
     rng = make_rng(46)
     theta = view(rng.normal(size=shape))
     ref, m, v = theta.copy(), np.zeros_like(theta), np.zeros_like(theta)
-    state = AdamState.for_param(theta)
-    moments = state.m, state.v
+    m_in, v_in, work = _adam_state(theta)
+    assert work.size <= max(nn.BLOCK_ELEMS, theta[:1].size)
     for t in range(1, 5):
         grad = view(rng.normal(0.0, 10.0 ** rng.integers(-6, 3), size=shape))
-        assert adam_update(theta, grad, state, 0.3) is theta
-        ref, m, v = _textbook_adam(ref, grad, m, v, t, lr=0.3)
-        assert (state.m, state.v) == moments
-        assert _same_bits(theta, ref)
-        assert _same_bits(state.m, m) and _same_bits(state.v, v)
+        ref, m, v, step = _textbook_adam(ref, grad, m, v, t, lr=0.3)
+        assert adam_update(theta, grad, m_in, v_in, t, 0.3, work) is theta
+        assert _same_bits(theta, ref) and _same_bits(grad, step)
+        assert _same_bits(m_in, m) and _same_bits(v_in, v)
 
 
 @pytest.mark.parametrize("widths", [[784, 256, 10], [3, 40000]])
 def test_block_adam_work_arrays_hold_one_block(widths):
     rng = make_rng(47)
     block = make_block(widths, "elu", rng)
-    for layer in block.layers:
-        layer.grad_W = rng.normal(size=layer.W.shape)
-        layer.grad_b = rng.normal(size=layer.bias.shape)
+    _set_grads(block, rng)
     opt = BlockAdam(block)
     opt.step(1e-3)
     widest_row = max(widths[1:])
-    for w in opt._work:
-        assert w.size <= nn.BLOCK_ELEMS + widest_row
-        assert w.size < max(p.size for p in block.param_arrays())
+    assert opt._work.ndim == 1
+    assert opt._work.size <= nn.BLOCK_ELEMS + widest_row
+    assert opt._work.size < max(p.size for p in block.param_arrays())
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_block_adam_state_follows_the_tensors(dtype):
+    # One moment pair per tensor, in param_arrays order, of its shape and
+    # dtype, made by the first step; one step count for the block.
+    rng = make_rng(48)
+    block = make_block([3, 5, 2], "elu", rng)
+    for layer in block.layers:
+        layer.W, layer.bias = layer.W.astype(dtype), layer.bias.astype(dtype)
+    opt = BlockAdam(block)
+    assert (opt.m, opt.v, opt.t) == ([], [], 0)
+    for _ in range(2):
+        _backward(block, rng, dtype)
+        opt.step(1e-2)
+    params = block.param_arrays()
+    assert opt.t == 2 and len(opt.m) == len(opt.v) == len(params)
+    for p, m, v in zip(params, opt.m, opt.v):
+        assert m.shape == v.shape == p.shape
+        assert m.dtype == v.dtype == opt._work.dtype == np.dtype(dtype)
 
 
 def test_block_adam_requires_gradients():
@@ -514,10 +560,12 @@ def test_block_adam_requires_gradients():
     opt = BlockAdam(block)
     with pytest.raises(StateError):
         opt.step(1e-4)
+    assert (opt.m, opt.v, opt.t, opt._work) == ([], [], 0, None)
 
 
-def _backward(block, rng):
-    out = block.forward(rng.normal(size=(5, block.fan_in)), train=True)
+def _backward(block, rng, dtype=np.float64):
+    x = rng.normal(size=(5, block.fan_in)).astype(dtype)
+    out = block.forward(x, train=True)
     block.backward(mse_loss_grad(out, np.zeros_like(out)))
 
 
@@ -533,10 +581,9 @@ def _stepped_block(rng):
 
 
 def _adam_bits(block, opt):
-    """The bytes of every parameter and moment, and every step count."""
+    """The bytes of every parameter and moment, and the step count."""
     return ([p.tobytes() for p in block.param_arrays()],
-            {k: (st.m.tobytes(), st.v.tobytes(), st.t)
-             for k, st in opt._states.items()})
+            [a.tobytes() for a in opt.m + opt.v], opt.t)
 
 
 @pytest.mark.parametrize("fault,error", [
@@ -552,6 +599,20 @@ def test_block_adam_checks_every_gradient_before_any_update(fault, error):
         opt.step(1e-2)
     assert _adam_bits(block, opt) == before
     assert block.layers[0].grad_W is not None
+
+
+def test_block_adam_first_step_that_raises_makes_no_state():
+    # The moments are made only once every gradient has passed its check.
+    rng = make_rng(57)
+    block = make_block([3, 4, 2], "elu", rng)
+    opt = BlockAdam(block)
+    _backward(block, rng)
+    block.layers[-1].grad_b = np.ones((2, 2))
+    before = _adam_bits(block, opt)
+    with pytest.raises(ShapeError):
+        opt.step(1e-2)
+    assert _adam_bits(block, opt) == before == (before[0], [], 0)
+    assert opt._work is None
 
 
 def test_block_adam_second_step_without_backward_raises():
@@ -577,11 +638,11 @@ def test_block_adam_step_applies_its_rate_to_the_states():
     for t, lr in enumerate((1e-3, 1e-3, 1e-3, 0.25), start=1):
         out = block.forward(rng.normal(size=(2, 2)), train=True)
         block.backward(np.ones_like(out))
-        grads = block.grad_arrays()     # the step consumes them
+        grads = [g.copy() for g in block.grad_arrays()]
         opt.step(lr)
         for ref, p, g in zip(refs, block.param_arrays(), grads):
             param, m, v = ref
-            ref[:] = _textbook_adam(param, g, m, v, t, lr=lr)
+            ref[:] = _textbook_adam(param, g, m, v, t, lr=lr)[:3]
             assert _same_bits(p, ref[0])
 
 

@@ -534,7 +534,7 @@ def test_fit_leaves_no_gradient_and_no_training_cache(mode):
 
 def test_fit_retains_parameters_and_adam_state_only():
     # After an al-seq fit of desk-mlp the model holds its parameters, the
-    # two Adam moments of each and its optimizers' work arrays; a copy
+    # two Adam moments of each and each optimizer's work array; a copy
     # of the gradients would add one more parameter size (5.8 MB).
     plan = get_plan("desk-mlp")
     ds = synth_blobs(1024, plan.input_dim, plan.target_dim,
@@ -550,7 +550,7 @@ def test_fit_retains_parameters_and_adam_state_only():
     finally:
         tracemalloc.stop()
     param_bytes = sum(a.nbytes for _, a in params(net))
-    work_bytes = sum(w.nbytes for opt in _optimizers(net) for w in opt._work)
+    work_bytes = sum(opt._work.nbytes for opt in _optimizers(net))
     assert retained <= 3 * param_bytes + work_bytes + 2**20, (
         retained, param_bytes, work_bytes)
 
@@ -689,10 +689,9 @@ def _assert_all_float32(grads, *models):
     assert grads and {g.dtype for g in grads} == {np.dtype(np.float32)}
     for model in models:
         for opt in _optimizers(model):
-            arrays = (opt.block.param_arrays()
-                      + [a for st in opt._states.values()
-                         for a in (st.m, st.v)] + list(opt._work))
-            assert len(opt._states) == len(opt.block.param_arrays())
+            arrays = (opt.block.param_arrays() + opt.m + opt.v
+                      + [opt._work])
+            assert len(opt.m) == len(opt.v) == len(opt.block.param_arrays())
             assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 
 
@@ -741,10 +740,10 @@ def test_fit_bits_do_not_depend_on_the_block_size(mode, tmp_path,
     small_params, small_csv, model = _seeded_fit_bytes(
         mode, tmp_path / "small.csv")
     assert small_params == params and small_csv == csv
-    works = [w for opt in _optimizers(model) for w in opt._work]
+    works = [opt._work for opt in _optimizers(model)]
     for opt in _optimizers(model):
         widest_row = max(p.shape[-1] for p in opt.block.param_arrays())
-        assert all(w.size <= 7 + widest_row for w in opt._work)
+        assert opt._work.size <= 7 + widest_row
     assert not any(np.shares_memory(a, b)
                    for i, a in enumerate(works) for b in works[i + 1:])
 
