@@ -24,7 +24,7 @@ from .bp import BPNetwork, build_bp_network, match_effective_params
 from .data import Dataset, load_idx, load_mnist, one_hot, synth_blobs, synth_xor
 from .linalg import make_rng, spawn_rngs
 from .metrics import MetricsRecord, accuracy, class_geometry
-from .train import Schedule, bench_pipeline, fit, train_epoch_pipelined, train_epoch_sequential
+from .train import Schedule, bench_pipeline, fit, train_epoch
 
 __version__ = "0.1.0"
 
@@ -35,5 +35,5 @@ __all__ = [
     "component_forward", "component_update", "fit", "get_plan",
     "load_idx", "load_mnist", "make_rng", "match_effective_params",
     "one_hot", "plan_names", "spawn_rngs", "synth_blobs", "synth_xor",
-    "train_epoch_pipelined", "train_epoch_sequential",
+    "train_epoch",
 ]

@@ -10,10 +10,9 @@ The default head is softmax + cross-entropy; an MSE head (sigmoid
 output, squared loss) is available so the comparison can be replayed
 with the same loss family the local objectives use.
 
-``bp_train_epoch`` only trains and returns the mean loss; train and test
-accuracy are measured by ``fit`` after the epoch, in chunks bounded by
-``eval_chunk`` rows and ``metrics.EVAL_ELEMS`` elements, on the same path
-as the component network's.
+``BPNetwork.train_batch`` trains on one batch and returns its loss; it is
+the one stage of a ``bp`` epoch in ``train.train_epoch``, the loop and
+the evaluation the component network's epochs run as well.
 
 ``BPNetwork`` has ``ALNetwork``'s model contract (see ``al_core``); its
 features are the activation after ``feature_layer`` layers.
@@ -23,12 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .linalg import Matrix, Rng, row_argmax
 from .al_core import NetworkPlan
-from .data import BatchIterator
 from .nn import (
     BlockAdam,
     DenseLayer,
@@ -142,22 +138,6 @@ def build_bp_network(plan: BPPlan, rng: Rng, lr: float = 1e-4,
                      head: str = "softmax") -> BPNetwork:
     return BPNetwork(plan.widths, rng, lr=lr, head=head,
                      feature_layer=plan.feature_layer, name=plan.name)
-
-
-def bp_train_epoch(net: BPNetwork, X: Matrix, y_onehot: Matrix,
-                   batch_size: int, rng: Rng, epoch: int = 0) -> float:
-    """One shuffled pass; returns the mean train loss, the batch losses
-    weighted by batch size. Train accuracy is not measured here: ``fit``
-    measures it after the epoch, in chunks, as it does for every mode."""
-    n = X.shape[0]
-    total = 0.0
-    for m, idx in enumerate(BatchIterator(n, batch_size, rng), start=1):
-        loss = net.train_batch(X[idx], y_onehot[idx])
-        if not np.isfinite(loss):
-            raise NumericError(
-                f"loss diverged at epoch {epoch}, batch {m}")
-        total += loss * len(idx)
-    return total / n
 
 
 def gradcheck_bp(net: BPNetwork, x: Matrix, y_onehot: Matrix) -> float:

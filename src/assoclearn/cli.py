@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -41,7 +40,7 @@ from .data import Dataset, load_mnist, mnist_subset, one_hot, synth_blobs, synth
 from .metrics import geometry_report, write_json_summary, write_metrics_csv
 from .nn import grad_check_block, make_block
 from .train import (MODES, PIPELINE_BLAS_THREADS, bench_pipeline,
-                    check_datasets, fit)
+                    check_datasets, check_schedule, fit)
 
 _DATASETS = ("mnist", "mnist-subset", "blobs", "xor")
 _DEFAULT_PLAN = {"mnist": "desk-mlp", "mnist-subset": "desk-mlp",
@@ -82,10 +81,7 @@ class RunConfig:
             if getattr(self, key) < low:
                 raise ConfigError(
                     f"{key} must be >= {low}, got {getattr(self, key)}")
-        for key, rate in (("lr", self.lr), ("lr_factor", self.lr_factor)):
-            if not 0 < rate < math.inf:     # NaN fails both comparisons
-                raise ConfigError(
-                    f"{key} must be finite and positive, got {rate}")
+        check_schedule(self.lr, self.lr_drops, self.lr_factor)
         if self.dataset.startswith("mnist"):
             if not self.data_dir:
                 raise ConfigError(

@@ -230,6 +230,3 @@ class BatchIterator:
         order = self.rng.permutation(self.n)
         for start in range(0, self.n, self.batch_size):
             yield order[start:start + self.batch_size]
-
-    def n_batches(self) -> int:
-        return (self.n + self.batch_size - 1) // self.batch_size

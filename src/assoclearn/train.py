@@ -1,21 +1,21 @@
-"""Sequential and pipelined training loops.
+"""One epoch loop for every training mode.
 
-Both AL trainers run one stage list, one stage per component
-(``_component_stages``), built per epoch at that epoch's ``net.lr``; a
-stage trains its component on a batch and hands the pre-update outputs
-to the next in a ``BatchMessage`` (batch id and arrays only). The
-sequential epoch runs the stages inline, n*C component tasks one after
-another. The pipelined epoch gives each stage a worker thread, connected
-by bounded FIFO queues: component c handles batch m at logical unit
-u = m + c - 1, so the whole epoch spans n + C - 1 units. Each component
-sees the same messages in the same order in both modes, so the parameter
-trajectory is identical by construction at any pipeline depth; a queue
-only changes how much wall-clock overlap the stages get.
+``train_epoch`` runs a mode's stages over one shuffled pass; ``_MODES``
+maps each mode to its stage builder and to whether the stages get
+pipeline workers. A stage of ``_component_stages`` trains one component
+at the epoch's ``net.lr`` and hands its pre-update outputs to the next
+in a ``BatchMessage`` (batch id and arrays only); ``_bp_stages`` gives
+one stage, the whole stack. ``al-seq`` and ``bp`` run the stages inline;
+``al-pipe`` gives each a worker thread, connected by bounded FIFO
+queues: component c handles batch m at logical unit u = m + c - 1, so
+the epoch spans n + C - 1 units. Each component sees the same messages
+in the same order in both AL modes, so the parameter trajectory is
+identical by construction at any pipeline depth.
 
 ``run_pipeline`` is the schedule-agnostic core (stages, queues bounded
 at ``QUEUE_CAPACITY`` batches, an optional in-flight cap,
-monotone batch-id enforcement, error propagation); the pipelined trainer
-and the synthetic throughput bench both run on it, and both take its
+monotone batch-id enforcement, error propagation); ``al-pipe`` and the
+synthetic throughput bench both run on it, and both take its
 ``ThroughputReport`` as the one record of the run. Each worker is one
 loop over its input queue; a batch it does not pass on (finished by the
 last stage, failed, or dropped after the stage's first failure) leaves
@@ -23,12 +23,12 @@ the pipeline at one place, which hands back its in-flight token.
 
 ``fit`` runs every mode on one path through the model contract
 (``al_core``): it checks the mode against ``model.kind``, evaluates with
-``metrics.evaluate`` and checkpoints with ``checkpoint.save``; the mode
-only picks the epoch trainer.
+``metrics.evaluate`` and checkpoints with ``checkpoint.save``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,14 +41,12 @@ from . import blas
 from .errors import ConfigError, NumericError, TrainingError
 from .linalg import Matrix, Rng
 from .al_core import ALNetwork, component_update
-from .bp import bp_train_epoch
+from .bp import BPNetwork
 from .data import BatchIterator, Dataset, one_hot
 from .metrics import MetricsRecord, evaluate
 from . import checkpoint as ckpt
 
 _STOP = object()
-
-MODES = ("al-seq", "al-pipe", "bp")
 
 # Benchmark shims: perfbench traces these until ROADMAP item 1 traces evaluate.
 evaluate_al = evaluate
@@ -212,75 +210,111 @@ def _feed(X: Matrix, y_onehot: Matrix, batch_size: int, rng: Rng):
         yield m, BatchMessage(m, X[idx], y_onehot[idx])
 
 
-def _component_stages(net: ALNetwork, epoch: int, sums1, sums2) -> list:
-    """One stage per component, BatchMessage -> BatchMessage: it trains the
-    component at net.lr, adds its row-weighted local losses to sums1[k]
-    and sums2[k], and passes on the pre-update outputs."""
+def _run_inline(stages, feed) -> None:
+    """Each (batch_id, payload) of feed through every stage, in turn."""
+    for _, payload in feed:
+        for stage in stages:
+            payload = stage(payload)
+
+
+def _component_stages(net: ALNetwork):
+    """(stages, record): per component, a stage that trains it at net.lr
+    and adds its row-weighted local losses to the epoch's sums; record
+    turns the sums into the epoch's MetricsRecord."""
     lr = net.lr
+    sums1 = np.zeros(net.n_components)
+    sums2 = np.zeros(net.n_components)
 
     def make_stage(k: int, comp):
         def stage(msg: BatchMessage) -> BatchMessage:
-            try:
-                s, t, rec = component_update(comp, msg.s, msg.t, lr)
-            except NumericError as e:
-                raise NumericError(
-                    f"epoch {epoch}, batch {msg.batch_id}: {e}") from e
+            s, t, rec = component_update(comp, msg.s, msg.t, lr)
             rows = msg.s.shape[0]
             sums1[k] += rec.mse1 * rows
             sums2[k] += rec.mse2 * rows
             return BatchMessage(msg.batch_id, s, t)
         return stage
 
-    return [make_stage(k, c) for k, c in enumerate(net.components)]
+    def record(epoch: int, mode: str, n: int) -> MetricsRecord:
+        return MetricsRecord(
+            epoch=epoch, mode=mode,
+            mse1=[float(v) for v in sums1 / n],
+            mse2=[float(v) for v in sums2 / n],
+            train_loss=float((sums1 + sums2).sum() / n))
+
+    return [make_stage(k, c) for k, c in enumerate(net.components)], record
 
 
-def _al_record(mode: str, epoch: int, sums1, sums2, n: int) -> MetricsRecord:
-    return MetricsRecord(
-        epoch=epoch, mode=mode,
-        mse1=[float(v) for v in sums1 / n],
-        mse2=[float(v) for v in sums2 / n],
-        train_loss=float((sums1 + sums2).sum() / n))
+def _bp_stages(net: BPNetwork):
+    """(stages, record): one stage that trains the stack on a batch,
+    msg.s the inputs and msg.t the targets, as _component_stages does."""
+    total = 0.0
+
+    def stage(msg: BatchMessage) -> BatchMessage:
+        nonlocal total
+        loss = net.train_batch(msg.s, msg.t)
+        if not np.isfinite(loss):
+            raise NumericError("loss diverged")
+        total += loss * msg.s.shape[0]
+        return msg
+
+    def record(epoch: int, mode: str, n: int) -> MetricsRecord:
+        return MetricsRecord(epoch=epoch, mode=mode, mse1=[], mse2=[],
+                             train_loss=total / n)
+
+    return [stage], record
 
 
-def train_epoch_sequential(net: ALNetwork, X: Matrix, y_onehot: Matrix,
-                           batch_size: int, rng: Rng,
-                           epoch: int = 0) -> MetricsRecord:
-    """One shuffled pass, batch by batch, through the stages of
-    _component_stages run inline: component 1 through C."""
-    sums1 = np.zeros(net.n_components)
-    sums2 = np.zeros(net.n_components)
-    stages = _component_stages(net, epoch, sums1, sums2)
-    for _, msg in _feed(X, y_onehot, batch_size, rng):
-        for stage in stages:
-            msg = stage(msg)
-    return _al_record("al-seq", epoch, sums1, sums2, X.shape[0])
+_MODES = {"al-seq": (_component_stages, False),
+          "al-pipe": (_component_stages, True),
+          "bp": (_bp_stages, False)}
+MODES = tuple(_MODES)
 
 
-def train_epoch_pipelined(net: ALNetwork, X: Matrix, y_onehot: Matrix,
-                          batch_size: int, rng: Rng, epoch: int = 0,
-                          depth: int | None = None):
-    """One epoch with the stages of train_epoch_sequential, one worker per
-    component; see the module docstring for the equivalence. OpenBLAS runs
-    on PIPELINE_BLAS_THREADS threads for the epoch, and the caller's thread
-    count is restored when the workers have joined, also on failure. Returns
-    (MetricsRecord, ThroughputReport) with the report of run_pipeline."""
-    n_batches = BatchIterator(X.shape[0], batch_size, rng).n_batches()
-    sums1 = np.zeros(net.n_components)
-    sums2 = np.zeros(net.n_components)
-    stages = _component_stages(net, epoch, sums1, sums2)
-    with blas.pinned_threads(PIPELINE_BLAS_THREADS):
-        report = run_pipeline(stages, _feed(X, y_onehot, batch_size, rng),
-                              depth=depth)
-    if report.completed != n_batches:
-        raise TrainingError(
-            f"epoch ended with {report.completed} of {n_batches} batches")
-    return _al_record("al-pipe", epoch, sums1, sums2, X.shape[0]), report
+def train_epoch(model, X: Matrix, y_onehot: Matrix, batch_size: int,
+                rng: Rng, epoch: int, mode: str, depth: int | None = None):
+    """One shuffled pass of mode over (X, y_onehot); a NumericError a
+    stage raises names the epoch and the batch. In al-pipe, depth caps
+    the batches in flight, and OpenBLAS runs on PIPELINE_BLAS_THREADS
+    threads until the workers have joined, also on failure. Returns
+    (MetricsRecord, the ThroughputReport of run_pipeline or None)."""
+    def named(stage):
+        def run(msg: BatchMessage) -> BatchMessage:
+            try:
+                return stage(msg)
+            except NumericError as e:
+                raise NumericError(
+                    f"epoch {epoch}, batch {msg.batch_id}: {e}") from e
+        return run
+
+    build, pipelined = _MODES[mode]
+    stages, record = build(model)
+    stages = [named(stage) for stage in stages]
+    feed = _feed(X, y_onehot, batch_size, rng)
+    report = None
+    if pipelined:
+        with blas.pinned_threads(PIPELINE_BLAS_THREADS):
+            report = run_pipeline(stages, feed, depth=depth)
+    else:
+        _run_inline(stages, feed)
+    return record(epoch, mode, X.shape[0]), report
 
 
 def lr_at_epoch(base_lr: float, drops, factor: float, epoch: int) -> float:
     """Step schedule: the rate is multiplied by factor after each listed
     epoch has completed (1-based epochs)."""
     return base_lr * factor ** sum(1 for d in drops if epoch > d)
+
+
+def check_schedule(lr, lr_drops, lr_factor) -> None:
+    """ConfigError unless lr and lr_factor are finite positive floats or
+    ints and lr_drops is a list or tuple of ints (neither takes bools)."""
+    for key, rate in (("lr", lr), ("lr_factor", lr_factor)):
+        if (not (isinstance(rate, float) or type(rate) is int)
+                or not 0 < rate < math.inf):    # NaN fails both comparisons
+            raise ConfigError(f"{key} must be finite and positive, got {rate}")
+    if (not isinstance(lr_drops, (list, tuple))
+            or any(type(d) is not int for d in lr_drops)):
+        raise ConfigError(f"lr_drops must be a list of ints, got {lr_drops!r}")
 
 
 @dataclass
@@ -325,9 +359,10 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
 
     epochs=0 evaluates the untouched model once and writes nothing.
     epochs, batch_size and eval_chunk must be ints, not bools (>= 0,
-    >= 1, >= 1), the mode must be one for model.kind, and both datasets
-    must have rows and match the model (check_datasets); anything else
-    raises ConfigError before any work.
+    >= 1, >= 1), the rate schedule must pass check_schedule, the mode
+    must be one for model.kind, and both datasets must have rows and
+    match the model (check_datasets); anything else raises ConfigError
+    before any work.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -336,6 +371,7 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
                             ("eval_chunk", eval_chunk, 1)):
         if type(value) is not int or value < low:
             raise ConfigError(f"{key} must be an int >= {low}, got {value!r}")
+    check_schedule(lr, lr_drops, lr_factor)
     kind = mode.split("-")[0]
     if model.kind != kind:
         raise ConfigError(f"mode {mode} needs a model of kind {kind!r}, "
@@ -362,18 +398,10 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
     for e in range(1, epochs + 1):
         model.lr = lr_at_epoch(lr, lr_drops, lr_factor, e)
         t_epoch = time.perf_counter()
-        if mode == "al-seq":
-            rec = train_epoch_sequential(model, train_ds.X, y1, batch_size,
-                                         rng, epoch=e)
-        elif mode == "al-pipe":
-            rec, report = train_epoch_pipelined(model, train_ds.X, y1,
-                                                batch_size, rng, epoch=e)
+        rec, report = train_epoch(model, train_ds.X, y1, batch_size, rng,
+                                  e, mode)
+        if report is not None:
             reports.append(report)
-        else:
-            loss = bp_train_epoch(model, train_ds.X, y1, batch_size, rng,
-                                  epoch=e)
-            rec = MetricsRecord(epoch=e, mode="bp", mse1=[], mse2=[],
-                                train_loss=loss)
         rec.train_accuracy = evaluate(model, train_ds, eval_chunk)
         rec.test_accuracy = evaluate(model, test_ds, eval_chunk)
         rec.wall_clock = time.perf_counter() - t_epoch
@@ -409,17 +437,15 @@ def bench_pipeline(n_batches: int, components: int,
     cost = task_cost_ms / 1000.0
     sched = Schedule(n_batches, components)
 
-    t0 = time.perf_counter()
-    for _ in range(sched.sequential_tasks()):
-        time.sleep(cost)
-    seq_wall = time.perf_counter() - t0
-
     def stage(payload):
         time.sleep(cost)
         return payload
 
-    report = run_pipeline([stage] * components,
-                          ((m, m) for m in range(1, n_batches + 1)))
+    stages = [stage] * components
+    t0 = time.perf_counter()
+    _run_inline(stages, ((m, m) for m in range(1, n_batches + 1)))
+    seq_wall = time.perf_counter() - t0
+    report = run_pipeline(stages, ((m, m) for m in range(1, n_batches + 1)))
     report.speedup = seq_wall / report.wall_clock
     return BenchResult(schedule=sched, sequential_wall=seq_wall,
                        report=report)

@@ -42,8 +42,7 @@ from assoclearn.train import (
     Schedule,
     bench_pipeline,
     fit,
-    train_epoch_pipelined,
-    train_epoch_sequential,
+    train_epoch,
 )
 
 MNIST_REASON = ("image-digit IDX files not found (AL_DATA_DIR unset or "
@@ -116,7 +115,7 @@ def trend_runs():
         y1 = one_hot(train.y, 4)
         shuffle = make_rng(300 + s)
         for e in range(1, 151):
-            train_epoch_sequential(net, train.X, y1, 32, shuffle, epoch=e)
+            train_epoch(net, train.X, y1, 32, shuffle, e, "al-seq")
         # evaluation-mode mse1 of each component over the whole train set
         s, t, profile = train.X, y1, []
         for c in net.components:
@@ -236,7 +235,7 @@ def test_criterion_03_inference_invariance(capsys):
     net = build_network(get_plan("blobs"), make_rng(51), lr=1e-3)
     y1 = one_hot(ds.y, 4)
     for e in range(1, 4):
-        train_epoch_sequential(net, ds.X, y1, 32, make_rng(52 + e), epoch=e)
+        train_epoch(net, ds.X, y1, 32, make_rng(52 + e), e, "al-seq")
 
     probe = make_rng(60).uniform(size=(64, 8))
     logits, classes = net.predict(probe)
@@ -280,12 +279,12 @@ def _depth1_equivalence(train_ds, seed):
     net_seq = build_network(get_plan("desk-mlp"), make_rng(seed), lr=1e-3)
     net_pipe = copy.deepcopy(net_seq)
     rng_seq = make_rng(seed + 1)
-    recs_seq = [train_epoch_sequential(net_seq, train_ds.X, y1, 128,
-                                       rng_seq, epoch=e)
+    recs_seq = [train_epoch(net_seq, train_ds.X, y1, 128, rng_seq, e,
+                            "al-seq")[0]
                 for e in (1, 2)]
     rng_pipe = make_rng(seed + 1)
-    recs_pipe = [train_epoch_pipelined(net_pipe, train_ds.X, y1, 128,
-                                       rng_pipe, epoch=e, depth=1)[0]
+    recs_pipe = [train_epoch(net_pipe, train_ds.X, y1, 128, rng_pipe, e,
+                             "al-pipe", depth=1)[0]
                  for e in (1, 2)]
     params_equal = all(
         np.array_equal(pa, pb)
@@ -464,12 +463,10 @@ def _pipe_seq_gap(train_ds, test_ds, seed, epochs):
     net_pipe = copy.deepcopy(net_seq)
     rng_seq = make_rng(seed + 50)
     for e in range(1, epochs + 1):
-        train_epoch_sequential(net_seq, train_ds.X, y1, 128,
-                               rng_seq, epoch=e)
+        train_epoch(net_seq, train_ds.X, y1, 128, rng_seq, e, "al-seq")
     rng_pipe = make_rng(seed + 50)
     for e in range(1, epochs + 1):
-        train_epoch_pipelined(net_pipe, train_ds.X, y1, 128,
-                              rng_pipe, epoch=e)
+        train_epoch(net_pipe, train_ds.X, y1, 128, rng_pipe, e, "al-pipe")
     return abs(evaluate(net_seq, test_ds) - evaluate(net_pipe, test_ds))
 
 

@@ -79,9 +79,9 @@ def test_pipelined_epoch_restores_caller_blas_threads(monkeypatch, fail):
         caller = blas.threads()
         if fail:
             with pytest.raises(TrainingError, match="non-finite"):
-                train.train_epoch_pipelined(net, X, y1, 8, make_rng(32))
+                train.train_epoch(net, X, y1, 8, make_rng(32), 1, "al-pipe")
         else:
-            train.train_epoch_pipelined(net, X, y1, 8, make_rng(32))
+            train.train_epoch(net, X, y1, 8, make_rng(32), 1, "al-pipe")
         assert blas.threads() == caller
     assert inside and set(inside) == {1}
 
@@ -90,5 +90,5 @@ def test_without_thread_control_the_epoch_runs_unpinned(monkeypatch):
     monkeypatch.setattr(blas, "_thread_functions", lambda: None)
     assert blas.threads() is None
     net, X, y1 = pipe_setup(fail=False)
-    rec, _ = train.train_epoch_pipelined(net, X, y1, 8, make_rng(32))
+    rec, _ = train.train_epoch(net, X, y1, 8, make_rng(32), 1, "al-pipe")
     assert np.isfinite(rec.train_loss)

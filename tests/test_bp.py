@@ -12,7 +12,6 @@ from assoclearn.al_core import (
 )
 from assoclearn.bp import (
     BPNetwork,
-    bp_train_epoch,
     build_bp_network,
     gradcheck_bp,
     match_effective_params,
@@ -22,6 +21,7 @@ from assoclearn.errors import ConfigError, NumericError, ShapeError
 from assoclearn.linalg import make_rng
 from assoclearn.metrics import evaluate
 from assoclearn.nn import set_params
+from assoclearn.train import train_epoch
 from conftest import params
 
 
@@ -94,7 +94,7 @@ def test_blobs_reach_full_train_accuracy():
     shuffle = make_rng(9)
     acc = 0.0
     for epoch in range(50):
-        bp_train_epoch(net, data.X, y, 16, shuffle, epoch=epoch)
+        train_epoch(net, data.X, y, 16, shuffle, epoch, "bp")
         acc = evaluate(net, data)
         if acc == 1.0:
             break
@@ -120,7 +120,7 @@ def test_divergence_reports_epoch_and_batch():
     X = np.zeros((8, 2))
     y = one_hot(np.zeros(8, dtype=int), 2)
     with pytest.raises(NumericError, match=r"epoch 3, batch 1"):
-        bp_train_epoch(net, X, y, 4, make_rng(12), epoch=3)
+        train_epoch(net, X, y, 4, make_rng(12), 3, "bp")
 
 
 def test_mse_head_trains():
@@ -128,10 +128,11 @@ def test_mse_head_trains():
     y = one_hot(data.y, data.n_classes)
     net = BPNetwork([2, 8, 2], make_rng(14), lr=1e-3, head="mse")
     shuffle = make_rng(15)
-    first = bp_train_epoch(net, data.X, y, 8, shuffle, epoch=0)
+    first = train_epoch(net, data.X, y, 8, shuffle, 0, "bp")[0].train_loss
     last = first
     for epoch in range(1, 10):
-        last = bp_train_epoch(net, data.X, y, 8, shuffle, epoch=epoch)
+        last = train_epoch(net, data.X, y, 8, shuffle, epoch,
+                           "bp")[0].train_loss
     assert last < first
 
 

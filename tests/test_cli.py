@@ -533,6 +533,43 @@ def test_a_batch_leaves_the_pipeline_at_one_place():
     assert releases(tree) == inside
 
 
+def _call_sites(name) -> set:
+    """(module, top-level def) of every call of name in src; a call made
+    outside any top-level def or class is listed under None."""
+    sites = set()
+    for path, tree in _src_modules():
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", None)
+            sites |= {(path.stem, owner) for n in ast.walk(stmt)
+                      if isinstance(n, ast.Call) and name in (
+                          getattr(n.func, "id", None),
+                          getattr(n.func, "attr", None))}
+    return sites
+
+
+def test_every_mode_trains_through_one_epoch_loop():
+    # train.train_epoch alone feeds batches to training stages, and the
+    # stages run only through the inline loop or the pipeline, each
+    # called from train_epoch and from the synthetic bench.
+    assert _call_sites("_feed") == {("train", "train_epoch")}
+    assert _call_sites("BatchIterator") == {("train", "_feed")}
+    for runner in ("_run_inline", "run_pipeline"):
+        assert _call_sites(runner) == {("train", "train_epoch"),
+                                       ("train", "bench_pipeline")}
+    bp_tree = next(t for p, t in _src_modules() if p.name == "bp.py")
+    assert "BatchIterator" not in {a.asname or a.name
+                                   for n in ast.walk(bp_tree)
+                                   if isinstance(n, ast.ImportFrom)
+                                   for a in n.names}
+    removed = {"train_epoch_sequential", "train_epoch_pipelined",
+               "bp_train_epoch", "_al_record"}
+    left = [f"{path.name}:{n.lineno}" for path, tree in _src_modules()
+            for n in ast.walk(tree)
+            if removed & {getattr(n, "name", None), getattr(n, "id", None),
+                          getattr(n, "attr", None)}]
+    assert left == []
+
+
 def test_only_linalg_and_data_decide_a_dtype():
     # A tensor gets its dtype where it is born: linalg.DTYPE, read by the
     # initializer and by data, where inputs enter. Every other module

@@ -13,6 +13,11 @@ from pathlib import Path
 import pytest
 
 import assoclearn
+from assoclearn.al_core import build_network, get_plan
+from assoclearn.bp import build_bp_network, match_effective_params
+from assoclearn.data import synth_blobs
+from assoclearn.linalg import make_rng
+from assoclearn.train import fit
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,3 +47,37 @@ def test_every_package_attribute_perfbench_reads_exists(module):
             if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id == "al"}
     assert sorted(a for a in used if not hasattr(assoclearn, a)) == []
+
+
+@pytest.mark.parametrize("mode", ["al-seq", "al-pipe", "bp"])
+def test_fit_calls_the_sites_perfbench_traces_per_batch(perfbench_modules,
+                                                        mode):
+    # perfbench reads its per-component and bp figures from the wrappers
+    # it installs on train.component_update and BPNetwork.train_batch, so
+    # every mode must train through those two names: C component updates
+    # per batch in al-seq and al-pipe, one train_batch per batch in bp.
+    tracing = perfbench_modules["tracing"]
+    plan = get_plan("blobs")
+    ds = synth_blobs(40, plan.input_dim, plan.target_dim, separation=6.0,
+                     rng=make_rng(1))
+    model = (build_bp_network(match_effective_params(plan), make_rng(2))
+             if mode == "bp" else build_network(plan, make_rng(2)))
+    rec = tracing.SpanRecorder()
+    installed = tracing.install(rec)
+    try:
+        fit(model, ds, ds, mode=mode, epochs=2, batch_size=8,
+            rng=make_rng(3), seed=2, lr=1e-3, lr_drops=())
+    finally:
+        tracing.uninstall(installed)
+    calls = {name: row["calls"]
+             for name, row in tracing.summarize(rec.spans()).items()}
+    batches = 2 * 5
+    expected = ({"bp.train_batch": batches} if mode == "bp" else
+                {f"al_core.component_update.c{k}": batches
+                 for k in range(1, len(plan.components) + 1)})
+    traced = {name: n for name, n in calls.items()
+              if name.startswith(("bp.train_batch",
+                                  "al_core.component_update"))}
+    assert traced == expected
+    assert calls.get("train.run_pipeline", 0) == (2 if mode == "al-pipe"
+                                                  else 0)

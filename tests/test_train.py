@@ -11,23 +11,23 @@ import pytest
 
 import assoclearn.train as train_mod
 from assoclearn import nn
-from assoclearn.al_core import build_network, get_plan
-from assoclearn.bp import (BPNetwork, bp_train_epoch, build_bp_network,
-                           match_effective_params)
+from assoclearn.al_core import build_network, component_update, get_plan
+from assoclearn.bp import BPNetwork, build_bp_network, match_effective_params
 from assoclearn.checkpoint import load
-from assoclearn.data import Dataset, one_hot, synth_blobs, synth_xor
+from assoclearn.data import (BatchIterator, Dataset, one_hot, synth_blobs,
+                             synth_xor)
 from assoclearn.errors import ConfigError, NumericError, TrainingError
 from assoclearn.linalg import make_rng
 from assoclearn.metrics import evaluate, write_metrics_csv
 from conftest import params
 from assoclearn.train import (
+    MODES,
     Schedule,
     bench_pipeline,
     fit,
     lr_at_epoch,
     run_pipeline,
-    train_epoch_pipelined,
-    train_epoch_sequential,
+    train_epoch,
 )
 
 
@@ -93,7 +93,7 @@ def test_sequential_losses_finite_and_trace_length(monkeypatch):
     net = build_network(get_plan("blobs"), make_rng(1))
     ds, y1 = blob_setup(seed=2)
     trace = record_updates(monkeypatch)
-    rec = train_epoch_sequential(net, ds.X, y1, 8, make_rng(3), epoch=1)
+    rec, _ = train_epoch(net, ds.X, y1, 8, make_rng(3), 1, "al-seq")
     assert trace == list(range(1, net.n_components + 1)) * 5
     assert all(np.isfinite(v) for v in rec.mse1 + rec.mse2)
     assert rec.mode == "al-seq"
@@ -104,24 +104,27 @@ def test_sequential_zero_lr_changes_nothing():
     net.lr = 0.0
     before = [(n, p.copy()) for n, p in params(net)]
     ds, y1 = blob_setup(seed=5)
-    train_epoch_sequential(net, ds.X, y1, 8, make_rng(6))
+    train_epoch(net, ds.X, y1, 8, make_rng(6), 1, "al-seq")
     for (name, old), (_, new) in zip(before, params(net)):
         assert np.array_equal(old, new), name
 
 
 def test_sequential_divergence_names_batch():
-    # al-seq, al-pipe and bp all number the failing batch from 1
+    # al-seq, al-pipe and bp all number the failing batch from 1, in one
+    # "epoch e, batch m: ..." form
     ds, y1 = blob_setup(seed=8)
-    for epoch_fn in (train_epoch_sequential, train_epoch_pipelined):
-        net = build_network(get_plan("blobs"), make_rng(7))
-        net.components[0].f.layers[0].W[:] = np.nan
-        with pytest.raises((NumericError, TrainingError),
-                           match=r"epoch 1, batch 1: .*component 1"):
-            epoch_fn(net, ds.X, y1, 8, make_rng(9), epoch=1)
-    bp_net = BPNetwork([8, 16, 4], make_rng(7))
-    bp_net.stack.layers[0].W[:] = np.nan
-    with pytest.raises(NumericError, match=r"epoch 1, batch 1$"):
-        bp_train_epoch(bp_net, ds.X, y1, 8, make_rng(9), epoch=1)
+    for mode in MODES:
+        if mode == "bp":
+            model = BPNetwork([8, 16, 4], make_rng(7))
+            model.stack.layers[0].W[:] = np.nan
+            says = r"epoch 1, batch 1: loss diverged$"
+        else:
+            model = build_network(get_plan("blobs"), make_rng(7))
+            model.components[0].f.layers[0].W[:] = np.nan
+            says = r"epoch 1, batch 1: .*component 1"
+        error = TrainingError if mode == "al-pipe" else NumericError
+        with pytest.raises(error, match=says):
+            train_epoch(model, ds.X, y1, 8, make_rng(9), 1, mode)
 
 
 def test_xor_single_component_reaches_full_accuracy():
@@ -131,7 +134,7 @@ def test_xor_single_component_reaches_full_accuracy():
     shuffle = make_rng(11)
     acc = 0.0
     for _ in range(2000):
-        train_epoch_sequential(net, ds.X, y1, 4, shuffle)
+        train_epoch(net, ds.X, y1, 4, shuffle, 1, "al-seq")
         acc = evaluate(net, ds)
         if acc == 1.0:
             break
@@ -146,9 +149,10 @@ def test_pipeline_depth_one_matches_sequential_bit_exact():
     pipe_net = copy.deepcopy(seq_net)
     ds, y1 = blob_setup(seed=13)
 
-    rec_seq = train_epoch_sequential(seq_net, ds.X, y1, 8, make_rng(14))
-    rec_pipe, report = train_epoch_pipelined(pipe_net, ds.X, y1, 8,
-                                             make_rng(14), depth=1)
+    rec_seq, _ = train_epoch(seq_net, ds.X, y1, 8, make_rng(14), 1,
+                             "al-seq")
+    rec_pipe, report = train_epoch(pipe_net, ds.X, y1, 8, make_rng(14), 1,
+                                   "al-pipe", depth=1)
     for (name, a), (_, b) in zip(params(seq_net), params(pipe_net)):
         assert np.array_equal(a, b), name
     assert rec_seq.mse1 == rec_pipe.mse1
@@ -165,8 +169,9 @@ def test_pipeline_free_depth_matches_sequential_bit_exact():
     y1 = one_hot(ds.y, 10)
     seq_net = build_network(plan, make_rng(16))
     pipe_net = copy.deepcopy(seq_net)
-    train_epoch_sequential(seq_net, ds.X, y1, 16, make_rng(17))
-    _, report = train_epoch_pipelined(pipe_net, ds.X, y1, 16, make_rng(17))
+    train_epoch(seq_net, ds.X, y1, 16, make_rng(17), 1, "al-seq")
+    _, report = train_epoch(pipe_net, ds.X, y1, 16, make_rng(17), 1,
+                            "al-pipe")
     for (name, a), (_, b) in zip(params(seq_net), params(pipe_net)):
         assert np.array_equal(a, b), name
     assert report.time_units == 3 + 3 - 1
@@ -187,11 +192,11 @@ def test_pipeline_depth_one_failure_leaves_sequential_state(monkeypatch):
     ds, y1 = blob_setup(seed=46)
     record_updates(monkeypatch, nan_on_batch_3)
     with pytest.raises(NumericError, match=r"epoch 1, batch 3: .*component 2"):
-        train_epoch_sequential(seq_net, ds.X, y1, 8, make_rng(47), epoch=1)
+        train_epoch(seq_net, ds.X, y1, 8, make_rng(47), 1, "al-seq")
     record_updates(monkeypatch, nan_on_batch_3)
     with pytest.raises(TrainingError, match=r"stage 2 failed: epoch 1, batch 3"):
-        train_epoch_pipelined(pipe_net, ds.X, y1, 8, make_rng(47), epoch=1,
-                              depth=1)
+        train_epoch(pipe_net, ds.X, y1, 8, make_rng(47), 1, "al-pipe",
+                    depth=1)
     for (name, a), (_, b) in zip(params(seq_net), params(pipe_net)):
         assert a.tobytes() == b.tobytes(), name
 
@@ -201,7 +206,64 @@ def test_pipeline_divergence_propagates():
     net.components[1].f.layers[0].W[:] = np.nan
     ds, y1 = blob_setup(seed=19)
     with pytest.raises(TrainingError, match="stage 2"):
-        train_epoch_pipelined(net, ds.X, y1, 8, make_rng(20))
+        train_epoch(net, ds.X, y1, 8, make_rng(20), 1, "al-pipe")
+
+
+# one epoch loop ---------------------------------------------------------
+
+def reference_al_epoch(net, X, y1, batch_size, rng):
+    """The al-seq epoch as one inline loop: per shuffled batch, component 1
+    through C, each trained at net.lr on the pre-update outputs of the one
+    below. Returns (mse1, mse2, train_loss), the row-weighted means."""
+    sums1 = np.zeros(net.n_components)
+    sums2 = np.zeros(net.n_components)
+    for idx in BatchIterator(X.shape[0], batch_size, rng):
+        s, t = X[idx], y1[idx]
+        for k, comp in enumerate(net.components):
+            s, t, rec = component_update(comp, s, t, net.lr)
+            sums1[k] += rec.mse1 * len(idx)
+            sums2[k] += rec.mse2 * len(idx)
+    n = X.shape[0]
+    return ([float(v) for v in sums1 / n], [float(v) for v in sums2 / n],
+            float((sums1 + sums2).sum() / n))
+
+
+def reference_bp_epoch(net, X, y1, batch_size, rng):
+    """The bp epoch as one inline loop; (mse1, mse2, train_loss) with the
+    batch losses weighted by batch size."""
+    total = 0.0
+    for idx in BatchIterator(X.shape[0], batch_size, rng):
+        total += net.train_batch(X[idx], y1[idx]) * len(idx)
+    return [], [], total / X.shape[0]
+
+
+@pytest.mark.parametrize("plan_name", ["blobs", "desk-3"])
+@pytest.mark.parametrize("mode,depth", [("al-seq", None), ("al-pipe", None),
+                                        ("al-pipe", 1), ("bp", None)],
+                         ids=["al-seq", "al-pipe", "al-pipe-depth1", "bp"])
+def test_train_epoch_matches_the_reference_loop_bit_for_bit(plan_name, mode,
+                                                            depth):
+    plan = get_plan(plan_name)
+    ds = synth_blobs(48, plan.input_dim, plan.target_dim, separation=6.0,
+                     rng=make_rng(15))
+    y1 = one_hot(ds.y, plan.target_dim)
+    if mode == "bp":
+        model = build_bp_network(match_effective_params(plan), make_rng(16),
+                                 lr=1e-3)
+        reference = reference_bp_epoch
+    else:
+        model = build_network(plan, make_rng(16), lr=1e-3)
+        reference = reference_al_epoch
+    ref_model = copy.deepcopy(model)
+    shuffle, ref_shuffle = make_rng(17), make_rng(17)
+    for epoch in (1, 2):
+        rec, report = train_epoch(model, ds.X, y1, 16, shuffle, epoch, mode,
+                                  depth)
+        assert (rec.epoch, rec.mode) == (epoch, mode)
+        assert (rec.mse1, rec.mse2, rec.train_loss) == reference(
+            ref_model, ds.X, y1, 16, ref_shuffle)
+        assert (report is None) == (mode != "al-pipe")
+    _assert_same_bits(model, ref_model)
 
 
 # run_pipeline core ----------------------------------------------------
@@ -555,6 +617,33 @@ def test_fit_retains_parameters_and_adam_state_only():
         retained, param_bytes, work_bytes)
 
 
+@pytest.mark.parametrize("mode", ["al-seq", "bp"])
+@pytest.mark.parametrize("key,value", [
+    ("lr", float("nan")), ("lr", float("inf")), ("lr", -1e-3), ("lr", 0),
+    ("lr", 0.0), ("lr", True), ("lr", "1e-3"), ("lr", None),
+    ("lr_factor", float("nan")), ("lr_factor", 0.0), ("lr_factor", -0.5),
+    ("lr_factor", float("inf")), ("lr_factor", False),
+    ("lr_drops", [1.5]), ("lr_drops", [True]), ("lr_drops", ["1"]),
+    ("lr_drops", (1, None)), ("lr_drops", None), ("lr_drops", 1),
+    ("lr_drops", "1"),
+])
+def test_fit_rejects_a_bad_rate_schedule_before_any_work(tmp_path, mode,
+                                                         key, value):
+    if mode == "bp":
+        model = BPNetwork([8, 16, 4], make_rng(39))
+    else:
+        model = build_network(get_plan("blobs"), make_rng(39))
+    before = [a.copy() for _, a in params(model)]
+    ds, _ = blob_setup(seed=40)
+    kwargs = {"lr": 1e-3, "lr_drops": [1], "lr_factor": 0.5, key: value}
+    with pytest.raises(ConfigError, match=f"^{key} must be "):
+        fit(model, ds, ds, mode=mode, epochs=2, batch_size=8,
+            rng=make_rng(41), seed=39, out_dir=tmp_path, **kwargs)
+    assert all(a.tobytes() == b.tobytes()
+               for a, (_, b) in zip(before, params(model)))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_mode_validation():
     net = build_network(get_plan("blobs"), make_rng(39))
     ds, _ = blob_setup(seed=40)
@@ -668,9 +757,9 @@ def test_float32_tensors_train_in_float32(plan_name, step_grads):
     bp_net = build_bp_network(match_effective_params(plan), make_rng(71))
     _cast_float32(seq_net, bp_net)
     pipe_net = copy.deepcopy(seq_net)
-    train_epoch_sequential(seq_net, X, y1, 16, make_rng(72))
-    train_epoch_pipelined(pipe_net, X, y1, 16, make_rng(72))
-    bp_train_epoch(bp_net, X, y1, 16, make_rng(72))
+    for mode, model in (("al-seq", seq_net), ("al-pipe", pipe_net),
+                        ("bp", bp_net)):
+        train_epoch(model, X, y1, 16, make_rng(72), 1, mode)
     _assert_all_float32(step_grads, seq_net, pipe_net, bp_net)
     _assert_same_bits(seq_net, pipe_net)
 
@@ -753,8 +842,8 @@ def test_fit_mse2_trend_three_epochs():
     for seed in (42, 43, 44):
         net = build_network(get_plan("blobs"), make_rng(seed), lr=1e-3)
         ds, y1 = blob_setup(seed=seed + 100, n=96)
-        recs = [train_epoch_sequential(net, ds.X, y1, 16, make_rng(seed + 200),
-                                       epoch=e) for e in range(1, 4)]
+        recs = [train_epoch(net, ds.X, y1, 16, make_rng(seed + 200), e,
+                            "al-seq")[0] for e in range(1, 4)]
         first = sum(recs[0].mse2)
         last = sum(recs[-1].mse2)
         assert last < first
