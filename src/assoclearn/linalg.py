@@ -81,11 +81,12 @@ def row_argmax(a: Matrix) -> np.ndarray:
 
 
 def he_normal_init(rows: int, cols: int, rng: Rng) -> Matrix:
-    """He normal initializer: i.i.d. Normal(0, 2/fan_in) with fan_in = rows."""
+    """He normal initializer: i.i.d. Normal(0, 2/fan_in) with fan_in = rows.
+    The draw is returned as it is when it already has DTYPE, not copied."""
     if rows < 1 or cols < 1:
         raise ShapeError(f"he_normal_init: invalid size {rows}x{cols}")
     std = np.sqrt(2.0 / rows)
-    return rng.normal(0.0, std, size=(rows, cols)).astype(DTYPE)
+    return rng.normal(0.0, std, size=(rows, cols)).astype(DTYPE, copy=False)
 
 
 def ensure_finite(a: Matrix, context: str) -> Matrix:

@@ -1,25 +1,20 @@
 """One epoch loop for every training mode.
 
 ``train_epoch`` runs a mode's stages over one shuffled pass; ``_MODES``
-maps each mode to its stage builder and to whether the stages get
-pipeline workers. A stage of ``_component_stages`` trains one component
-at the epoch's ``net.lr`` and hands its pre-update outputs to the next
-in a ``BatchMessage`` (batch id and arrays only); ``_bp_stages`` gives
-one stage, the whole stack. ``al-seq`` and ``bp`` run the stages inline;
-``al-pipe`` gives each a worker thread, connected by bounded FIFO
-queues: component c handles batch m at logical unit u = m + c - 1, so
-the epoch spans n + C - 1 units. Each component sees the same messages
-in the same order in both AL modes, so the parameter trajectory is
-identical by construction at any pipeline depth.
+maps each mode to its stage builder and to whether the stages are
+pipelined. A stage of ``_component_stages`` trains one component at the
+epoch's ``net.lr`` and hands its pre-update outputs to the next in a
+``BatchMessage`` (batch id and arrays only); ``_bp_stages`` gives one
+stage, the whole stack. ``al-seq`` and ``bp`` run the stages inline;
+``al-pipe`` runs them through ``run_pipeline``, where component c
+handles batch m at logical unit u = m + c - 1, so the epoch spans
+n + C - 1 units. Each component sees the same messages in the same
+order in both AL modes, so the parameter trajectory is identical by
+construction at any pipeline depth.
 
-``run_pipeline`` is the schedule-agnostic core (stages, queues bounded
-at ``QUEUE_CAPACITY`` batches, an optional in-flight cap,
-monotone batch-id enforcement, error propagation); ``al-pipe`` and the
-synthetic throughput bench both run on it, and both take its
-``ThroughputReport`` as the one record of the run. Each worker is one
-loop over its input queue; a batch it does not pass on (finished by the
-last stage, failed, or dropped after the stage's first failure) leaves
-the pipeline at one place, which hands back its in-flight token.
+``run_pipeline`` is the schedule-agnostic core of ``al-pipe`` and the
+synthetic bench: the caller runs stage 1 and a worker thread each later
+stage; its ``ThroughputReport`` is the one record of the run.
 
 ``fit`` runs every mode on one path through the model contract
 (``al_core``): it checks the mode against ``model.kind``, evaluates with
@@ -116,81 +111,83 @@ class ThroughputReport:
 
 
 def run_pipeline(stages, feed, depth: int | None = None) -> ThroughputReport:
-    """Push (batch_id, payload) pairs through worker threads.
+    """Push (batch_id, payload) pairs through the stages.
 
     stages: one callable per stage, payload -> payload. feed: iterable of
-    (batch_id, payload) with strictly increasing ids. Each inter-stage
-    queue holds at most QUEUE_CAPACITY batches; depth, when given, caps
-    how many batches are in flight anywhere (depth=1 degenerates to fully
-    serial execution).
+    (batch_id, payload) with strictly increasing ids. The caller runs
+    stage 1 as it walks the feed, and each later stage has a worker thread
+    fed by a queue of at most QUEUE_CAPACITY batches; depth, when given,
+    caps the batches in flight anywhere (1 makes it fully serial).
     A batch that a stage does not put on the next queue leaves the
     pipeline, and hands back its in-flight token, at one place: when the
     last stage finished it, when it failed, or when it was dropped after
     its stage had failed. A failed stage drops the rest of its input, so
-    neither its neighbors nor a feeder blocked on the depth cap deadlock.
-    The first failure is re-raised as TrainingError after all workers exit.
+    nothing deadlocks and no new batch starts. The first failure is
+    re-raised as TrainingError once all workers exit, a feed's own as is.
     """
     if not stages:
         raise ConfigError("need at least one stage")
     if depth is not None and depth < 1:
         raise ConfigError(f"pipeline depth must be >= 1, got {depth}")
     n = len(stages)
-    queues = [Queue(maxsize=QUEUE_CAPACITY) for _ in range(n)]
+    queues = [Queue(maxsize=QUEUE_CAPACITY) for _ in range(n - 1)]
     completed = 0
     errors: list = []
     busy = [0.0] * n
     lifetime = [0.0] * n
     sem = Semaphore(depth) if depth is not None else None
 
-    def worker(i: int) -> None:
-        nonlocal completed
-        q_in = queues[i]
-        q_out = queues[i + 1] if i + 1 < n else None
-        last_id = None
-        failed = False
-        t_start = time.perf_counter()
-        while (item := q_in.get()) is not _STOP:
-            if not failed:
-                bid, payload = item
-                try:
-                    if last_id is not None and bid <= last_id:
-                        raise TrainingError(f"stage {i + 1}: batch {bid} "
-                                            f"arrived after {last_id}")
-                    last_id = bid
-                    t0 = time.perf_counter()
-                    item = (bid, stages[i](payload))
-                    busy[i] += time.perf_counter() - t0
-                except BaseException as e:
-                    errors.append((i, e))
-                    failed = True
-            if q_out is not None and not failed:
-                q_out.put(item)
-                continue
-            # The batch leaves the pipeline: finished, failed or dropped.
-            if not failed:
-                completed += 1
-            if sem is not None:
-                sem.release()
-        if q_out is not None:
-            q_out.put(_STOP)
-        lifetime[i] = time.perf_counter() - t_start
-
-    threads = [Thread(target=worker, args=(i,), daemon=True)
-               for i in range(n)]
-    t_wall = time.perf_counter()
-    for t in threads:
-        t.start()
-    try:
-        for bid, payload in feed:
+    def fed():
+        for item in feed:
             # Every in-flight token comes back, from the last stage or from
             # a failed one, so this acquire cannot block forever.
             if sem is not None:
                 sem.acquire()
             if errors:
-                break
-            queues[0].put((bid, payload))
+                return
+            yield item
+
+    def worker(i: int, source) -> None:
+        nonlocal completed
+        q_out = queues[i] if i + 1 < n else None
+        last_id = None
+        failed = False
+        try:
+            for item in source:
+                if not failed:
+                    bid, payload = item
+                    try:
+                        if last_id is not None and bid <= last_id:
+                            raise TrainingError(f"stage {i + 1}: batch {bid} "
+                                                f"arrived after {last_id}")
+                        last_id = bid
+                        t0 = time.perf_counter()
+                        item = (bid, stages[i](payload))
+                        busy[i] += time.perf_counter() - t0
+                    except BaseException as e:
+                        errors.append((i, e))
+                        failed = True
+                if q_out is not None and not failed:
+                    q_out.put(item)
+                    continue
+                # The batch leaves the pipeline: finished, failed or dropped.
+                if not failed:
+                    completed += 1
+                if sem is not None:
+                    sem.release()
+        finally:
+            if q_out is not None:
+                q_out.put(_STOP)
+            lifetime[i] = time.perf_counter() - t_wall
+
+    threads = [Thread(target=worker, args=(i, iter(queues[i - 1].get, _STOP)),
+                      daemon=True) for i in range(1, n)]
+    t_wall = time.perf_counter()
+    for t in threads:
+        t.start()
+    try:
+        worker(0, fed())
     finally:
-        queues[0].put(_STOP)
         for t in threads:
             t.join()
     wall = time.perf_counter() - t_wall
@@ -270,13 +267,24 @@ _MODES = {"al-seq": (_component_stages, False),
 MODES = tuple(_MODES)
 
 
+def _check_mode(model, mode: str):
+    """_MODES[mode]; ConfigError if mode is unknown or not for model.kind."""
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    if model.kind != (kind := mode.split("-")[0]):
+        raise ConfigError(f"mode {mode} needs a model of kind {kind!r}, "
+                          f"got {model.kind!r}")
+    return _MODES[mode]
+
+
 def train_epoch(model, X: Matrix, y_onehot: Matrix, batch_size: int,
                 rng: Rng, epoch: int, mode: str, depth: int | None = None):
     """One shuffled pass of mode over (X, y_onehot); a NumericError a
     stage raises names the epoch and the batch. In al-pipe, depth caps
     the batches in flight, and OpenBLAS runs on PIPELINE_BLAS_THREADS
     threads until the workers have joined, also on failure. Returns
-    (MetricsRecord, the ThroughputReport of run_pipeline or None)."""
+    (MetricsRecord, the ThroughputReport of run_pipeline or None).
+    ConfigError unless the mode is one for model.kind, as in fit."""
     def named(stage):
         def run(msg: BatchMessage) -> BatchMessage:
             try:
@@ -286,7 +294,7 @@ def train_epoch(model, X: Matrix, y_onehot: Matrix, batch_size: int,
                     f"epoch {epoch}, batch {msg.batch_id}: {e}") from e
         return run
 
-    build, pipelined = _MODES[mode]
+    build, pipelined = _check_mode(model, mode)
     stages, record = build(model)
     stages = [named(stage) for stage in stages]
     feed = _feed(X, y_onehot, batch_size, rng)
@@ -364,18 +372,13 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
     match the model (check_datasets); anything else raises ConfigError
     before any work.
     """
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_mode(model, mode)
     for key, value, low in (("epochs", epochs, 0),
                             ("batch_size", batch_size, 1),
                             ("eval_chunk", eval_chunk, 1)):
         if type(value) is not int or value < low:
             raise ConfigError(f"{key} must be an int >= {low}, got {value!r}")
     check_schedule(lr, lr_drops, lr_factor)
-    kind = mode.split("-")[0]
-    if model.kind != kind:
-        raise ConfigError(f"mode {mode} needs a model of kind {kind!r}, "
-                          f"got {model.kind!r}")
     check_datasets(model, train_ds, test_ds)
 
     y1 = one_hot(train_ds.y, train_ds.n_classes).astype(train_ds.X.dtype,

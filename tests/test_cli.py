@@ -98,6 +98,29 @@ def test_rerun_same_seed_byte_identical_csv(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_al_seq_and_al_pipe_write_the_same_run(tmp_path):
+    # The pipeline trains the same bits as the inline loop: the checkpoints
+    # are byte-identical and metrics.csv differs only in the mode column.
+    runs = {}
+    for mode in ("al-seq", "al-pipe"):
+        out = tmp_path / mode
+        assert run_cli(["train", "--dataset", "blobs", "--mode", mode,
+                        "--epochs", "3", "--seed", "12",
+                        "--out", str(out)]) == 0
+        runs[mode] = out
+    assert ((runs["al-seq"] / "checkpoint.bin").read_bytes()
+            == (runs["al-pipe"] / "checkpoint.bin").read_bytes())
+    rows = {mode: [line.split(",") for line in
+                   (out / "metrics.csv").read_text().splitlines()]
+            for mode, out in runs.items()}
+    col = rows["al-seq"][0].index("mode")
+    assert len(rows["al-seq"]) == len(rows["al-pipe"]) == 4
+    for seq, pipe in zip(rows["al-seq"][1:], rows["al-pipe"][1:]):
+        assert (seq[col], pipe[col]) == ("al-seq", "al-pipe")
+        assert seq[:col] + seq[col + 1:] == pipe[:col] + pipe[col + 1:]
+    assert rows["al-seq"][0] == rows["al-pipe"][0]
+
+
 def test_csv_schema_stable_across_modes(tmp_path):
     header_rows = {}
     for mode in ("al-seq", "bp"):

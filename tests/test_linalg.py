@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,20 @@ def test_he_init_deterministic():
     w1 = he_normal_init(8, 8, make_rng(5))
     w2 = he_normal_init(8, 8, make_rng(5))
     assert np.array_equal(w1, w2)
+
+
+def test_he_init_holds_one_tensor_and_keeps_the_draw():
+    # The draw already has DTYPE, so it is returned as it is: the peak is
+    # one 784x256 tensor, not the draw and a copy of it.
+    tracemalloc.start()
+    try:
+        w = he_normal_init(784, 256, make_rng(7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * w.nbytes
+    expected = make_rng(7).normal(0.0, np.sqrt(2.0 / 784), size=(784, 256))
+    assert w.tobytes() == expected.tobytes()
 
 
 def test_he_init_rejects_bad_fan_in():

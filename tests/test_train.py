@@ -4,7 +4,7 @@ import statistics
 import tracemalloc
 import weakref
 from threading import (Barrier, BoundedSemaphore, BrokenBarrierError, Lock,
-                       Thread)
+                       Thread, get_ident)
 
 import numpy as np
 import pytest
@@ -319,15 +319,15 @@ def test_run_pipeline_stage_error_no_deadlock():
                      ((i, i) for i in range(1, 50)))
 
 
-def _run_in_thread(fn) -> list:
+def _run_in_thread(fn, catch=TrainingError) -> list:
     """Run fn in a daemon thread joined with a 10 s timeout; returns the
-    TrainingErrors it raised."""
+    exceptions of type catch it raised."""
     raised = []
 
     def run():
         try:
             fn()
-        except TrainingError as e:
+        except catch as e:
             raised.append(e)
 
     t = Thread(target=run, daemon=True)
@@ -454,6 +454,93 @@ def test_run_pipeline_rejects_nonmonotone_ids():
     feed = iter([(2, "a"), (1, "b")])
     with pytest.raises(TrainingError, match="arrived after"):
         run_pipeline([lambda v: v], feed)
+
+
+@pytest.fixture
+def counted_threads(monkeypatch):
+    """Every Thread that run_pipeline makes, so a test can count them and
+    see whether any is still alive."""
+    made = []
+
+    class Counted(Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(train_mod, "Thread", Counted)
+    return made
+
+
+@pytest.mark.parametrize("n_stages", [1, 2, 3])
+def test_run_pipeline_runs_stage_one_on_the_caller(counted_threads,
+                                                   n_stages):
+    # The calling thread runs stage 1 and each later stage has a thread of
+    # its own, so C stages start C - 1 threads.
+    seen = [set() for _ in range(n_stages)]
+
+    def make_stage(k):
+        def stage(m):
+            seen[k].add(get_ident())
+            return m
+        return stage
+
+    report = run_pipeline([make_stage(k) for k in range(n_stages)],
+                          ((m, m) for m in range(1, 9)))
+    assert report.completed == 8
+    assert len(report.busy_fraction) == n_stages
+    assert len(counted_threads) == n_stages - 1
+    assert seen[0] == {get_ident()}
+    assert all(len(idents) == 1 for idents in seen)
+    assert len(set.union(*seen)) == n_stages
+    assert {t.ident for t in counted_threads} == set().union(*seen[1:])
+
+
+@pytest.mark.parametrize("depth", [1, None], ids="depth{}".format)
+@pytest.mark.parametrize("good_batches", [0, 3])
+def test_run_pipeline_feed_error_propagates_unchanged(counted_threads,
+                                                      good_batches, depth):
+    # An exception from the feed itself is not a stage failure: it leaves
+    # run_pipeline as it is, after every worker has stopped.
+    broken = OSError("feed broke")
+
+    def feed():
+        yield from ((m, m) for m in range(1, good_batches + 1))
+        raise broken
+
+    raised = _run_in_thread(
+        lambda: run_pipeline([lambda v: v] * 3, feed(), depth=depth),
+        catch=BaseException)
+    assert len(raised) == 1 and raised[0] is broken
+    assert len(counted_threads) == 2
+    assert not any(t.is_alive() for t in counted_threads)
+
+
+@pytest.mark.parametrize("bad_batch", [1, 3], ids="batch{}".format)
+@pytest.mark.parametrize("failing_stage", [2, 3], ids="stage{}".format)
+def test_run_pipeline_starts_no_batch_after_a_later_stage_failed(
+        failing_stage, bad_batch):
+    # At depth 1 the caller takes batch m + 1's token only once batch m has
+    # left the pipeline, so it has seen a later stage's failure by then
+    # and runs stage 1 on no further batch.
+    started = []
+
+    def first(v):
+        started.append(v)
+        return v
+
+    def boom(v):
+        if v == bad_batch:
+            raise ValueError(f"boom on {v}")
+        return v
+
+    stages = [first, lambda v: v, lambda v: v]
+    stages[failing_stage - 1] = boom
+    raised = _run_in_thread(lambda: run_pipeline(
+        stages, ((m, m) for m in range(1, 50)), depth=1))
+    assert len(raised) == 1
+    assert (f"stage {failing_stage} failed: boom on {bad_batch}"
+            in str(raised[0]))
+    assert started == list(range(1, bad_batch + 1))
 
 
 def test_run_pipeline_validation():
@@ -658,6 +745,26 @@ def test_fit_mode_validation():
                                           "kind 'al', got 'bp'"):
         fit(BPNetwork([8, 4], make_rng(39)), ds, ds, mode="al-pipe",
             epochs=1, batch_size=8, rng=make_rng(41), seed=39)
+
+
+@pytest.mark.parametrize("kind,mode,message", [
+    ("al", "magic", "mode must be one of"),
+    ("al", "bp", "mode bp needs a model of kind 'bp', got 'al'"),
+    ("bp", "al-seq", "mode al-seq needs a model of kind 'al', got 'bp'"),
+], ids=["unknown", "bp-on-al", "al-on-bp"])
+def test_train_epoch_checks_the_mode_as_fit_does(kind, mode, message):
+    model = (build_network(get_plan("blobs"), make_rng(39)) if kind == "al"
+             else BPNetwork([8, 4], make_rng(39)))
+    before = [a.copy() for _, a in params(model)]
+    ds, y1 = blob_setup(seed=40)
+    with pytest.raises(ConfigError, match=message) as from_fit:
+        fit(model, ds, ds, mode=mode, epochs=1, batch_size=8,
+            rng=make_rng(41), seed=39)
+    with pytest.raises(ConfigError) as from_epoch:
+        train_epoch(model, ds.X, y1, 8, make_rng(41), 1, mode)
+    assert str(from_epoch.value) == str(from_fit.value)
+    assert all(np.array_equal(a, b)
+               for a, (_, b) in zip(before, params(model)))
 
 
 @pytest.mark.parametrize("key,value", [
