@@ -32,6 +32,9 @@ from .nn import param_items, set_params
 
 _FORMAT = "alnet-ckpt-1"
 _DTYPE = "<f8"
+# Longest header line a loader reads, newline included: desk-mlp's is
+# 1,129 bytes, so only a file that is no checkpoint comes near it.
+_HEADER_MAX = 2**20
 
 
 def save(path, model, seed: int, epoch: int,
@@ -87,12 +90,15 @@ def _tensor_descs(path, header) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def load_checkpoint(path):
-    """Returns (header dict, list of arrays in header order)."""
+    """Returns (header dict, list of arrays in header order). The header
+    line is read up to _HEADER_MAX bytes, so a large file that is not a
+    checkpoint is refused without being read into memory."""
     path = Path(path)
     with open(path, "rb") as fh:
-        line = fh.readline()
+        line = fh.readline(_HEADER_MAX)
         if not line.endswith(b"\n"):
-            raise TruncatedFileError(f"{path}: header line not terminated")
+            raise TruncatedFileError(f"{path}: header line not terminated "
+                                     f"within {_HEADER_MAX} bytes")
         try:
             header = json.loads(line)
         except json.JSONDecodeError as e:

@@ -14,7 +14,10 @@ construction at any pipeline depth.
 
 ``run_pipeline`` is the schedule-agnostic core of ``al-pipe`` and the
 synthetic bench: the caller runs stage 1 and a worker thread each later
-stage; its ``ThroughputReport`` is the one record of the run.
+stage; its ``ThroughputReport`` is the one record of the run. Around it
+a pipelined epoch borrows two process-wide resources and gives both
+back once its workers have joined: OpenBLAS's thread count, and the
+free heap, which stays resident in each worker's malloc arena.
 
 ``fit`` runs every mode on one path through the model contract
 (``al_core``): it checks the mode against ``model.kind``, evaluates with
@@ -23,6 +26,9 @@ stage; its ``ThroughputReport`` is the one record of the run.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -55,6 +61,38 @@ PIPELINE_BLAS_THREADS = 1
 
 # Bound of each inter-stage queue, in batches.
 QUEUE_CAPACITY = 2
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, or None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+def _release_free_heap() -> None:
+    """Hand the free pages of every malloc arena back to the OS."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
+@contextlib.contextmanager
+def _heap_released():
+    """Release the free heap before the body and after it, also when it
+    raises. A worker thread's frees stay resident in its own malloc arena,
+    out of the caller's reach, until released; the release before the
+    body hands back the caller's leftovers of its last evaluation."""
+    _release_free_heap()
+    try:
+        yield
+    finally:
+        _release_free_heap()
 
 
 @dataclass
@@ -281,8 +319,9 @@ def train_epoch(model, X: Matrix, y_onehot: Matrix, batch_size: int,
                 rng: Rng, epoch: int, mode: str, depth: int | None = None):
     """One shuffled pass of mode over (X, y_onehot); a NumericError a
     stage raises names the epoch and the batch. In al-pipe, depth caps
-    the batches in flight, and OpenBLAS runs on PIPELINE_BLAS_THREADS
-    threads until the workers have joined, also on failure. Returns
+    the batches in flight, OpenBLAS runs on PIPELINE_BLAS_THREADS
+    threads, and the free heap is released before the workers start and
+    after they have joined (_heap_released), also on failure. Returns
     (MetricsRecord, the ThroughputReport of run_pipeline or None).
     ConfigError unless the mode is one for model.kind, as in fit."""
     def named(stage):
@@ -300,7 +339,7 @@ def train_epoch(model, X: Matrix, y_onehot: Matrix, batch_size: int,
     feed = _feed(X, y_onehot, batch_size, rng)
     report = None
     if pipelined:
-        with blas.pinned_threads(PIPELINE_BLAS_THREADS):
+        with blas.pinned_threads(PIPELINE_BLAS_THREADS), _heap_released():
             report = run_pipeline(stages, feed, depth=depth)
     else:
         _run_inline(stages, feed)
@@ -368,9 +407,9 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
     epochs=0 evaluates the untouched model once and writes nothing.
     epochs, batch_size and eval_chunk must be ints, not bools (>= 0,
     >= 1, >= 1), the rate schedule must pass check_schedule, the mode
-    must be one for model.kind, and both datasets must have rows and
-    match the model (check_datasets); anything else raises ConfigError
-    before any work.
+    must be one for model.kind, both datasets must have rows and match
+    the model (check_datasets), and out_dir, when given, must be an
+    existing directory; anything else raises ConfigError before any work.
     """
     _check_mode(model, mode)
     for key, value, low in (("epochs", epochs, 0),
@@ -380,6 +419,8 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
             raise ConfigError(f"{key} must be an int >= {low}, got {value!r}")
     check_schedule(lr, lr_drops, lr_factor)
     check_datasets(model, train_ds, test_ds)
+    if out_dir and not Path(out_dir).is_dir():
+        raise ConfigError(f"out_dir {str(out_dir)!r} is not a directory")
 
     y1 = one_hot(train_ds.y, train_ds.n_classes).astype(train_ds.X.dtype,
                                                         copy=False)

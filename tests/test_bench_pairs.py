@@ -1,0 +1,95 @@
+"""tools/bench_pairs.py on two stand-in checkouts whose perfbench/run.py
+prints a fixed result line, so the pairing and the verdicts are exact."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+SPECS = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower",
+          "bound": 0.25},
+         {"name": "train_samples_per_s", "unit": "1/s", "better": "higher",
+          "bound": 0.25}]
+# Prints one result line; its peak_rss_mb is RSS + the seed's last digit
+# / 10, and it appends its seed to runs.log beside the checkout.
+RUN_PY = """import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+with open("runs.log", "a") as fh:
+    fh.write(f"{seed}\\n")
+print("human-readable line")
+print(json.dumps({"correct": CORRECT, "attempted": 1, "failed": 0,
+                  "metrics": {"peak_rss_mb": {"value": RSS + seed % 10 / 10,
+                                              "unit": "MB"},
+                              "train_samples_per_s": {"value": 6000.0,
+                                                      "unit": "1/s"}}}))
+"""
+
+
+def checkout(root: Path, rss: float, correct: bool = True) -> Path:
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(
+        RUN_PY.replace("RSS", repr(rss)).replace("CORRECT", repr(correct)))
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPECS}))
+    return root
+
+
+def bench_pairs(parent: Path, change: Path, pairs: int = 4):
+    return subprocess.run(
+        [sys.executable, str(TOOL), str(parent), str(change), "--workload",
+         "w", "--pairs", str(pairs), "--seconds", "1", "--first-seed", "10"],
+        capture_output=True, text=True, check=False)
+
+
+def row(stdout: str, metric: str) -> str:
+    return next(line for line in stdout.splitlines()
+                if line.startswith(metric + " "))
+
+
+def test_interleaved_pairs_and_verdicts(tmp_path):
+    parent = checkout(tmp_path / "parent", 120.0)
+    change = checkout(tmp_path / "change", 117.0)
+    proc = bench_pairs(parent, change)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    # Every seed in both checkouts, the first side alternating by pair.
+    assert (parent / "runs.log").read_text().split() == ["10", "11", "12",
+                                                         "13"]
+    sides = [line.split()[2] for line in proc.stdout.splitlines()
+             if line.startswith("seed ")]
+    assert sides == ["parent", "change", "change", "parent"] * 2
+    rss = row(proc.stdout, "peak_rss_mb")
+    assert "120.15 [120.075, 120.225]" in rss
+    assert "117.15 [117.075, 117.225]" in rss
+    assert rss.split()[-2:] == ["4/4", "gain"]
+    assert row(proc.stdout, "train_samples_per_s").split()[-1] == "0/4"
+
+
+def test_a_worse_change_is_named(tmp_path):
+    proc = bench_pairs(checkout(tmp_path / "parent", 100.0),
+                       checkout(tmp_path / "change", 130.0), pairs=2)
+    assert proc.returncode == 0
+    assert row(proc.stdout, "peak_rss_mb").split()[-2:] == ["0/2", "worse"]
+
+
+@pytest.mark.parametrize("broken", ["incorrect", "no-result"])
+def test_a_failed_run_makes_the_exit_code_one(tmp_path, broken):
+    parent = checkout(tmp_path / "parent", 120.0)
+    change = checkout(tmp_path / "change", 117.0, correct=False)
+    if broken == "no-result":
+        (change / "perfbench" / "run.py").write_text("raise SystemExit(3)")
+    proc = bench_pairs(parent, change, pairs=1)
+    assert proc.returncode == 1
+    assert "correct=False" in proc.stdout
+    assert "1 run(s) read correct: false or gave no result" in proc.stdout
+
+
+def test_checkouts_with_other_metrics_are_refused(tmp_path):
+    parent = checkout(tmp_path / "parent", 120.0)
+    change = checkout(tmp_path / "change", 117.0)
+    (parent / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    proc = bench_pairs(parent, change, pairs=1)
+    assert proc.returncode == 2
+    assert "different end-to-end metrics" in proc.stderr
+    assert not (parent / "runs.log").exists()

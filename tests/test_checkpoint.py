@@ -120,6 +120,25 @@ def test_unterminated_header_detected(tmp_path):
         load_checkpoint(path)
 
 
+def test_header_read_stops_at_its_cap(tmp_path):
+    # A large file without a newline is refused after reading at most
+    # _HEADER_MAX bytes of it, never the whole file: the traced peak is a
+    # small multiple of the cap (readline's buffer and its result).
+    path = tmp_path / "model.bin"
+    with open(path, "wb") as fh:
+        fh.truncate(32 * 2**20)     # sparse: 32 MiB of zeros, no newline
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedFileError, match=re.escape(
+                f"{path}: header line not terminated within "
+                f"{checkpoint._HEADER_MAX} bytes")):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * checkpoint._HEADER_MAX, peak
+
+
 def test_trailing_bytes_detected(tmp_path):
     path = tmp_path / "model.bin"
     save(path, al_fixture(11), seed=11, epoch=0)

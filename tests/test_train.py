@@ -1,6 +1,10 @@
 import copy
+import ctypes
 import gc
+import os
+import re
 import statistics
+import threading
 import tracemalloc
 import weakref
 from threading import (Barrier, BoundedSemaphore, BrokenBarrierError, Lock,
@@ -207,6 +211,116 @@ def test_pipeline_divergence_propagates():
     ds, y1 = blob_setup(seed=19)
     with pytest.raises(TrainingError, match="stage 2"):
         train_epoch(net, ds.X, y1, 8, make_rng(20), 1, "al-pipe")
+
+
+# the heap a pipelined epoch releases -------------------------------------
+
+@pytest.fixture
+def heap_releases(monkeypatch) -> list:
+    """Spy on train._release_free_heap: one entry per call, the threads
+    alive then that were not alive when the fixture was made."""
+    before = set(threading.enumerate())
+    calls = []
+    monkeypatch.setattr(train_mod, "_release_free_heap", lambda: calls.append(
+        set(threading.enumerate()) - before))
+    return calls
+
+
+def test_pipelined_epoch_releases_the_heap_around_its_workers(
+        monkeypatch, heap_releases):
+    # Once before any stage-2 worker exists, once after every one has
+    # joined; stage 2 records that it ran on a thread of its own.
+    stage2_threads = set()
+
+    def note_thread(comp, calls):
+        if comp.index == 2:
+            stage2_threads.add(threading.current_thread())
+
+    record_updates(monkeypatch, note_thread)
+    net = build_network(get_plan("blobs"), make_rng(33))
+    ds, y1 = blob_setup(seed=34)
+    train_epoch(net, ds.X, y1, 8, make_rng(35), 1, "al-pipe")
+    assert heap_releases == [set(), set()]
+    assert len(stage2_threads) == 1
+    assert not stage2_threads & {threading.main_thread()}
+
+
+def test_failed_pipelined_epoch_still_releases_the_heap_twice(
+        monkeypatch, heap_releases):
+    def fail_on_batch_2(comp, calls):
+        if comp.index == 2 and calls.count(2) == 2:
+            raise NumericError("stage 2 gives up")
+
+    record_updates(monkeypatch, fail_on_batch_2)
+    net = build_network(get_plan("blobs"), make_rng(33))
+    ds, y1 = blob_setup(seed=34)
+    with pytest.raises(TrainingError, match="stage 2 failed: epoch 1, batch 2"):
+        train_epoch(net, ds.X, y1, 8, make_rng(35), 1, "al-pipe")
+    assert heap_releases == [set(), set()]
+
+
+@pytest.mark.parametrize("mode", ["al-seq", "bp"])
+def test_inline_epochs_never_release_the_heap(heap_releases, mode):
+    model = (build_network(get_plan("blobs"), make_rng(33))
+             if mode == "al-seq" else BPNetwork([8, 16, 4], make_rng(33)))
+    ds, y1 = blob_setup(seed=34)
+    train_epoch(model, ds.X, y1, 8, make_rng(35), 1, mode)
+    assert heap_releases == []
+
+
+def test_pipelined_epoch_without_malloc_trim_matches_sequential(monkeypatch):
+    monkeypatch.setattr(train_mod, "_malloc_trim", lambda: None)
+    seq_net = build_network(get_plan("blobs"), make_rng(12))
+    pipe_net = copy.deepcopy(seq_net)
+    ds, y1 = blob_setup(seed=13)
+    rec_seq, _ = train_epoch(seq_net, ds.X, y1, 8, make_rng(14), 1, "al-seq")
+    rec_pipe, _ = train_epoch(pipe_net, ds.X, y1, 8, make_rng(14), 1,
+                              "al-pipe")
+    for (name, a), (_, b) in zip(params(seq_net), params(pipe_net)):
+        assert a.tobytes() == b.tobytes(), name
+    assert rec_seq.train_loss == rec_pipe.train_loss
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+def _has_malloc_trim() -> bool:
+    try:
+        ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return False
+    return os.path.exists("/proc/self/statm")
+
+
+@pytest.mark.skipif(not _has_malloc_trim(),
+                    reason="needs glibc's malloc_trim and /proc/self/statm")
+def test_pipelined_epoch_leaves_no_freed_worker_heap_resident(monkeypatch):
+    # Stage 2 runs on a worker thread, so glibc serves it from a malloc
+    # arena of its own. Each of its calls fills `freed` bytes in 64 KiB
+    # blocks (below the mmap threshold, so they come from the arena) and
+    # keeps one block allocated after them, so the freed run sits below a
+    # live block and free() cannot shrink the arena over it. Without a
+    # release after the workers join, those pages stay resident.
+    freed, block = 16 * 2**20, 2**16
+    kept = []
+
+    def churn(comp, calls):
+        if comp.index == 2:
+            blocks = [np.ones(block // 8) for _ in range(freed // block)]
+            kept.append(np.ones(block // 8))
+            del blocks
+
+    record_updates(monkeypatch, churn)
+    net = build_network(get_plan("blobs"), make_rng(33))
+    ds, y1 = blob_setup(seed=34)
+    gc.collect()
+    before = _resident_bytes()
+    train_epoch(net, ds.X, y1, 8, make_rng(35), 1, "al-pipe")
+    grown = _resident_bytes() - before
+    assert len(kept) == 5
+    assert grown < freed // 4, grown
 
 
 # one epoch loop ---------------------------------------------------------
@@ -729,6 +843,29 @@ def test_fit_rejects_a_bad_rate_schedule_before_any_work(tmp_path, mode,
     assert all(a.tobytes() == b.tobytes()
                for a, (_, b) in zip(before, params(model)))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["al-pipe", "bp"])
+@pytest.mark.parametrize("case", ["missing", "a-file"])
+def test_fit_rejects_an_out_dir_that_is_no_directory_before_any_work(
+        tmp_path, mode, case):
+    if mode == "bp":
+        model = BPNetwork([8, 16, 4], make_rng(39))
+    else:
+        model = build_network(get_plan("blobs"), make_rng(39))
+    before = [a.copy() for _, a in params(model)]
+    ds, _ = blob_setup(seed=40)
+    out_dir = tmp_path / "run"
+    if case == "a-file":
+        out_dir.write_text("")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"out_dir {str(out_dir)!r} is not a directory")):
+        fit(model, ds, ds, mode=mode, epochs=1, batch_size=8,
+            rng=make_rng(41), seed=39, out_dir=out_dir)
+    assert all(a.tobytes() == b.tobytes()
+               for a, (_, b) in zip(before, params(model)))
+    assert [p.name for p in tmp_path.iterdir()] == (
+        ["run"] if case == "a-file" else [])
 
 
 def test_fit_mode_validation():
