@@ -53,8 +53,8 @@ def threads() -> int | None:
 def pinned_threads(n: int):
     """Run the body with OpenBLAS on n threads, then restore the count.
 
-    The count is process-wide, so enter this from the thread that starts
-    the workers, before they start, and leave it after they have joined.
+    The count is process-wide: ``train.run_pipeline`` enters this before
+    it starts its worker threads and leaves it after they have joined.
     """
     fns = _thread_functions()
     if fns is None:

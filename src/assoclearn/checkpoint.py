@@ -6,8 +6,8 @@ tensor, in order); everything after the newline is the concatenation of
 those tensors as little-endian float64 bytes, which the dtype field
 declares as "<f8" and a loader requires. The tensor order is
 ``nn.param_items`` over the model's ``named_layers()``, so a reader needs
-nothing beyond the header: ``load`` rebuilds the model the tag names from
-its plan and seed and checks the names before it assigns the tensors.
+nothing beyond the header: ``load`` checks the names and shapes against
+the plan, then rebuilds the model the tag names from it and the seed.
 Every model has a plan, so ``load`` reads every checkpoint ``save``
 writes. Neither the optimizer moments nor the learning rate is stored: a
 restored model predicts identically but restarts Adam cold. A checkpoint
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ShapeError, TruncatedFileError
+from .errors import DataError, TruncatedFileError
 from .fileio import atomic_open
 from .linalg import make_rng
 from .al_core import NetworkPlan, build_network
@@ -128,18 +128,27 @@ def load_checkpoint(path):
     return header, arrays
 
 
-# plan dict and seeded rng -> model, for each checkpoint tag
+def _al_blocks(plan: dict) -> list[tuple[str, list]]:
+    return [(f"c{i}.{k}", widths) for i, cp in enumerate(
+        NetworkPlan.from_dict(plan).components, start=1)
+        for k, widths in vars(cp).items()]
+
+
+# Per checkpoint tag: plan dict and seeded rng -> model, and plan dict ->
+# (layer name, width chain) of each block, in named_layers() order.
 _BUILDERS = {
     "al": lambda plan, rng: build_network(NetworkPlan.from_dict(plan), rng),
     "bp": lambda plan, rng: BPNetwork(rng=rng, **plan),
 }
+_BLOCKS = {"al": _al_blocks, "bp": lambda plan: [("stack", plan["widths"])]}
 
 
 def load(path):
     """(model, header): the model the tag names, rebuilt from the plan and
     an rng seeded from the seed the checkpoint carries, then assigned its
-    tensors if their names are the model's, in order; DataError naming
-    path when any of them is missing or malformed."""
+    tensors once their names and shapes match the plan's, which is checked
+    before anything is built; DataError naming path when any of them is
+    missing, malformed or mismatched."""
     header, arrays = load_checkpoint(path)
     tag, plan, seed = header["tag"], header["plan"], header["seed"]
     if tag not in _BUILDERS:
@@ -147,20 +156,21 @@ def load(path):
                         f"{sorted(_BUILDERS)}")
     if type(seed) is not int or seed < 0:
         raise DataError(f"{path}: malformed seed {seed!r}")
-    try:
-        model = _BUILDERS[tag](plan, make_rng(seed))
+    stored = [(d["name"], a.shape) for d, a in zip(header["arrays"], arrays)]
+    try:    # (name, shape) of every tensor of the plan's model
+        want = [(f"{name}.{li}.{p}", shape) for name, w in _BLOCKS[tag](plan)
+                for li, (a, b) in enumerate(zip(w, w[1:]))
+                for p, shape in (("W", (a, b)), ("bias", (1, b)))]
+        model = _BUILDERS[tag](plan, make_rng(seed)) if want == stored else None
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"{path}: malformed plan {plan!r}: {e!r}") from e
-    layers = model.named_layers()
-    names = [n for n, _ in param_items(layers)]
-    stored = [d["name"] for d in header["arrays"]]
-    if names != stored:
-        diff = next((f"{a} vs {b}" for a, b in zip(stored, names) if a != b),
-                    f"{len(stored)} tensors vs {len(names)}")
+    if model is None:
+        names = [n for n, _ in stored], [n for n, _ in want]
+        what = "names" if names[0] != names[1] else "shapes"
+        pairs = zip(*names) if what == "names" else zip(stored, want)
+        diff = next((f"{a} vs {b}" for a, b in pairs if a != b),
+                    f"{len(stored)} tensors vs {len(want)}")
         raise DataError(
-            f"{path}: tensor names do not match this network ({diff})")
-    try:
-        set_params(layers, arrays)
-    except ShapeError as e:
-        raise DataError(f"{path}: {e}") from e
+            f"{path}: tensor {what} do not match this network ({diff})")
+    set_params(model.named_layers(), arrays)
     return model, header

@@ -42,17 +42,34 @@ from .nn import grad_check_block, make_block
 from .train import (MODES, PIPELINE_BLAS_THREADS, bench_pipeline,
                     check_datasets, check_schedule, fit)
 
-_DATASETS = ("mnist", "mnist-subset", "blobs", "xor")
-_DEFAULT_PLAN = {"mnist": "desk-mlp", "mnist-subset": "desk-mlp",
-                 "blobs": "blobs", "xor": "xor"}
 
-# The dataclass defaults are the image-dataset recipe (lr 1e-4, drops at
-# 80/120/160/180, batch 128). The toy problems are orders of magnitude
-# smaller, so unless overridden they get a proportionate step size, full
-# batches, and no drop schedule.
-_DATASET_DEFAULTS = {
-    "xor": {"lr": 1e-3, "batch_size": 4, "lr_drops": []},
-    "blobs": {"lr": 1e-3, "lr_drops": []},
+def _mnist(cfg, data_rng) -> tuple[Dataset, Dataset]:
+    return load_mnist(cfg.data_dir)
+
+
+def _mnist_subset(cfg, data_rng) -> tuple[Dataset, Dataset]:
+    return mnist_subset(*load_mnist(cfg.data_dir), seed=cfg.seed)
+
+
+def _blobs(cfg, data_rng) -> tuple[Dataset, Dataset]:
+    ds = synth_blobs(768, 8, 4, separation=8.0, rng=data_rng)
+    return (Dataset(ds.X[:512], ds.y[:512], 4),
+            Dataset(ds.X[512:], ds.y[512:], 4))
+
+
+def _xor(cfg, data_rng) -> tuple[Dataset, Dataset]:
+    ds = synth_xor()
+    return ds, ds
+
+
+# Per dataset: its default plan, the RunConfig settings it changes and its
+# loader. The RunConfig defaults are the image recipe; the toy problems,
+# far smaller, get a proportionate step size, full batches and no drops.
+_DATASETS = {
+    "mnist": ("desk-mlp", {}, _mnist),
+    "mnist-subset": ("desk-mlp", {}, _mnist_subset),
+    "blobs": ("blobs", {"lr": 1e-3, "lr_drops": []}, _blobs),
+    "xor": ("xor", {"lr": 1e-3, "batch_size": 4, "lr_drops": []}, _xor),
 }
 
 
@@ -72,7 +89,7 @@ class RunConfig:
     out: str = ""
 
     def validate(self) -> None:
-        for key, choices in (("dataset", _DATASETS), ("mode", MODES),
+        for key, choices in (("dataset", tuple(_DATASETS)), ("mode", MODES),
                              ("head", HEADS)):
             if getattr(self, key) not in choices:
                 raise ConfigError(f"{key} must be one of {choices}, "
@@ -157,38 +174,18 @@ def resolve_train_config(args) -> RunConfig:
                               f"be {kind}, got {val!r}") from None
     if not values.get("data_dir"):
         values["data_dir"] = os.environ.get("AL_DATA_DIR") or None
-    for key, val in _DATASET_DEFAULTS.get(values["dataset"], {}).items():
-        values.setdefault(key, val)
-    cfg = RunConfig(**values)
-    cfg.plan = cfg.plan or _DEFAULT_PLAN.get(cfg.dataset, "")
+    plan, defaults, _ = _DATASETS.get(values["dataset"], ("", {}, None))
+    cfg = RunConfig(**{**defaults, **values})
+    cfg.plan = cfg.plan or plan
     cfg.out = cfg.out or f"runs/{cfg.dataset}-{cfg.mode}-seed{cfg.seed}"
     cfg.validate()
     return cfg
 
 
-def _split(ds: Dataset, n_train: int) -> tuple[Dataset, Dataset]:
-    return (Dataset(X=ds.X[:n_train], y=ds.y[:n_train],
-                    n_classes=ds.n_classes),
-            Dataset(X=ds.X[n_train:], y=ds.y[n_train:],
-                    n_classes=ds.n_classes))
-
-
-def load_datasets(cfg: RunConfig, data_rng) -> tuple[Dataset, Dataset]:
-    if cfg.dataset == "xor":
-        ds = synth_xor()
-        return ds, ds
-    if cfg.dataset == "blobs":
-        full = synth_blobs(768, 8, 4, separation=8.0, rng=data_rng)
-        return _split(full, 512)
-    train, test = load_mnist(cfg.data_dir)
-    if cfg.dataset == "mnist-subset":
-        return mnist_subset(train, test, seed=cfg.seed)
-    return train, test
-
-
 def cmd_train(cfg: RunConfig) -> int:
     init_rng, shuffle_rng, data_rng = spawn_rngs(cfg.seed, 3)
-    train_ds, test_ds = load_datasets(cfg, data_rng)
+    *_, load = _DATASETS[cfg.dataset]
+    train_ds, test_ds = load(cfg, data_rng)
 
     al_plan = get_plan(cfg.plan)
     if cfg.mode == "bp":
@@ -321,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="run a training job")
     t.add_argument("--config", help="JSON config file; flags override it")
-    t.add_argument("--dataset", choices=_DATASETS)
+    t.add_argument("--dataset", choices=tuple(_DATASETS))
     t.add_argument("--data-dir", help="directory with the IDX files "
                                       "(or set AL_DATA_DIR)")
     t.add_argument("--plan", help="architecture plan name, one of: "

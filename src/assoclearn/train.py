@@ -14,10 +14,10 @@ construction at any pipeline depth.
 
 ``run_pipeline`` is the schedule-agnostic core of ``al-pipe`` and the
 synthetic bench: the caller runs stage 1 and a worker thread each later
-stage; its ``ThroughputReport`` is the one record of the run. Around it
-a pipelined epoch borrows two process-wide resources and gives both
-back once its workers have joined: OpenBLAS's thread count, and the
-free heap, which stays resident in each worker's malloc arena.
+stage; its ``ThroughputReport`` is the one record of the run. It starts
+and joins the workers, so it holds the two process-wide resources they
+borrow and gives both back once they have joined: OpenBLAS's thread
+count, and the free heap, which stays resident in each worker's arena.
 
 ``fit`` runs every mode on one path through the model contract
 (``al_core``): it checks the mode against ``model.kind``, evaluates with
@@ -26,7 +26,6 @@ free heap, which stays resident in each worker's malloc arena.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import math
@@ -82,19 +81,6 @@ def _release_free_heap() -> None:
         trim(0)
 
 
-@contextlib.contextmanager
-def _heap_released():
-    """Release the free heap before the body and after it, also when it
-    raises. A worker thread's frees stay resident in its own malloc arena,
-    out of the caller's reach, until released; the release before the
-    body hands back the caller's leftovers of its last evaluation."""
-    _release_free_heap()
-    try:
-        yield
-    finally:
-        _release_free_heap()
-
-
 @dataclass
 class BatchMessage:
     """Detached activations in flight between two components."""
@@ -148,6 +134,11 @@ class ThroughputReport:
     speedup: float | None = None
 
 
+def _check_depth(depth: int | None) -> None:
+    if depth is not None and depth < 1:
+        raise ConfigError(f"pipeline depth must be >= 1, got {depth}")
+
+
 def run_pipeline(stages, feed, depth: int | None = None) -> ThroughputReport:
     """Push (batch_id, payload) pairs through the stages.
 
@@ -162,11 +153,13 @@ def run_pipeline(stages, feed, depth: int | None = None) -> ThroughputReport:
     its stage had failed. A failed stage drops the rest of its input, so
     nothing deadlocks and no new batch starts. The first failure is
     re-raised as TrainingError once all workers exit, a feed's own as is.
+    OpenBLAS runs on PIPELINE_BLAS_THREADS threads until the workers have
+    joined, and the free heap is released before the first starts and
+    after the last has joined, also on failure, outside the timed run.
     """
     if not stages:
         raise ConfigError("need at least one stage")
-    if depth is not None and depth < 1:
-        raise ConfigError(f"pipeline depth must be >= 1, got {depth}")
+    _check_depth(depth)
     n = len(stages)
     queues = [Queue(maxsize=QUEUE_CAPACITY) for _ in range(n - 1)]
     completed = 0
@@ -220,15 +213,18 @@ def run_pipeline(stages, feed, depth: int | None = None) -> ThroughputReport:
 
     threads = [Thread(target=worker, args=(i, iter(queues[i - 1].get, _STOP)),
                       daemon=True) for i in range(1, n)]
-    t_wall = time.perf_counter()
-    for t in threads:
-        t.start()
-    try:
-        worker(0, fed())
-    finally:
+    with blas.pinned_threads(PIPELINE_BLAS_THREADS):
+        _release_free_heap()
+        t_wall = time.perf_counter()
         for t in threads:
-            t.join()
-    wall = time.perf_counter() - t_wall
+            t.start()
+        try:
+            worker(0, fed())
+        finally:
+            for t in threads:
+                t.join()
+            wall = time.perf_counter() - t_wall
+            _release_free_heap()
     if errors:
         i, e = errors[0]
         raise TrainingError(f"pipeline stage {i + 1} failed: {e}") from e
@@ -318,12 +314,11 @@ def _check_mode(model, mode: str):
 def train_epoch(model, X: Matrix, y_onehot: Matrix, batch_size: int,
                 rng: Rng, epoch: int, mode: str, depth: int | None = None):
     """One shuffled pass of mode over (X, y_onehot); a NumericError a
-    stage raises names the epoch and the batch. In al-pipe, depth caps
-    the batches in flight, OpenBLAS runs on PIPELINE_BLAS_THREADS
-    threads, and the free heap is released before the workers start and
-    after they have joined (_heap_released), also on failure. Returns
-    (MetricsRecord, the ThroughputReport of run_pipeline or None).
-    ConfigError unless the mode is one for model.kind, as in fit."""
+    stage raises names the epoch and the batch. al-pipe runs the stages
+    through run_pipeline, depth capping the batches in flight, the other
+    modes inline. Returns (MetricsRecord, ThroughputReport or None).
+    ConfigError before any batch trains unless the mode is one for
+    model.kind, as in fit, and depth is None or >= 1, in every mode."""
     def named(stage):
         def run(msg: BatchMessage) -> BatchMessage:
             try:
@@ -334,15 +329,12 @@ def train_epoch(model, X: Matrix, y_onehot: Matrix, batch_size: int,
         return run
 
     build, pipelined = _check_mode(model, mode)
+    _check_depth(depth)
     stages, record = build(model)
     stages = [named(stage) for stage in stages]
     feed = _feed(X, y_onehot, batch_size, rng)
-    report = None
-    if pipelined:
-        with blas.pinned_threads(PIPELINE_BLAS_THREADS), _heap_released():
-            report = run_pipeline(stages, feed, depth=depth)
-    else:
-        _run_inline(stages, feed)
+    report = (run_pipeline(stages, feed, depth) if pipelined
+              else _run_inline(stages, feed))
     return record(epoch, mode, X.shape[0]), report
 
 

@@ -14,11 +14,15 @@ SPECS = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower",
          {"name": "train_samples_per_s", "unit": "1/s", "better": "higher",
           "bound": 0.25}]
 # Prints one result line; its peak_rss_mb is RSS + the seed's last digit
-# / 10, and it appends its seed to runs.log beside the checkout.
+# / 10. It appends its seed to runs.log beside the checkout, and its
+# workload and seed to workloads.log.
 RUN_PY = """import json, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
+workload = sys.argv[sys.argv.index("--workload") + 1]
 with open("runs.log", "a") as fh:
     fh.write(f"{seed}\\n")
+with open("workloads.log", "a") as fh:
+    fh.write(f"{workload} {seed}\\n")
 print("human-readable line")
 print(json.dumps({"correct": CORRECT, "attempted": 1, "failed": 0,
                   "metrics": {"peak_rss_mb": {"value": RSS + seed % 10 / 10,
@@ -36,10 +40,12 @@ def checkout(root: Path, rss: float, correct: bool = True) -> Path:
     return root
 
 
-def bench_pairs(parent: Path, change: Path, pairs: int = 4):
+def bench_pairs(parent: Path, change: Path, pairs: int = 4,
+                workloads=("w",)):
     return subprocess.run(
-        [sys.executable, str(TOOL), str(parent), str(change), "--workload",
-         "w", "--pairs", str(pairs), "--seconds", "1", "--first-seed", "10"],
+        [sys.executable, str(TOOL), str(parent), str(change), "--pairs",
+         str(pairs), "--seconds", "1", "--first-seed", "10"]
+        + [arg for w in workloads for arg in ("--workload", w)],
         capture_output=True, text=True, check=False)
 
 
@@ -64,6 +70,39 @@ def test_interleaved_pairs_and_verdicts(tmp_path):
     assert "117.15 [117.075, 117.225]" in rss
     assert rss.split()[-2:] == ["4/4", "gain"]
     assert row(proc.stdout, "train_samples_per_s").split()[-1] == "0/4"
+
+
+def test_repeated_workloads_run_in_turn_on_fresh_seeds(tmp_path):
+    parent = checkout(tmp_path / "parent", 120.0)
+    change = checkout(tmp_path / "change", 117.0)
+    proc = bench_pairs(parent, change, pairs=2, workloads=("a", "b"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for root in (parent, change):
+        assert (root / "workloads.log").read_text().splitlines() == [
+            "a 10", "a 11", "b 12", "b 13"]
+    lines = proc.stdout.splitlines()
+    assert [line for line in lines if line.startswith(("a:", "b:"))] == [
+        "a: 2 pairs at --seconds 1, seeds 10..11",
+        "b: 2 pairs at --seconds 1, seeds 12..13"]
+    rss = [line for line in lines if line.startswith("peak_rss_mb ")]
+    assert "120.05 [120.025, 120.075]" in rss[0]
+    assert "120.25 [120.225, 120.275]" in rss[1]
+    assert [row.split()[-2:] for row in rss] == [["2/2", "gain"]] * 2
+
+
+def test_a_failed_run_in_any_workload_makes_the_exit_code_one(tmp_path):
+    parent = checkout(tmp_path / "parent", 120.0)
+    change = checkout(tmp_path / "change", 117.0)
+    (change / "perfbench" / "run.py").write_text(
+        (change / "perfbench" / "run.py").read_text().replace(
+            '"correct": True', '"correct": workload != "b"'))
+    proc = bench_pairs(parent, change, pairs=1, workloads=("a", "b"))
+    assert proc.returncode == 1
+    assert [line for line in proc.stdout.splitlines()
+            if line.startswith(("a:", "b:"))] == [
+        "a: 1 pairs at --seconds 1, seeds 10..10",
+        "b: 1 pairs at --seconds 1, seeds 11..11"]
+    assert "1 run(s) read correct: false or gave no result" in proc.stdout
 
 
 def test_a_worse_change_is_named(tmp_path):

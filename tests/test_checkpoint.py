@@ -8,7 +8,7 @@ import pytest
 
 from assoclearn.al_core import ALNetwork, Component, build_network, get_plan
 from assoclearn import checkpoint
-from assoclearn.bp import BPNetwork
+from assoclearn.bp import BPNetwork, build_bp_network, match_effective_params
 from assoclearn.checkpoint import load, load_checkpoint, save
 from assoclearn.errors import DataError, PlanError, TruncatedFileError
 from assoclearn.linalg import make_rng
@@ -253,6 +253,26 @@ def test_load_same_names_other_shapes_raises(tmp_path):
     _rewrite_header(path, lambda h: h.update(plan=get_plan("blobs").to_dict()))
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*c2.b.0"):
         load(path)
+
+
+def test_a_plan_the_tensors_disagree_with_builds_nothing(tmp_path):
+    # blobs' bp baseline with only its plan's widths edited: the plan
+    # would build 12.5 M parameters, the file holds 8 KiB of them.
+    path = tmp_path / "model.bin"
+    save(path, build_bp_network(match_effective_params(get_plan("blobs")),
+                                make_rng(22)), seed=22, epoch=1)
+    _rewrite_header(path, lambda h: h["plan"].update(
+        widths=[8, 2500, 2500, 2500, 4]))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=re.escape(str(path)) +
+                           ": tensor names do not match"):
+            load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * size, (peak, size)
 
 
 def test_save_refuses_a_net_its_plan_cannot_rebuild(tmp_path):

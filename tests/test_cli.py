@@ -593,6 +593,22 @@ def test_every_mode_trains_through_one_epoch_loop():
     assert left == []
 
 
+def test_only_run_pipeline_borrows_process_wide_resources():
+    # The function that starts and joins the worker threads pins OpenBLAS
+    # and releases the heap around them; the epoch loop holds no policy.
+    for name in ("pinned_threads", "_release_free_heap"):
+        assert _call_sites(name) == {("train", "run_pipeline")}, name
+    tree = next(t for p, t in _src_modules() if p.name == "train.py")
+    epoch = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                 and fn.name == "train_epoch")
+    assert not [n for n in ast.walk(epoch) if isinstance(n, ast.With)]
+    left = [f"{path.name}:{n.lineno}" for path, tree in _src_modules()
+            for n in ast.walk(tree) if "_heap_released" in (
+                getattr(n, "name", None), getattr(n, "id", None),
+                getattr(n, "attr", None))]
+    assert left == []
+
+
 def test_only_linalg_and_data_decide_a_dtype():
     # A tensor gets its dtype where it is born: linalg.DTYPE, read by the
     # initializer and by data, where inputs enter. Every other module

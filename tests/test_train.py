@@ -5,16 +5,18 @@ import os
 import re
 import statistics
 import threading
+import time
 import tracemalloc
 import weakref
 from threading import (Barrier, BoundedSemaphore, BrokenBarrierError, Lock,
                        Thread, get_ident)
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import assoclearn.train as train_mod
-from assoclearn import nn
+from assoclearn import blas, nn
 from assoclearn.al_core import build_network, component_update, get_plan
 from assoclearn.bp import BPNetwork, build_bp_network, match_effective_params
 from assoclearn.checkpoint import load
@@ -26,6 +28,7 @@ from assoclearn.metrics import evaluate, write_metrics_csv
 from conftest import params
 from assoclearn.train import (
     MODES,
+    PIPELINE_BLAS_THREADS,
     Schedule,
     bench_pipeline,
     fit,
@@ -266,6 +269,50 @@ def test_inline_epochs_never_release_the_heap(heap_releases, mode):
     ds, y1 = blob_setup(seed=34)
     train_epoch(model, ds.X, y1, 8, make_rng(35), 1, mode)
     assert heap_releases == []
+
+
+def test_bench_pipeline_runs_its_pipeline_under_the_training_policy(
+        monkeypatch):
+    # The inline baseline borrows nothing; the pipelined run pins OpenBLAS
+    # and releases the heap before its workers start and after they join.
+    before = set(threading.enumerate())
+    events = []
+    monkeypatch.setattr(train_mod, "_release_free_heap", lambda: events.append(
+        ("release", set(threading.enumerate()) - before)))
+    monkeypatch.setattr(train_mod, "time", SimpleNamespace(
+        perf_counter=time.perf_counter,
+        sleep=lambda s: events.append(("stage", blas.threads()))))
+    with blas.pinned_threads(2):
+        caller = blas.threads()
+        if caller not in (None, 2):
+            pytest.skip("OpenBLAS did not accept 2 threads")
+        bench_pipeline(3, 2, 0.0)
+        assert blas.threads() == caller
+    pinned = None if caller is None else PIPELINE_BLAS_THREADS
+    assert events == ([("stage", caller)] * 6 + [("release", set())]
+                      + [("stage", pinned)] * 6 + [("release", set())])
+
+
+def test_failed_run_pipeline_releases_the_heap_and_restores_blas(
+        heap_releases):
+    def boom(v):
+        raise ValueError("stage 2 gives up")
+
+    with blas.pinned_threads(2):
+        caller = blas.threads()
+        with pytest.raises(TrainingError,
+                           match="stage 2 failed: stage 2 gives up"):
+            run_pipeline([lambda v: v, boom], ((m, m) for m in range(1, 4)))
+        assert blas.threads() == caller
+    assert heap_releases == [set(), set()]
+
+
+def test_run_pipeline_times_no_heap_release(monkeypatch):
+    monkeypatch.setattr(train_mod, "_release_free_heap",
+                        lambda: time.sleep(0.2))
+    report = run_pipeline([lambda v: v] * 2, ((m, m) for m in range(1, 4)))
+    assert report.completed == 3
+    assert report.wall_clock < 0.1, report.wall_clock
 
 
 def test_pipelined_epoch_without_malloc_trim_matches_sequential(monkeypatch):
@@ -900,6 +947,22 @@ def test_train_epoch_checks_the_mode_as_fit_does(kind, mode, message):
     with pytest.raises(ConfigError) as from_epoch:
         train_epoch(model, ds.X, y1, 8, make_rng(41), 1, mode)
     assert str(from_epoch.value) == str(from_fit.value)
+    assert all(np.array_equal(a, b)
+               for a, (_, b) in zip(before, params(model)))
+
+
+@pytest.mark.parametrize("mode", ["al-seq", "al-pipe", "bp"])
+def test_train_epoch_rejects_a_depth_below_one_in_every_mode(monkeypatch,
+                                                             mode):
+    model = (BPNetwork([8, 4], make_rng(39)) if mode == "bp"
+             else build_network(get_plan("blobs"), make_rng(39)))
+    before = [a.copy() for _, a in params(model)]
+    calls = record_updates(monkeypatch)
+    ds, y1 = blob_setup(seed=40)
+    with pytest.raises(ConfigError,
+                       match=r"^pipeline depth must be >= 1, got 0$"):
+        train_epoch(model, ds.X, y1, 8, make_rng(41), 1, mode, depth=0)
+    assert calls == []
     assert all(np.array_equal(a, b)
                for a, (_, b) in zip(before, params(model)))
 

@@ -1,15 +1,18 @@
-"""Compare two checkouts on one benchmark workload in interleaved pairs.
+"""Compare two checkouts on benchmark workloads in interleaved pairs.
 
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload deskmlp-pipe \\
-        --pairs 10 --seconds 25 --first-seed 601
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload deskmlp-seq \\
+        --workload deskmlp-pipe --pairs 10 --seconds 25 --first-seed 601
 
-Pair i runs ``perfbench/run.py --workload W --seed K+i --seconds S
+``--workload`` may repeat; the workloads run in turn, each for all its
+pairs. Pair i runs ``perfbench/run.py --workload W --seed K --seconds S
 --trace 0`` in both checkouts, each from its own root so that each
 imports its own ``src/``; the parent runs first in even pairs and the
-change in odd ones. One line per run shows its seed, side and metrics.
-Then, for each end-to-end metric of ``BENCHMARK.json``, a table gives
-both sides' medians and quartiles, the change's wins out of the pairs
-(ties count for neither side), the ratio of the medians, and a verdict:
+change in odd ones. Seeds K count up from ``--first-seed`` across the
+workloads, so no seed is used twice. One line per run shows its seed,
+side and metrics. Then, per workload and for each end-to-end metric of
+``BENCHMARK.json``, a table gives both sides' medians and quartiles, the
+change's wins out of the pairs (ties count for neither side), the ratio
+of the medians, and a verdict:
 
 - ``gain``: the change wins at least nine tenths of the pairs and its
   median is better than the parent's by more than the distance between
@@ -114,7 +117,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", action="append", required=True,
+                   help="a workload of perfbench/run.py; may repeat")
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--first-seed", type=int, required=True)
@@ -126,27 +130,28 @@ def main(argv=None) -> int:
     if end_to_end(roots["parent"]) != specs:
         p.error("the two checkouts declare different end-to-end metrics")
 
-    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     failed = 0
-    for i in range(args.pairs):
-        seed = args.first_seed + i
-        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            result = run_once(roots[side], args.workload, seed, args.seconds)
-            runs[side].append(result)
-            failed += not result["correct"]
-            values = " ".join(f"{k}={v['value']:.6g}"
-                              for k, v in result["metrics"].items())
-            print(f"seed {seed} {side:6s} correct={result['correct']} "
-                  f"{values}", flush=True)
-    print(f"\n{args.workload}: {args.pairs} pairs at --seconds "
-          f"{args.seconds:g}, seeds {args.first_seed}.."
-          f"{args.first_seed + args.pairs - 1}")
-    print("\n".join(summarize(specs, runs)))
+    seed = args.first_seed
+    for workload in args.workload:
+        runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+        first = seed
+        for i in range(args.pairs):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                result = run_once(roots[side], workload, seed, args.seconds)
+                runs[side].append(result)
+                failed += not result["correct"]
+                values = " ".join(f"{k}={v['value']:.6g}"
+                                  for k, v in result["metrics"].items())
+                print(f"seed {seed} {side:6s} correct={result['correct']} "
+                      f"{values}", flush=True)
+            seed += 1
+        print(f"\n{workload}: {args.pairs} pairs at --seconds "
+              f"{args.seconds:g}, seeds {first}..{seed - 1}")
+        print("\n".join(summarize(specs, runs)) + "\n", flush=True)
     if failed:
         print(f"{failed} run(s) read correct: false or gave no result")
         return 1
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
