@@ -6,12 +6,14 @@ tensor, in order); everything after the newline is the concatenation of
 those tensors as little-endian float64 bytes, which the dtype field
 declares as "<f8" and a loader requires. The tensor order is
 ``nn.param_items`` over the model's ``named_layers()``, so a reader needs
-nothing beyond the header: ``load`` checks the names and shapes against
-the plan, then rebuilds the model the tag names from it and the seed.
-Every model has a plan, so ``load`` reads every checkpoint ``save``
-writes. Neither the optimizer moments nor the learning rate is stored: a
-restored model predicts identically but restarts Adam cold. A checkpoint
-is replaced atomically, so a write that fails leaves the previous one.
+nothing beyond the header: ``load_checkpoint`` checks the header's fields
+and compares its tensor list with the one the plan implies before it
+reads a tensor byte, and ``load`` then rebuilds the model the tag names
+from the plan and the seed. Every model has a plan, so ``load`` reads
+every checkpoint ``save`` writes. Neither the optimizer moments nor the
+learning rate is stored: a restored model predicts identically but
+restarts Adam cold. A checkpoint is replaced atomically, so a write that
+fails leaves the previous one.
 """
 
 from __future__ import annotations
@@ -62,72 +64,6 @@ save_al = save
 save_bp = save
 
 
-def _tensor_descs(path, header) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of every tensor the header declares; DataError when
-    a header field, a name or a shape is missing or malformed, or the
-    dtype is not the format's."""
-    missing = [k for k in ("tag", "plan", "seed", "epoch", "dtype", "arrays")
-               if k not in header]
-    if missing:
-        raise DataError(f"{path}: header lacks {', '.join(missing)}")
-    if header["dtype"] != _DTYPE:
-        raise DataError(f"{path}: dtype {header['dtype']!r}, expected "
-                        f"{_DTYPE!r}")
-    descs = header["arrays"]
-    if not isinstance(descs, list):
-        raise DataError(f"{path}: header 'arrays' is not a list")
-    out = []
-    for i, desc in enumerate(descs):
-        if not (isinstance(desc, dict) and isinstance(desc.get("name"), str)):
-            raise DataError(f"{path}: tensor {i} has no name")
-        name, shape = desc["name"], desc.get("shape")
-        if not (isinstance(shape, list) and all(
-                type(n) is int and n >= 0 for n in shape)):
-            raise DataError(f"{path}: tensor {name} has malformed shape "
-                            f"{shape!r}")
-        out.append((name, tuple(shape)))
-    return out
-
-
-def load_checkpoint(path):
-    """Returns (header dict, list of arrays in header order). The header
-    line is read up to _HEADER_MAX bytes, so a large file that is not a
-    checkpoint is refused without being read into memory."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        line = fh.readline(_HEADER_MAX)
-        if not line.endswith(b"\n"):
-            raise TruncatedFileError(f"{path}: header line not terminated "
-                                     f"within {_HEADER_MAX} bytes")
-        try:
-            header = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{path}: header is not valid JSON: {e}") from e
-        fmt = header.get("format") if isinstance(header, dict) else None
-        if fmt != _FORMAT:
-            raise DataError(f"{path}: format {fmt!r}, expected {_FORMAT!r}")
-        arrays = []
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        for name, shape in _tensor_descs(path, header):
-            need = 8 * math.prod(shape)     # a Python int: never wraps
-            raw = fh.read(min(need, left))  # never more than the file has
-            if len(raw) != need:
-                raise TruncatedFileError(
-                    f"{path}: tensor {name} needs {need} bytes, "
-                    f"got {len(raw)}")
-            left -= need
-            try:
-                a = np.frombuffer(raw, dtype=_DTYPE).reshape(shape)
-            except ValueError as e:
-                raise DataError(f"{path}: tensor {name} has shape "
-                                f"{list(shape)}, which numpy cannot hold: "
-                                f"{e}") from e
-            arrays.append(a.astype(np.float64))
-        if fh.read(1):
-            raise DataError(f"{path}: trailing bytes after last tensor")
-    return header, arrays
-
-
 def _al_blocks(plan: dict) -> list[tuple[str, list]]:
     return [(f"c{i}.{k}", widths) for i, cp in enumerate(
         NetworkPlan.from_dict(plan).components, start=1)
@@ -143,34 +79,91 @@ _BUILDERS = {
 _BLOCKS = {"al": _al_blocks, "bp": lambda plan: [("stack", plan["widths"])]}
 
 
+def _layout(path, tag, plan) -> list[tuple[str, list[int]]]:
+    """(name, shape) of every tensor of the plan's model, in save order;
+    DataError naming path unless every width is a positive int."""
+    try:
+        blocks = _BLOCKS[tag](plan)
+        if not all(type(w) is int and w > 0 for _, ws in blocks for w in ws):
+            raise ValueError("widths must be positive ints")
+    except (LookupError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: malformed plan {plan!r}: {e!r}") from e
+    return [(f"{name}.{li}.{p}", shape) for name, w in blocks
+            for li, (a, b) in enumerate(zip(w, w[1:]))
+            for p, shape in (("W", [a, b]), ("bias", [1, b]))]
+
+
+def load_checkpoint(path):
+    """Returns (header dict, list of arrays in header order). The header
+    line (at most _HEADER_MAX bytes), its fields and its tensor list,
+    against the one its plan implies, are all checked before a tensor
+    byte is read; then exactly the plan's tensors are read."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        line = fh.readline(_HEADER_MAX)
+        if not line.endswith(b"\n"):
+            raise TruncatedFileError(f"{path}: header line not terminated "
+                                     f"within {_HEADER_MAX} bytes")
+        try:
+            header = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}: header is not valid JSON: {e}") from e
+        fmt = header.get("format") if isinstance(header, dict) else None
+        if fmt != _FORMAT:
+            raise DataError(f"{path}: format {fmt!r}, expected {_FORMAT!r}")
+        missing = [k for k in ("tag", "plan", "seed", "epoch", "dtype",
+                               "arrays") if k not in header]
+        if missing:
+            raise DataError(f"{path}: header lacks {', '.join(missing)}")
+        tag, seed = header["tag"], header["seed"]
+        if header["dtype"] != _DTYPE:
+            raise DataError(f"{path}: dtype {header['dtype']!r}, expected "
+                            f"{_DTYPE!r}")
+        if tag not in _BUILDERS:
+            raise DataError(f"{path}: tag {tag!r}, expected one of "
+                            f"{sorted(_BUILDERS)}")
+        if type(seed) is not int or seed < 0:
+            raise DataError(f"{path}: malformed seed {seed!r}")
+        want = _layout(path, tag, header["plan"])
+        descs = header["arrays"]
+        stored = [(d.get("name"), d.get("shape")) if isinstance(d, dict)
+                  else (d, None)
+                  for d in (descs if isinstance(descs, list) else [descs])]
+        if stored != want:
+            names = [n for n, _ in stored], [n for n, _ in want]
+            what = "names" if names[0] != names[1] else "shapes"
+            pairs = zip(*names) if what == "names" else zip(stored, want)
+            diff = next((f"{a} vs {b}" for a, b in pairs if a != b),
+                        f"{len(stored)} tensors vs {len(want)}")
+            raise DataError(
+                f"{path}: tensor {what} do not match this network ({diff})")
+        arrays = []
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        for name, shape in want:
+            need = 8 * math.prod(shape)     # a Python int: never wraps
+            raw = fh.read(min(need, left))  # never more than the file has
+            if len(raw) != need:
+                raise TruncatedFileError(
+                    f"{path}: tensor {name} needs {need} bytes, "
+                    f"got {len(raw)}")
+            left -= need
+            arrays.append(np.frombuffer(raw, dtype=_DTYPE).reshape(shape)
+                          .astype(np.float64))
+        if fh.read(1):
+            raise DataError(f"{path}: trailing bytes after last tensor")
+    return header, arrays
+
+
 def load(path):
     """(model, header): the model the tag names, rebuilt from the plan and
-    an rng seeded from the seed the checkpoint carries, then assigned its
-    tensors once their names and shapes match the plan's, which is checked
-    before anything is built; DataError naming path when any of them is
-    missing, malformed or mismatched."""
+    an rng seeded from the seed the checkpoint carries, then assigned the
+    tensors load_checkpoint read; DataError naming path when the header
+    is refused or the plan builds no model."""
     header, arrays = load_checkpoint(path)
-    tag, plan, seed = header["tag"], header["plan"], header["seed"]
-    if tag not in _BUILDERS:
-        raise DataError(f"{path}: tag {tag!r}, expected one of "
-                        f"{sorted(_BUILDERS)}")
-    if type(seed) is not int or seed < 0:
-        raise DataError(f"{path}: malformed seed {seed!r}")
-    stored = [(d["name"], a.shape) for d, a in zip(header["arrays"], arrays)]
-    try:    # (name, shape) of every tensor of the plan's model
-        want = [(f"{name}.{li}.{p}", shape) for name, w in _BLOCKS[tag](plan)
-                for li, (a, b) in enumerate(zip(w, w[1:]))
-                for p, shape in (("W", (a, b)), ("bias", (1, b)))]
-        model = _BUILDERS[tag](plan, make_rng(seed)) if want == stored else None
-    except (KeyError, TypeError, ValueError) as e:
+    plan = header["plan"]
+    try:
+        model = _BUILDERS[header["tag"]](plan, make_rng(header["seed"]))
+    except (LookupError, TypeError, ValueError) as e:
         raise DataError(f"{path}: malformed plan {plan!r}: {e!r}") from e
-    if model is None:
-        names = [n for n, _ in stored], [n for n, _ in want]
-        what = "names" if names[0] != names[1] else "shapes"
-        pairs = zip(*names) if what == "names" else zip(stored, want)
-        diff = next((f"{a} vs {b}" for a, b in pairs if a != b),
-                    f"{len(stored)} tensors vs {len(want)}")
-        raise DataError(
-            f"{path}: tensor {what} do not match this network ({diff})")
     set_params(model.named_layers(), arrays)
     return model, header

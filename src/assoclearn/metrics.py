@@ -91,7 +91,7 @@ def evaluate(model, ds: Dataset, chunk: int = 2048) -> float:
     """Accuracy of model.predict over ds, computed in chunks (_slices)."""
     labels = [model.predict(ds.X[sl])[1]
               for sl in _slices(model, ds.n, chunk)]
-    return accuracy(np.concatenate(labels), ds.y)
+    return accuracy(np.concatenate(labels) if labels else [], ds.y)
 
 
 # Benchmark shims: perfbench traces these until ROADMAP item 1 traces evaluate.

@@ -152,7 +152,8 @@ def run_pipeline(stages, feed, depth: int | None = None) -> ThroughputReport:
     last stage finished it, when it failed, or when it was dropped after
     its stage had failed. A failed stage drops the rest of its input, so
     nothing deadlocks and no new batch starts. The first failure is
-    re-raised as TrainingError once all workers exit, a feed's own as is.
+    re-raised as TrainingError once all workers exit; a feed's own, or a
+    worker thread's failure to start, as is.
     OpenBLAS runs on PIPELINE_BLAS_THREADS threads until the workers have
     joined, and the free heap is released before the first starts and
     after the last has joined, also on failure, outside the timed run.
@@ -169,6 +170,9 @@ def run_pipeline(stages, feed, depth: int | None = None) -> ThroughputReport:
     sem = Semaphore(depth) if depth is not None else None
 
     def fed():
+        # In stage 1's try: a failed start still stops the started workers.
+        for t in threads:
+            t.start()
         for item in feed:
             # Every in-flight token comes back, from the last stage or from
             # a failed one, so this acquire cannot block forever.
@@ -216,13 +220,12 @@ def run_pipeline(stages, feed, depth: int | None = None) -> ThroughputReport:
     with blas.pinned_threads(PIPELINE_BLAS_THREADS):
         _release_free_heap()
         t_wall = time.perf_counter()
-        for t in threads:
-            t.start()
         try:
             worker(0, fed())
         finally:
             for t in threads:
-                t.join()
+                if t.ident is not None:     # started
+                    t.join()
             wall = time.perf_counter() - t_wall
             _release_free_heap()
     if errors:

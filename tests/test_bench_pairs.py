@@ -132,3 +132,24 @@ def test_checkouts_with_other_metrics_are_refused(tmp_path):
     assert proc.returncode == 2
     assert "different end-to-end metrics" in proc.stderr
     assert not (parent / "runs.log").exists()
+
+
+@pytest.mark.parametrize("cached", [("change",), ("parent", "change")])
+def test_a_bytecode_cache_on_one_side_only_is_refused(tmp_path, cached):
+    roots = {side: checkout(tmp_path / side, 120.0)
+             for side in ("parent", "change")}
+    for side in cached:
+        pycache = roots[side] / "src" / "assoclearn" / "__pycache__"
+        pycache.mkdir(parents=True)
+        (pycache / "train.cpython-312.pyc").write_bytes(b"")
+    proc = bench_pairs(roots["parent"], roots["change"], pairs=1)
+    header = proc.stdout.splitlines()[:2]
+    assert header == [f"{side}: {roots[side]}, bytecode cache "
+                      f"{'present' if side in cached else 'absent'}"
+                      for side in ("parent", "change")]
+    if len(cached) == 1:
+        assert proc.returncode == 2
+        assert "only one checkout has a bytecode cache" in proc.stderr
+        assert not (roots["parent"] / "runs.log").exists()
+    else:
+        assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -43,6 +43,16 @@ def test_roundtrip_bit_exact(tmp_path, kind):
     assert header["epoch"] == 7 and header["seed"] == 0
 
 
+@pytest.mark.parametrize("kind", ["al", "bp"])
+def test_load_then_save_reproduces_the_file(tmp_path, kind):
+    path, again = tmp_path / "model.bin", tmp_path / "again.bin"
+    save(path, FIXTURES[kind](3), seed=3, epoch=4,
+         extra={"test_accuracy": 0.25, "mode": kind})
+    model, header = load(path)
+    save(again, model, header["seed"], header["epoch"], header.get("extra"))
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_header_fields(tmp_path):
     net = al_fixture(5)
     path = tmp_path / "model.bin"
@@ -99,18 +109,54 @@ def declare_first_shape(path, shape):
     path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
 
 
+def shape_mismatch(path, shape, name="c1.f.0.W", want=(8, 16)):
+    """The refusal of a blobs checkpoint whose tensor name declares shape
+    where the plan implies want."""
+    return re.escape(f"{path}: tensor shapes do not match this network "
+                     f"(('{name}', {shape!r}) vs ('{name}', {list(want)}))")
+
+
 # [2**32, 2**32] and [2**62, 4] hold 2**64 elements, a count that wraps to
-# 0 in 64-bit integers; [10**12] would need terabytes of memory.
-@pytest.mark.parametrize("shape", [[2**32, 2**32], [2**62, 4], [10**12]],
+# 0 in 64-bit integers; [10**6, 10**6] would need terabytes of memory.
+@pytest.mark.parametrize("shape", [[2**32, 2**32], [2**62, 4], [10**6, 10**6]],
                          ids=["wraps-2e32x2e32", "wraps-2e62x4", "oversized-1e12"])
 def test_declared_size_beyond_the_file_is_truncation(tmp_path, shape):
+    # The header alone cannot declare it: its plan implies another shape.
+    # With the plan's first f layer edited to agree, the reader reaches
+    # the tensor and finds the file too short.
     path = tmp_path / "model.bin"
     save(path, al_fixture(12), seed=12, epoch=0)
     declare_first_shape(path, shape)
+    with pytest.raises(DataError, match=shape_mismatch(path, shape)):
+        load_checkpoint(path)
+    _rewrite_header(path, lambda h: (
+        h["plan"]["components"][0].update(f=shape),
+        h["arrays"][1].update(shape=[1, shape[1]])))
     with pytest.raises(TruncatedFileError,
                        match=rf"model\.bin: tensor c1\.f\.0\.W needs "
                              rf"{8 * math.prod(shape)} bytes"):
         load_checkpoint(path)
+
+
+def test_a_header_shape_of_1e12_elements_reads_no_tensor(tmp_path):
+    # desk-mlp holds megabytes of tensors; a header that declares 10**12
+    # elements for its first is refused with only the header line read.
+    path = tmp_path / "model.bin"
+    save(path, build_network(get_plan("desk-mlp"), make_rng(23)), seed=23,
+         epoch=0)
+    declare_first_shape(path, [10**12])
+    line = path.read_bytes().split(b"\n", 1)[0]
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=shape_mismatch(
+                path, [10**12], want=(784, 256))):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The bound leaves room for the reader's 8 KiB buffer and the parsed
+    # header; reading the tensors would take 5.9 MB.
+    assert peak < 32 * len(line), (peak, len(line))
 
 
 def test_unterminated_header_detected(tmp_path):
@@ -182,7 +228,8 @@ def test_header_tensor_without_shape_rejected(tmp_path):
     path = tmp_path / "model.bin"
     save(path, al_fixture(15), seed=15, epoch=0)
     _rewrite_header(path, lambda h: h["arrays"][1].pop("shape"))
-    with pytest.raises(DataError, match="malformed shape None"):
+    with pytest.raises(DataError, match=shape_mismatch(
+            path, None, "c1.f.0.bias", (1, 16))):
         load_checkpoint(path)
 
 
@@ -190,7 +237,7 @@ def test_header_negative_dimension_rejected(tmp_path):
     path = tmp_path / "model.bin"
     save(path, al_fixture(16), seed=16, epoch=0)
     _rewrite_header(path, lambda h: h["arrays"][0].update(shape=[-1, 4]))
-    with pytest.raises(DataError, match=r"malformed shape \[-1, 4\]"):
+    with pytest.raises(DataError, match=shape_mismatch(path, [-1, 4])):
         load_checkpoint(path)
 
 
@@ -199,23 +246,18 @@ def test_header_boolean_dimension_rejected(tmp_path):
     path = tmp_path / "model.bin"
     save(path, al_fixture(16), seed=16, epoch=0)
     _rewrite_header(path, lambda h: h["arrays"][0].update(shape=[True, 128]))
-    with pytest.raises(DataError,
-                       match=r"tensor c1\.f\.0\.W has malformed shape "
-                             r"\[True, 128\]"):
+    with pytest.raises(DataError, match=shape_mismatch(path, [True, 128])):
         load_checkpoint(path)
 
 
-# Zero bytes, so the size check passes, but numpy bounds the product of
-# the nonzero dimensions.
+# Zero bytes, so a size check alone would pass, and numpy bounds the
+# product of the nonzero dimensions; the plan implies [8, 16].
 @pytest.mark.parametrize("shape", [[0, 2**62], [2**62, 0], [0, 2**63]])
 def test_header_shape_numpy_cannot_hold_rejected(tmp_path, shape):
     path = tmp_path / "model.bin"
     save(path, al_fixture(16), seed=16, epoch=0)
     declare_first_shape(path, shape)
-    with pytest.raises(DataError,
-                       match=rf"model\.bin: tensor c1\.f\.0\.W has shape "
-                             rf"\[{shape[0]}, {shape[1]}\], which numpy "
-                             rf"cannot hold"):
+    with pytest.raises(DataError, match=shape_mismatch(path, shape)):
         load_checkpoint(path)
 
 
@@ -294,10 +336,17 @@ def test_save_refuses_a_net_its_plan_cannot_rebuild(tmp_path):
     ("al", lambda h: h.update(dtype="<f4"), "dtype '<f4'"),
     ("al", lambda h: h.update(dtype="<i8"), "dtype '<i8'"),
     ("al", lambda h: h.update(dtype=5), "dtype 5"),
+    ("bp", lambda h: h["plan"].update(widths=[4, 0, 2]), "malformed plan"),
+    ("bp", lambda h: h["plan"].update(widths=[4, True, 2]), "malformed plan"),
+    ("bp", lambda h: h["plan"].update(widths="432"), "malformed plan"),
+    ("al", lambda h: h["plan"]["components"][0].update(f=[8, -16]),
+     "malformed plan"),
+    ("bp", lambda h: h["plan"].update(head="tanh"), "malformed plan"),
 ], ids=["al-empty-plan", "al-plan-not-a-dict", "al-no-plan",
         "al-seed-not-an-int",
         "bp-plan-without-widths", "al-dtype-f4", "al-dtype-i8",
-        "al-dtype-not-a-string"])
+        "al-dtype-not-a-string", "bp-zero-width", "bp-boolean-width",
+        "bp-widths-a-string", "al-negative-width", "bp-head-it-cannot-build"])
 def test_malformed_plan_or_seed_raises_data_error(tmp_path, loader, edit,
                                                   says):
     path = tmp_path / "model.bin"

@@ -69,6 +69,15 @@ def test_evaluate_bp_matches_direct_prediction():
 
 
 @pytest.mark.parametrize("kind", ["al", "bp"])
+def test_evaluate_on_no_rows_is_a_shape_error(kind):
+    model = (build_network(get_plan("blobs"), make_rng(4)) if kind == "al"
+             else BPNetwork([8, 6, 4], make_rng(6)))
+    empty = Dataset(np.empty((0, 8)), np.empty(0, dtype=np.int64), 4)
+    with pytest.raises(ShapeError, match="empty prediction array"):
+        evaluate(model, empty)
+
+
+@pytest.mark.parametrize("kind", ["al", "bp"])
 def test_features_chunking_consistent(kind):
     if kind == "al":
         model = build_network(get_plan("blobs"), make_rng(8))

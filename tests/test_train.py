@@ -307,6 +307,30 @@ def test_failed_run_pipeline_releases_the_heap_and_restores_blas(
     assert heap_releases == [set(), set()]
 
 
+def test_a_worker_that_cannot_start_stops_the_started_ones(
+        monkeypatch, heap_releases):
+    # The second of a three-stage pipeline's two workers fails to start:
+    # the first, already waiting on its queue, is stopped and joined.
+    made = []
+
+    class SecondFailsToStart(threading.Thread):
+        def start(self):
+            made.append(self)
+            if len(made) == 2:
+                raise RuntimeError("can't start new thread")
+            super().start()
+
+    monkeypatch.setattr(train_mod, "Thread", SecondFailsToStart)
+    with blas.pinned_threads(2):
+        caller = blas.threads()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            run_pipeline([lambda v: v] * 3, ((m, m) for m in range(1, 4)))
+        assert blas.threads() == caller
+    assert len(made) == 2
+    assert not any(t.is_alive() for t in made)
+    assert heap_releases == [set(), set()]
+
+
 def test_run_pipeline_times_no_heap_release(monkeypatch):
     monkeypatch.setattr(train_mod, "_release_free_heap",
                         lambda: time.sleep(0.2))

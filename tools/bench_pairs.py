@@ -27,8 +27,13 @@ Direction (``better``) and bound come from CHANGE_DIR's
 ``BENCHMARK.json``, which must declare the same end-to-end metrics as
 PARENT_DIR's. The tool reads ``perfbench/`` and ``BENCHMARK.json`` and
 changes neither; the runs write their results to each checkout's
-``perfbench/out/`` as usual. Exits 1 when any run reads ``correct:
-false`` or ends without a result line, 2 on a usage error, 0 otherwise.
+``perfbench/out/`` as usual. A run's ``setup_s`` depends on whether its
+checkout has compiled bytecode (``src/assoclearn/__pycache__``): on a
+2-CPU x86-64 host (Intel Xeon), deskmlp-pipe read 0.053-0.061 s with it and
+0.092-0.100 s without. So the header prints each side's cache state,
+and the tool refuses, before any run, two checkouts of which only one
+has a cache. Exits 1 when any run reads ``correct: false`` or ends
+without a result line, 2 on a usage error or that refusal, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -47,6 +52,11 @@ def end_to_end(root: Path) -> list[dict]:
     """The end-to-end metric table of root's BENCHMARK.json."""
     with open(root / "BENCHMARK.json") as fh:
         return json.load(fh)["end_to_end"]
+
+
+def has_bytecode(root: Path) -> bool:
+    """Whether root's package has compiled bytecode to import."""
+    return any((root / "src" / "assoclearn" / "__pycache__").glob("*.pyc"))
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -129,6 +139,14 @@ def main(argv=None) -> int:
     specs = end_to_end(roots["change"])
     if end_to_end(roots["parent"]) != specs:
         p.error("the two checkouts declare different end-to-end metrics")
+    cached = {side: has_bytecode(root) for side, root in roots.items()}
+    for side in SIDES:
+        print(f"{side}: {roots[side]}, bytecode cache "
+              f"{'present' if cached[side] else 'absent'}", flush=True)
+    if cached["parent"] != cached["change"]:
+        p.error("only one checkout has a bytecode cache, which moves "
+                "setup_s: remove src/assoclearn/__pycache__ from it or "
+                "compile the other")
 
     failed = 0
     seed = args.first_seed
