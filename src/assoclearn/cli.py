@@ -26,7 +26,6 @@ from .errors import (
     DataError,
     NumericError,
     PlanError,
-    TrainingError,
 )
 from .linalg import make_rng, spawn_rngs
 from .al_core import (
@@ -365,7 +364,7 @@ def main(argv=None) -> int:
     except (ConfigError, PlanError, DataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (NumericError, TrainingError) as e:
+    except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
 

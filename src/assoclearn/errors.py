@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Training raises the same
+one in every mode: a pipelined epoch re-raises its stage's own."""
 
 
 class ShapeError(ValueError):
@@ -40,7 +41,3 @@ class GeometryError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
-
-
-class TrainingError(RuntimeError):
-    """A training worker failed; carries the underlying cause."""

@@ -18,6 +18,7 @@ stage; its ``ThroughputReport`` is the one record of the run. It starts
 and joins the workers, so it holds the two process-wide resources they
 borrow and gives both back once they have joined: OpenBLAS's thread
 count, and the free heap, which stays resident in each worker's arena.
+A stage's own exception leaves it unchanged, so every mode fails alike.
 
 ``fit`` runs every mode on one path through the model contract
 (``al_core``): it checks the mode against ``model.kind``, evaluates with
@@ -38,7 +39,7 @@ from threading import Semaphore, Thread
 import numpy as np
 
 from . import blas
-from .errors import ConfigError, NumericError, TrainingError
+from .errors import ConfigError, NumericError, StateError
 from .linalg import Matrix, Rng
 from .al_core import ALNetwork, component_update
 from .bp import BPNetwork
@@ -151,9 +152,10 @@ def run_pipeline(stages, feed, depth: int | None = None) -> ThroughputReport:
     pipeline, and hands back its in-flight token, at one place: when the
     last stage finished it, when it failed, or when it was dropped after
     its stage had failed. A failed stage drops the rest of its input, so
-    nothing deadlocks and no new batch starts. The first failure is
-    re-raised as TrainingError once all workers exit; a feed's own, or a
-    worker thread's failure to start, as is.
+    nothing deadlocks and no new batch starts. The first failing stage's
+    exception, a feed's, or a worker thread's failure to start leaves as
+    it is, the same object, once all workers have joined; a batch id
+    that does not increase fails its stage with StateError.
     OpenBLAS runs on PIPELINE_BLAS_THREADS threads until the workers have
     joined, and the free heap is released before the first starts and
     after the last has joined, also on failure, outside the timed run.
@@ -164,7 +166,7 @@ def run_pipeline(stages, feed, depth: int | None = None) -> ThroughputReport:
     n = len(stages)
     queues = [Queue(maxsize=QUEUE_CAPACITY) for _ in range(n - 1)]
     completed = 0
-    errors: list = []
+    errors: list[BaseException] = []
     busy = [0.0] * n
     lifetime = [0.0] * n
     sem = Semaphore(depth) if depth is not None else None
@@ -193,14 +195,14 @@ def run_pipeline(stages, feed, depth: int | None = None) -> ThroughputReport:
                     bid, payload = item
                     try:
                         if last_id is not None and bid <= last_id:
-                            raise TrainingError(f"stage {i + 1}: batch {bid} "
-                                                f"arrived after {last_id}")
+                            raise StateError(f"stage {i + 1}: batch {bid} "
+                                             f"arrived after {last_id}")
                         last_id = bid
                         t0 = time.perf_counter()
                         item = (bid, stages[i](payload))
                         busy[i] += time.perf_counter() - t0
                     except BaseException as e:
-                        errors.append((i, e))
+                        errors.append(e)
                         failed = True
                 if q_out is not None and not failed:
                     q_out.put(item)
@@ -229,8 +231,7 @@ def run_pipeline(stages, feed, depth: int | None = None) -> ThroughputReport:
             wall = time.perf_counter() - t_wall
             _release_free_heap()
     if errors:
-        i, e = errors[0]
-        raise TrainingError(f"pipeline stage {i + 1} failed: {e}") from e
+        raise errors[0]
     return ThroughputReport(
         wall_clock=wall, completed=completed,
         time_units=Schedule(completed, n).total_units(),
@@ -400,16 +401,18 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
     dtype.
 
     epochs=0 evaluates the untouched model once and writes nothing.
-    epochs, batch_size and eval_chunk must be ints, not bools (>= 0,
-    >= 1, >= 1), the rate schedule must pass check_schedule, the mode
-    must be one for model.kind, both datasets must have rows and match
-    the model (check_datasets), and out_dir, when given, must be an
-    existing directory; anything else raises ConfigError before any work.
+    epochs, batch_size, eval_chunk and seed must be ints, not bools
+    (>= 0, >= 1, >= 1, >= 0, the seeds checkpoint.load takes), the rate
+    schedule must pass check_schedule, the mode must be one for
+    model.kind, both datasets must have rows and match the model
+    (check_datasets), and out_dir, when given, must be an existing
+    directory; anything else raises ConfigError before any work.
     """
     _check_mode(model, mode)
     for key, value, low in (("epochs", epochs, 0),
                             ("batch_size", batch_size, 1),
-                            ("eval_chunk", eval_chunk, 1)):
+                            ("eval_chunk", eval_chunk, 1),
+                            ("seed", seed, 0)):
         if type(value) is not int or value < low:
             raise ConfigError(f"{key} must be an int >= {low}, got {value!r}")
     check_schedule(lr, lr_drops, lr_factor)

@@ -41,11 +41,12 @@ def checkout(root: Path, rss: float, correct: bool = True) -> Path:
 
 
 def bench_pairs(parent: Path, change: Path, pairs: int = 4,
-                workloads=("w",)):
+                workloads=("w",), record: Path | None = None):
     return subprocess.run(
         [sys.executable, str(TOOL), str(parent), str(change), "--pairs",
          str(pairs), "--seconds", "1", "--first-seed", "10"]
-        + [arg for w in workloads for arg in ("--workload", w)],
+        + [arg for w in workloads for arg in ("--workload", w)]
+        + (["--record", str(record)] if record else []),
         capture_output=True, text=True, check=False)
 
 
@@ -153,3 +154,112 @@ def test_a_bytecode_cache_on_one_side_only_is_refused(tmp_path, cached):
         assert not (roots["parent"] / "runs.log").exists()
     else:
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# --record ---------------------------------------------------------------
+
+def test_the_record_holds_every_run_and_the_printed_table(tmp_path):
+    parent = checkout(tmp_path / "parent", 120.0)
+    change = checkout(tmp_path / "change", 117.0)
+    plain = bench_pairs(parent, change, pairs=2, workloads=("a", "b"))
+    record = tmp_path / "BENCH.json"
+    proc = bench_pairs(parent, change, pairs=2, workloads=("a", "b"),
+                       record=record)
+    # Recording leaves the output and the exit code as they were.
+    assert (proc.returncode, proc.stdout) == (plain.returncode, plain.stdout)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rec = json.loads(record.read_text())
+    assert rec["arguments"] == {
+        "parent": str(parent), "change": str(change),
+        "workload": ["a", "b"], "pairs": 2, "seconds": 1.0,
+        "first_seed": 10, "record": str(record)}
+    # Stand-ins: no git work tree, no bytecode, no machine line.
+    assert rec["checkouts"] == {side: {"commit": None,
+                                       "bytecode_cache": False}
+                                for side in ("parent", "change")}
+    assert [(r["workload"], r["seed"], r["side"], r["order"])
+            for r in rec["runs"]] == [
+        ("a", 10, "parent", 1), ("a", 10, "change", 2),
+        ("a", 11, "change", 1), ("a", 11, "parent", 2),
+        ("b", 12, "parent", 1), ("b", 12, "change", 2),
+        ("b", 13, "change", 1), ("b", 13, "parent", 2)]
+    for run in rec["runs"]:
+        rss = ((120.0 if run["side"] == "parent" else 117.0)
+               + run["seed"] % 10 / 10)
+        assert run["machine"] is None
+        assert (run["correct"], run["attempted"], run["failed"]) == (
+            True, 1, 0)
+        assert run["metrics"] == {
+            "peak_rss_mb": {"value": rss, "unit": "MB"},
+            "train_samples_per_s": {"value": 6000.0, "unit": "1/s"}}
+    # The summary is the printed table, number for number.
+    assert list(rec["summary"]) == ["a", "b"]
+    rows = rec["summary"]["a"] + rec["summary"]["b"]
+    printed = [row(proc.stdout, r["metric"]) for r in rows[:2]]
+    printed += [line for line in proc.stdout.split("\nb: ")[1].splitlines()
+                if line.startswith(("peak_rss_mb ", "train_samples_per_s "))]
+    assert len(printed) == 4
+    for r, line in zip(rows, printed):
+        cells = [f"{q['median']:.6g} [{q['q1']:.6g}, {q['q3']:.6g}]"
+                 for q in (r["parent"], r["change"])]
+        assert line.split() == ([r["metric"]] + " ".join(cells).split()
+                                + [f"{r['ratio']:.4f}",
+                                   f"{r['wins']}/{r['pairs']}"]
+                                + ([r["verdict"]] if r["verdict"] else []))
+    assert [r["verdict"] for r in rows] == ["gain", "", "gain", ""]
+
+
+def test_the_record_keeps_the_machine_line_and_the_commit(tmp_path):
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example",
+           "-c", "init.defaultBranch=main"]
+    parent = checkout(tmp_path / "parent", 120.0)
+    try:
+        for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "x"]):
+            subprocess.run(git + cmd, cwd=parent, check=True,
+                           capture_output=True)
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("git cannot make a commit here")
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=parent,
+                          check=True, capture_output=True,
+                          text=True).stdout.strip()
+    change = checkout(tmp_path / "change", 117.0)
+    run_py = change / "perfbench" / "run.py"
+    run_py.write_text(run_py.read_text().replace(
+        'print("human-readable line")',
+        'print("machine " + json.dumps({"nproc": seed}))'))
+    record = tmp_path / "BENCH.json"
+    proc = bench_pairs(parent, change, pairs=2, record=record)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rec = json.loads(record.read_text())
+    assert rec["checkouts"]["parent"]["commit"] == head
+    assert rec["checkouts"]["change"]["commit"] is None
+    assert [(r["side"], r["machine"]) for r in rec["runs"]] == [
+        ("parent", None), ("change", {"nproc": 10}),
+        ("change", {"nproc": 11}), ("parent", None)]
+
+
+@pytest.mark.parametrize("case", ["failed-run", "other-metrics",
+                                  "one-cache", "record-exists",
+                                  "no-directory"])
+def test_no_record_is_written_unless_the_tool_exits_zero(tmp_path, case):
+    parent = checkout(tmp_path / "parent", 120.0)
+    change = checkout(tmp_path / "change", 117.0,
+                      correct=case != "failed-run")
+    record = tmp_path / "BENCH.json"
+    if case == "other-metrics":
+        (parent / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    elif case == "one-cache":
+        pycache = change / "src" / "assoclearn" / "__pycache__"
+        pycache.mkdir(parents=True)
+        (pycache / "train.cpython-312.pyc").write_bytes(b"")
+    elif case == "record-exists":
+        record.write_text("old")
+    elif case == "no-directory":
+        record = tmp_path / "missing" / "BENCH.json"
+    proc = bench_pairs(parent, change, pairs=1, record=record)
+    assert proc.returncode == (1 if case == "failed-run" else 2)
+    if case in ("record-exists", "no-directory"):
+        assert "--record must name a new file" in proc.stderr
+        assert not (parent / "runs.log").exists()
+    assert (record.read_text() == "old" if case == "record-exists"
+            else not record.exists())

@@ -8,7 +8,7 @@ import pytest
 from assoclearn import blas, train
 from assoclearn.al_core import build_network, get_plan
 from assoclearn.data import one_hot, synth_blobs
-from assoclearn.errors import TrainingError
+from assoclearn.errors import NumericError
 from assoclearn.linalg import make_rng
 from assoclearn.nn import DenseLayer
 
@@ -78,7 +78,8 @@ def test_pipelined_epoch_restores_caller_blas_threads(monkeypatch, fail):
     with blas.pinned_threads(2):
         caller = blas.threads()
         if fail:
-            with pytest.raises(TrainingError, match="non-finite"):
+            with pytest.raises(NumericError,
+                               match="non-finite values in component 2"):
                 train.train_epoch(net, X, y1, 8, make_rng(32), 1, "al-pipe")
         else:
             train.train_epoch(net, X, y1, 8, make_rng(32), 1, "al-pipe")

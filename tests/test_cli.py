@@ -87,6 +87,29 @@ def test_numeric_failure_maps_to_exit_3(monkeypatch, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("mode", ["al-seq", "al-pipe"])
+def test_an_interrupt_during_training_propagates(monkeypatch, tmp_path,
+                                                 capsys, mode):
+    # Ctrl-C lands on the main thread, which runs component 1 in both AL
+    # modes: the interrupt leaves main as it is, never as exit 3.
+    import assoclearn.train as train
+    update, calls = train.component_update, []
+
+    def interrupted(comp, s, t, lr):
+        calls.append(comp.index)
+        if calls.count(1) == 2:
+            raise KeyboardInterrupt
+        return update(comp, s, t, lr)
+
+    monkeypatch.setattr(train, "component_update", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(["train", "--dataset", "blobs", "--mode", mode,
+                 "--epochs", "1", "--seed", "5",
+                 "--out", str(tmp_path / "run")])
+    assert calls.count(1) == 2
+    assert "numeric failure" not in capsys.readouterr().err
+
 def test_rerun_same_seed_byte_identical_csv(tmp_path):
     outs = []
     for name in ("a", "b"):

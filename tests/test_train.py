@@ -22,12 +22,11 @@ from assoclearn.bp import BPNetwork, build_bp_network, match_effective_params
 from assoclearn.checkpoint import load
 from assoclearn.data import (BatchIterator, Dataset, one_hot, synth_blobs,
                              synth_xor)
-from assoclearn.errors import ConfigError, NumericError, TrainingError
+from assoclearn.errors import ConfigError, NumericError, StateError
 from assoclearn.linalg import make_rng
 from assoclearn.metrics import evaluate, write_metrics_csv
 from conftest import params
 from assoclearn.train import (
-    MODES,
     PIPELINE_BLAS_THREADS,
     Schedule,
     bench_pipeline,
@@ -117,21 +116,30 @@ def test_sequential_zero_lr_changes_nothing():
 
 
 def test_sequential_divergence_names_batch():
-    # al-seq, al-pipe and bp all number the failing batch from 1, in one
-    # "epoch e, batch m: ..." form
+    # al-seq, al-pipe and bp all raise the stage's own NumericError and
+    # number the failing batch from 1, in one "epoch e, batch m: ..." form;
+    # al-pipe's message is al-seq's at depth 1 and at free depth, whether
+    # the poisoned component runs on the caller or on a worker thread.
     ds, y1 = blob_setup(seed=8)
-    for mode in MODES:
-        if mode == "bp":
-            model = BPNetwork([8, 16, 4], make_rng(7))
-            model.stack.layers[0].W[:] = np.nan
-            says = r"epoch 1, batch 1: loss diverged$"
-        else:
-            model = build_network(get_plan("blobs"), make_rng(7))
-            model.components[0].f.layers[0].W[:] = np.nan
-            says = r"epoch 1, batch 1: .*component 1"
-        error = TrainingError if mode == "al-pipe" else NumericError
-        with pytest.raises(error, match=says):
-            train_epoch(model, ds.X, y1, 8, make_rng(9), 1, mode)
+
+    def message(model, mode, depth=None) -> str:
+        with pytest.raises(NumericError) as raised:
+            train_epoch(model, ds.X, y1, 8, make_rng(9), 1, mode, depth)
+        assert type(raised.value) is NumericError
+        return str(raised.value)
+
+    bp = BPNetwork([8, 16, 4], make_rng(7))
+    bp.stack.layers[0].W[:] = np.nan
+    assert re.fullmatch("epoch 1, batch 1: loss diverged", message(bp, "bp"))
+    for comp in (1, 2):
+        said = []
+        for mode, depth in (("al-seq", None), ("al-pipe", 1),
+                            ("al-pipe", None)):
+            net = build_network(get_plan("blobs"), make_rng(7))
+            net.components[comp - 1].f.layers[0].W[:] = np.nan
+            said.append(message(net, mode, depth))
+        assert re.match(rf"epoch 1, batch 1: .*component {comp}", said[0])
+        assert said == [said[0]] * 3
 
 
 def test_xor_single_component_reaches_full_accuracy():
@@ -198,12 +206,14 @@ def test_pipeline_depth_one_failure_leaves_sequential_state(monkeypatch):
     pipe_net = copy.deepcopy(seq_net)
     ds, y1 = blob_setup(seed=46)
     record_updates(monkeypatch, nan_on_batch_3)
-    with pytest.raises(NumericError, match=r"epoch 1, batch 3: .*component 2"):
+    with pytest.raises(NumericError,
+                       match=r"epoch 1, batch 3: .*component 2") as seq:
         train_epoch(seq_net, ds.X, y1, 8, make_rng(47), 1, "al-seq")
     record_updates(monkeypatch, nan_on_batch_3)
-    with pytest.raises(TrainingError, match=r"stage 2 failed: epoch 1, batch 3"):
+    with pytest.raises(NumericError) as pipe:
         train_epoch(pipe_net, ds.X, y1, 8, make_rng(47), 1, "al-pipe",
                     depth=1)
+    assert str(pipe.value) == str(seq.value)
     for (name, a), (_, b) in zip(params(seq_net), params(pipe_net)):
         assert a.tobytes() == b.tobytes(), name
 
@@ -212,7 +222,8 @@ def test_pipeline_divergence_propagates():
     net = build_network(get_plan("blobs"), make_rng(18))
     net.components[1].f.layers[0].W[:] = np.nan
     ds, y1 = blob_setup(seed=19)
-    with pytest.raises(TrainingError, match="stage 2"):
+    with pytest.raises(NumericError, match="^epoch 1, batch 1: non-finite "
+                                           "values in component 2 "):
         train_epoch(net, ds.X, y1, 8, make_rng(20), 1, "al-pipe")
 
 
@@ -257,7 +268,8 @@ def test_failed_pipelined_epoch_still_releases_the_heap_twice(
     record_updates(monkeypatch, fail_on_batch_2)
     net = build_network(get_plan("blobs"), make_rng(33))
     ds, y1 = blob_setup(seed=34)
-    with pytest.raises(TrainingError, match="stage 2 failed: epoch 1, batch 2"):
+    with pytest.raises(NumericError,
+                       match="^epoch 1, batch 2: stage 2 gives up$"):
         train_epoch(net, ds.X, y1, 8, make_rng(35), 1, "al-pipe")
     assert heap_releases == [set(), set()]
 
@@ -300,8 +312,7 @@ def test_failed_run_pipeline_releases_the_heap_and_restores_blas(
 
     with blas.pinned_threads(2):
         caller = blas.threads()
-        with pytest.raises(TrainingError,
-                           match="stage 2 failed: stage 2 gives up"):
+        with pytest.raises(ValueError, match="^stage 2 gives up$"):
             run_pipeline([lambda v: v, boom], ((m, m) for m in range(1, 4)))
         assert blas.threads() == caller
     assert heap_releases == [set(), set()]
@@ -493,26 +504,38 @@ def test_run_pipeline_keeps_no_finished_batch():
     assert run.completed == 8
 
 
-def test_run_pipeline_stage_error_no_deadlock():
+def _boom(stage: int, bad_batch: int | None = None):
+    """(stage function, thrown): a stage that passes its payload on but
+    raises ValueError("stage k: boom on m") on batch bad_batch, or on any
+    batch when None, and the list of the exceptions it raised."""
+    thrown = []
+
     def boom(v):
-        if v == 3:
-            raise ValueError("boom on 3")
+        if bad_batch in (None, v):
+            thrown.append(ValueError(f"stage {stage}: boom on {v}"))
+            raise thrown[-1]
         return v
 
-    with pytest.raises(TrainingError, match="stage 1 failed.*boom on 3"):
+    return boom, thrown
+
+
+def test_run_pipeline_stage_error_no_deadlock():
+    boom, thrown = _boom(1, 3)
+    with pytest.raises(ValueError, match="^stage 1: boom on 3$") as raised:
         run_pipeline([boom, lambda v: v],
                      ((i, i) for i in range(1, 50)))
+    assert len(thrown) == 1 and raised.value is thrown[0]
 
 
-def _run_in_thread(fn, catch=TrainingError) -> list:
+def _run_in_thread(fn) -> list:
     """Run fn in a daemon thread joined with a 10 s timeout; returns the
-    exceptions of type catch it raised."""
+    exceptions it raised."""
     raised = []
 
     def run():
         try:
             fn()
-        except catch as e:
+        except BaseException as e:
             raised.append(e)
 
     t = Thread(target=run, daemon=True)
@@ -531,34 +554,24 @@ def test_run_pipeline_error_with_depth_cap_no_deadlock(
     # on whichever batch: a bounded semaphore raises on a second release,
     # and a token never released leaves the feeder blocked.
     monkeypatch.setattr(train_mod, "Semaphore", BoundedSemaphore)
-
-    def boom(v):
-        if v == bad_batch:
-            raise ValueError(f"boom on {v}")
-        return v
-
     stages = [lambda v: v] * 3
-    stages[failing_stage - 1] = boom
+    stages[failing_stage - 1], thrown = _boom(failing_stage, bad_batch)
     raised = _run_in_thread(lambda: run_pipeline(
         stages, ((i, i) for i in range(1, 50)), depth=depth))
-    assert len(raised) == 1
-    assert (f"stage {failing_stage} failed: boom on {bad_batch}"
-            in str(raised[0]))
+    assert len(raised) == len(thrown) == 1 and raised[0] is thrown[0]
+    assert str(raised[0]) == f"stage {failing_stage}: boom on {bad_batch}"
 
 
 @pytest.mark.parametrize("failing_stage", [0, 1])
 def test_run_pipeline_first_batch_error_depth_one_returns(failing_stage):
     # With depth=1 the feeder waits for batch 1's token, which only the
     # failing stage can hand back.
-    def boom(v):
-        raise ValueError(f"boom on {v}")
-
     stages = [lambda v: v, lambda v: v]
-    stages[failing_stage] = boom
+    stages[failing_stage], thrown = _boom(failing_stage + 1)
     raised = _run_in_thread(lambda: run_pipeline(
         stages, ((i, i) for i in range(1, 50)), depth=1))
-    assert len(raised) == 1
-    assert f"stage {failing_stage + 1} failed: boom on 1" in str(raised[0])
+    assert len(raised) == len(thrown) == 1 and raised[0] is thrown[0]
+    assert str(raised[0]) == f"stage {failing_stage + 1}: boom on 1"
 
 
 def _barrier_stages(n_components: int, n_batches: int, timeout: float):
@@ -595,9 +608,8 @@ def test_run_pipeline_depth_one_breaks_the_overlap_barrier():
     # One batch in flight leaves the other stages idle, so the first
     # stage to reach the barrier waits out its timeout.
     stages = _barrier_stages(2, 6, timeout=0.2)
-    with pytest.raises(TrainingError) as raised:
+    with pytest.raises(BrokenBarrierError):
         run_pipeline(stages, ((m, m) for m in range(1, 7)), depth=1)
-    assert isinstance(raised.value.__cause__, BrokenBarrierError)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -637,7 +649,7 @@ def test_run_pipeline_keeps_at_most_depth_batches_in_flight(depth):
 
 def test_run_pipeline_rejects_nonmonotone_ids():
     feed = iter([(2, "a"), (1, "b")])
-    with pytest.raises(TrainingError, match="arrived after"):
+    with pytest.raises(StateError, match="^stage 1: batch 1 arrived after 2$"):
         run_pipeline([lambda v: v], feed)
 
 
@@ -693,11 +705,34 @@ def test_run_pipeline_feed_error_propagates_unchanged(counted_threads,
         raise broken
 
     raised = _run_in_thread(
-        lambda: run_pipeline([lambda v: v] * 3, feed(), depth=depth),
-        catch=BaseException)
+        lambda: run_pipeline([lambda v: v] * 3, feed(), depth=depth))
     assert len(raised) == 1 and raised[0] is broken
     assert len(counted_threads) == 2
     assert not any(t.is_alive() for t in counted_threads)
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+@pytest.mark.parametrize("failing_stage", [1, 2, 3], ids="stage{}".format)
+def test_run_pipeline_reraises_the_failing_stages_own_exception(
+        counted_threads, heap_releases, failing_stage, error):
+    # The caller gets the object the stage raised, unchanged, a Ctrl-C in
+    # stage 1 (which runs on the caller's thread) included, once every
+    # worker has joined and the heap has been released twice.
+    thrown = error(f"stage {failing_stage} gives up")
+
+    def fail_on_batch_2(v):
+        if v == 2:
+            raise thrown
+        return v
+
+    stages = [lambda v: v] * 3
+    stages[failing_stage - 1] = fail_on_batch_2
+    with pytest.raises(error) as raised:
+        run_pipeline(stages, ((m, m) for m in range(1, 9)))
+    assert raised.value is thrown
+    assert len(counted_threads) == 2
+    assert not any(t.is_alive() for t in counted_threads)
+    assert heap_releases == [set(), set()]
 
 
 @pytest.mark.parametrize("bad_batch", [1, 3], ids="batch{}".format)
@@ -713,18 +748,12 @@ def test_run_pipeline_starts_no_batch_after_a_later_stage_failed(
         started.append(v)
         return v
 
-    def boom(v):
-        if v == bad_batch:
-            raise ValueError(f"boom on {v}")
-        return v
-
     stages = [first, lambda v: v, lambda v: v]
-    stages[failing_stage - 1] = boom
+    stages[failing_stage - 1], thrown = _boom(failing_stage, bad_batch)
     raised = _run_in_thread(lambda: run_pipeline(
         stages, ((m, m) for m in range(1, 50)), depth=1))
-    assert len(raised) == 1
-    assert (f"stage {failing_stage} failed: boom on {bad_batch}"
-            in str(raised[0]))
+    assert len(raised) == len(thrown) == 1 and raised[0] is thrown[0]
+    assert str(raised[0]) == f"stage {failing_stage}: boom on {bad_batch}"
     assert started == list(range(1, bad_batch + 1))
 
 
@@ -1007,6 +1036,24 @@ def test_fit_rejects_eval_chunk_before_training(key, value):
         fit(net, ds, ds, mode="al-seq", rng=make_rng(41), seed=39, **kwargs)
     assert all(np.array_equal(a, b)
                for a, (_, b) in zip(before, params(net)))
+
+
+@pytest.mark.parametrize("mode", ["al-seq", "al-pipe", "bp"])
+@pytest.mark.parametrize("seed", [-1, True, 3.0, "3"], ids=repr)
+def test_fit_rejects_a_seed_a_checkpoint_cannot_hold(tmp_path, mode, seed):
+    # The seed goes into checkpoint.bin, and checkpoint.load takes only an
+    # int >= 0 there, so fit refuses any other before it trains or writes.
+    model = (BPNetwork([8, 16, 4], make_rng(39)) if mode == "bp"
+             else build_network(get_plan("blobs"), make_rng(39)))
+    before = [a.copy() for _, a in params(model)]
+    ds, _ = blob_setup(seed=40)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"seed must be an int >= 0, got {seed!r}")):
+        fit(model, ds, ds, mode=mode, epochs=1, batch_size=8,
+            rng=make_rng(41), seed=seed, out_dir=tmp_path)
+    assert all(a.tobytes() == b.tobytes()
+               for a, (_, b) in zip(before, params(model)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fit_rejects_negative_epochs_before_any_work(tmp_path):
