@@ -1,11 +1,12 @@
 """Locally trained component networks and their inference composition.
 
-A network is a chain of C components. Component i owns four blocks:
+A chain of C components maps the input s_0 and the one-hot target t_0;
+component i owns four blocks, wired as ``NetworkPlan.validate`` checks:
 
-* ``f``: maps the forward activation s_{i-1} to s_i (ELU layers),
-* ``g``: maps the encoded target t_{i-1} to t_i (sigmoid layers),
-* ``b``: a bridge mapping s_i into the t_i space (sigmoid layers),
-* ``h``: a decoder mapping t_i back to t_{i-1} (sigmoid layers).
+    f  forward  s_{i-1} -> s_i    elu layers
+    g  encoder  t_{i-1} -> t_i    sigmoid layers
+    b  bridge   s_i -> t_i        sigmoid layers
+    h  decoder  t_i -> t_{i-1}    sigmoid layers
 
 Each component trains two local flows, both run by ``_flow``. Flow 2
 runs first: g encodes t_{i-1} to t_i and h decodes it back, with loss
@@ -61,7 +62,6 @@ from .nn import (
 class LossRecord:
     """Local losses of one component on one batch."""
 
-    component: int
     mse1: float
     mse2: float
 
@@ -84,7 +84,7 @@ class ComponentPlan:
 @dataclass
 class NetworkPlan:
     """Full architecture description; validate() is the one place that
-    checks the chaining rules."""
+    checks the wiring rule."""
 
     name: str
     input_dim: int
@@ -92,35 +92,31 @@ class NetworkPlan:
     components: list[ComponentPlan]
 
     def validate(self, first: int = 1) -> None:
-        """Raise PlanError naming the component (numbered from first) at
-        the first rule its widths break."""
+        """Raise PlanError, naming the component (from first), the block
+        and the widths, at the first rule the widths break: each chain has
+        >= 2 widths and maps what its block reads to what it writes,
+        f s_{i-1} -> s_i, g t_{i-1} -> t_i, b s_i -> t_i, h t_i -> t_{i-1},
+        with s_0, t_0 = input_dim, target_dim."""
         if not self.components:
             raise PlanError(f"plan {self.name!r} has no components")
-        prev_s, prev_t = self.input_dim, self.target_dim
+        s, t = self.input_dim, self.target_dim
         for i, c in enumerate(self.components, start=first):
-            for chain, label in ((c.f, "f"), (c.g, "g"), (c.b, "b"), (c.h, "h")):
+            chains = {"f": c.f, "g": c.g, "b": c.b, "h": c.h}
+            for label, chain in chains.items():
                 if len(chain) < 2:
-                    raise PlanError(
-                        f"component {i}: {label} chain needs >= 2 widths")
-            link = ("" if i == first else
-                    f"components {i - 1} -> {i} do not chain: ")
-            if c.f[0] != prev_s:
-                raise PlanError(f"{link}component {i}: f input {c.f[0]} "
-                                f"!= incoming s width {prev_s}")
-            if c.g[0] != prev_t:
-                raise PlanError(f"{link}component {i}: g input {c.g[0]} "
-                                f"!= incoming t width {prev_t}")
-            if c.b[0] != c.f[-1]:
-                raise PlanError(
-                    f"component {i}: bridge input {c.b[0]} != f output {c.f[-1]}")
-            if c.b[-1] != c.g[-1]:
-                raise PlanError(
-                    f"component {i}: bridge output {c.b[-1]} != g output {c.g[-1]}")
-            if c.h[0] != c.g[-1] or c.h[-1] != c.g[0]:
-                raise PlanError(
-                    f"component {i}: h must map {c.g[-1]} back to {c.g[0]}, "
-                    f"got {c.h[0]} -> {c.h[-1]}")
-            prev_s, prev_t = c.f[-1], c.g[-1]
+                    raise PlanError(f"component {i}: {label} chain needs "
+                                    f">= 2 widths, got {chain}")
+            s_i, t_i = c.f[-1], c.g[-1]
+            for label, reads, writes in (("f", s, s_i), ("g", t, t_i),
+                                         ("b", s_i, t_i), ("h", t_i, t)):
+                chain = chains[label]
+                if (chain[0], chain[-1]) != (reads, writes):
+                    link = (f"components {i - 1} -> {i} do not chain: "
+                            if i > first and label in ("f", "g") else "")
+                    raise PlanError(f"{link}component {i}: {label} must map "
+                                    f"{reads} -> {writes}, got {chain[0]} -> "
+                                    f"{chain[-1]}")
+            s, t = s_i, t_i
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -224,20 +220,12 @@ class Component:
         self.g = g
         self.b = b
         self.h = h
-        NetworkPlan(f"component {index}", self.s_in, self.t_in,
+        NetworkPlan(f"component {index}", f.fan_in, g.fan_in,
                     [self.plan]).validate(first=index)
         self.opt_f = BlockAdam(f)
         self.opt_g = BlockAdam(g)
         self.opt_b = BlockAdam(b)
         self.opt_h = BlockAdam(h)
-
-    @property
-    def s_in(self) -> int:
-        return self.f.fan_in
-
-    @property
-    def t_in(self) -> int:
-        return self.g.fan_in
 
     @property
     def plan(self) -> ComponentPlan:
@@ -251,14 +239,12 @@ class Component:
 
 
 def _check_component_inputs(c: Component, s_prev: Matrix, t_prev: Matrix) -> None:
-    if s_prev.ndim != 2 or s_prev.shape[1] != c.s_in:
-        raise ShapeError(
-            f"component {c.index}: s input has shape {s_prev.shape}, "
-            f"needs (batch, {c.s_in})")
-    if t_prev.ndim != 2 or t_prev.shape[1] != c.t_in:
-        raise ShapeError(
-            f"component {c.index}: t input has shape {t_prev.shape}, "
-            f"needs (batch, {c.t_in})")
+    for name, x, block in (("s", s_prev, "f"), ("t", t_prev, "g")):
+        width = getattr(c, block).fan_in
+        if x.ndim != 2 or x.shape[1] != width:
+            raise ShapeError(
+                f"component {c.index}: {name} input has shape {x.shape}, "
+                f"{block} needs (batch, {width})")
     if s_prev.shape[0] != t_prev.shape[0]:
         raise ShapeError(
             f"component {c.index}: batch mismatch, s has {s_prev.shape[0]} "
@@ -286,7 +272,7 @@ def _flows(c: Component, s_prev: Matrix, t_prev: Matrix, train: bool):
     where = f"component {c.index}"
     t_i, mse2 = _flow(c.g, c.h, t_prev, t_prev, train, f"{where} g output")
     s_i, mse1 = _flow(c.f, c.b, s_prev, t_i, train, f"{where} f output")
-    return s_i, t_i, LossRecord(component=c.index, mse1=mse1, mse2=mse2)
+    return s_i, t_i, LossRecord(mse1=mse1, mse2=mse2)
 
 
 def component_forward(c: Component, s_prev: Matrix, t_prev: Matrix):

@@ -38,7 +38,7 @@ from .bp import HEADS, build_bp_network, gradcheck_bp, match_effective_params
 from .data import Dataset, load_mnist, mnist_subset, one_hot, synth_blobs, synth_xor
 from .metrics import geometry_report, write_json_summary, write_metrics_csv
 from .nn import grad_check_block, make_block
-from .train import (MODES, PIPELINE_BLAS_THREADS, bench_pipeline,
+from .train import (MODES, PIPELINE_BLAS_THREADS, Schedule, bench_pipeline,
                     check_datasets, check_schedule, fit)
 
 
@@ -241,16 +241,17 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_bench(args) -> int:
-    res = bench_pipeline(args.n_batches, args.components, args.task_cost_ms)
+    n, c = args.n_batches, args.components
+    seq_wall, report = bench_pipeline(n, c, args.task_cost_ms)
     payload = {
-        "n_batches": res.schedule.n_batches,
-        "components": res.schedule.n_components,
-        "sequential_tasks": res.schedule.sequential_tasks(),
-        "pipelined_units": res.schedule.total_units(),
-        "sequential_wall_clock": res.sequential_wall,
-        "pipelined_wall_clock": res.report.wall_clock,
-        "speedup": res.report.speedup,
-        "busy_fraction": res.report.busy_fraction,
+        "n_batches": n,
+        "components": c,
+        "sequential_tasks": Schedule(n, c).sequential_tasks(),
+        "pipelined_units": report.time_units,
+        "sequential_wall_clock": seq_wall,
+        "pipelined_wall_clock": report.wall_clock,
+        "speedup": seq_wall / report.wall_clock,
+        "busy_fraction": report.busy_fraction,
     }
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))

@@ -151,12 +151,11 @@ def class_geometry(features: Matrix, labels) -> ClassGeometry:
                          ratio=inter / intra)
 
 
-def geometry_report(ds: Dataset, model, chunk: int = 2048) -> dict:
+def geometry_report(ds: Dataset, model) -> dict:
     """Geometry of the raw features (key "raw") and of the model's learned
     features (key model.kind)."""
     return {"raw": asdict(class_geometry(ds.X, ds.y)),
-            model.kind: asdict(class_geometry(features(model, ds.X, chunk),
-                                              ds.y))}
+            model.kind: asdict(class_geometry(features(model, ds.X), ds.y))}
 
 
 # emission -------------------------------------------------------------

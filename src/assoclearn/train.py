@@ -125,14 +125,12 @@ class Schedule:
 class ThroughputReport:
     """One pipeline run: completed batches (those the last stage
     finished), the time units they span on the Schedule, and each stage's
-    busy time over its lifetime. speedup is set only by bench_pipeline,
-    which also times the sequential run."""
+    busy time over its lifetime."""
 
     wall_clock: float
     completed: int
     time_units: int
     busy_fraction: list[float]
-    speedup: float | None = None
 
 
 def _check_depth(depth: int | None) -> None:
@@ -159,6 +157,9 @@ def run_pipeline(stages, feed, depth: int | None = None) -> ThroughputReport:
     OpenBLAS runs on PIPELINE_BLAS_THREADS threads until the workers have
     joined, and the free heap is released before the first starts and
     after the last has joined, also on failure, outside the timed run.
+    A Ctrl-C cannot cut that shutdown short: the step it lands in (stage
+    1's stop sentinel, a join, the release) runs again, and the interrupt
+    is raised after BLAS is restored unless a stage failed first.
     """
     if not stages:
         raise ConfigError("need at least one stage")
@@ -170,6 +171,13 @@ def run_pipeline(stages, feed, depth: int | None = None) -> ThroughputReport:
     busy = [0.0] * n
     lifetime = [0.0] * n
     sem = Semaphore(depth) if depth is not None else None
+
+    def finish(step, *args) -> None:
+        while True:     # a Ctrl-C reruns the step, then fails the run
+            try:
+                return step(*args)
+            except KeyboardInterrupt as e:
+                errors.append(e)
 
     def fed():
         # In stage 1's try: a failed start still stops the started workers.
@@ -214,7 +222,7 @@ def run_pipeline(stages, feed, depth: int | None = None) -> ThroughputReport:
                     sem.release()
         finally:
             if q_out is not None:
-                q_out.put(_STOP)
+                finish(q_out.put, _STOP)
             lifetime[i] = time.perf_counter() - t_wall
 
     threads = [Thread(target=worker, args=(i, iter(queues[i - 1].get, _STOP)),
@@ -227,9 +235,9 @@ def run_pipeline(stages, feed, depth: int | None = None) -> ThroughputReport:
         finally:
             for t in threads:
                 if t.ident is not None:     # started
-                    t.join()
+                    finish(t.join)
             wall = time.perf_counter() - t_wall
-            _release_free_heap()
+            finish(_release_free_heap)
     if errors:
         raise errors[0]
     return ThroughputReport(
@@ -459,17 +467,10 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
                      time.perf_counter() - t_total, reports)
 
 
-@dataclass
-class BenchResult:
-    schedule: Schedule
-    sequential_wall: float
-    report: ThroughputReport
-
-
 def bench_pipeline(n_batches: int, components: int,
-                   task_cost_ms: float) -> BenchResult:
-    """Synthetic equal-cost workload: every task sleeps task_cost_ms, so
-    the measured speedup isolates the scheduling machinery."""
+                   task_cost_ms: float) -> tuple[float, ThroughputReport]:
+    """(sequential wall-clock, pipelined report) of a synthetic workload
+    whose every task sleeps task_cost_ms: their ratio times the scheduler."""
     for key, value in (("n_batches", n_batches), ("components", components)):
         if type(value) is not int or value < 1:
             raise ConfigError(f"{key} must be an int >= 1, got {value!r}")
@@ -477,7 +478,6 @@ def bench_pipeline(n_batches: int, components: int,
         raise ConfigError(
             f"task_cost_ms must be finite and >= 0, got {task_cost_ms}")
     cost = task_cost_ms / 1000.0
-    sched = Schedule(n_batches, components)
 
     def stage(payload):
         time.sleep(cost)
@@ -487,7 +487,5 @@ def bench_pipeline(n_batches: int, components: int,
     t0 = time.perf_counter()
     _run_inline(stages, ((m, m) for m in range(1, n_batches + 1)))
     seq_wall = time.perf_counter() - t0
-    report = run_pipeline(stages, ((m, m) for m in range(1, n_batches + 1)))
-    report.speedup = seq_wall / report.wall_clock
-    return BenchResult(schedule=sched, sequential_wall=seq_wall,
-                       report=report)
+    return seq_wall, run_pipeline(stages,
+                                  ((m, m) for m in range(1, n_batches + 1)))

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,25 @@ def test_forward_hand_oracle():
     _, _, rec = component_forward(comp, s_prev, t_prev)
     assert abs(rec.mse1 - 0.196480749989549) < 1e-9
     assert abs(rec.mse2 - 0.474054315117302) < 1e-9
+
+
+@pytest.mark.parametrize("s_shape,t_shape,message", [
+    ((2, 5), (2, 3), "s input has shape (2, 5), f needs (batch, 4)"),
+    ((4,), (2, 3), "s input has shape (4,), f needs (batch, 4)"),
+    ((2, 4), (2, 7), "t input has shape (2, 7), g needs (batch, 3)"),
+    ((2, 4), (3, 3), "batch mismatch, s has 2 rows, t has 3"),
+], ids=["s-width", "s-ndim", "t-width", "rows"])
+def test_component_update_names_the_faulty_input(s_shape, t_shape, message):
+    # Each input is checked against the block that reads it, before any
+    # block trains.
+    comp = random_component(make_rng(4))
+    before = [p.copy() for blk in comp.blocks().values()
+              for p in blk.param_arrays()]
+    with pytest.raises(ShapeError,
+                       match=f"^{re.escape('component 1: ' + message)}$"):
+        component_update(comp, np.zeros(s_shape), np.zeros(t_shape), 1e-3)
+    after = [p for blk in comp.blocks().values() for p in blk.param_arrays()]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 def test_forward_shape_errors_name_component():
@@ -418,8 +438,84 @@ def test_plan_validation_reports_component_and_block():
     bad = NetworkPlan(
         "bad", 4, 3,
         [ComponentPlan(f=[4, 5], g=[3, 4], b=[5, 9], h=[4, 3])])
-    with pytest.raises(PlanError, match="component 1"):
+    with pytest.raises(PlanError,
+                       match="^component 1: b must map 5 -> 4, got 5 -> 9$"):
         bad.validate()
+
+
+def two_component_plan() -> NetworkPlan:
+    # Every width distinct, so a message names exactly one of them.
+    return NetworkPlan("two", 4, 3, [
+        ComponentPlan(f=[4, 6], g=[3, 5], b=[6, 7, 5], h=[5, 3]),
+        ComponentPlan(f=[6, 8], g=[5, 2], b=[8, 2], h=[2, 5])])
+
+
+def test_two_component_plan_is_valid():
+    two_component_plan().validate()
+
+
+# (component, block, its new chain, the message). A block's first width
+# is what it reads and its last what it writes; f's and g's outputs are
+# s_i and t_i, so when either changes, the bridge, which reads s_i and
+# writes t_i, is the block that disagrees.
+PLAN_FAULTS = {
+    "c1-f-first": (1, "f", [99, 6],
+                   "component 1: f must map 4 -> 6, got 99 -> 6"),
+    "c1-f-last": (1, "f", [4, 99],
+                  "component 1: b must map 99 -> 5, got 6 -> 5"),
+    "c1-g-first": (1, "g", [99, 5],
+                   "component 1: g must map 3 -> 5, got 99 -> 5"),
+    "c1-g-last": (1, "g", [3, 99],
+                  "component 1: b must map 6 -> 99, got 6 -> 5"),
+    "c1-b-first": (1, "b", [99, 7, 5],
+                   "component 1: b must map 6 -> 5, got 99 -> 5"),
+    "c1-b-last": (1, "b", [6, 7, 99],
+                  "component 1: b must map 6 -> 5, got 6 -> 99"),
+    "c1-h-first": (1, "h", [99, 3],
+                   "component 1: h must map 5 -> 3, got 99 -> 3"),
+    "c1-h-last": (1, "h", [5, 99],
+                  "component 1: h must map 5 -> 3, got 5 -> 99"),
+    "c2-f-first": (2, "f", [99, 8], "components 1 -> 2 do not chain: "
+                   "component 2: f must map 6 -> 8, got 99 -> 8"),
+    "c2-f-last": (2, "f", [6, 99],
+                  "component 2: b must map 99 -> 2, got 8 -> 2"),
+    "c2-g-first": (2, "g", [99, 2], "components 1 -> 2 do not chain: "
+                   "component 2: g must map 5 -> 2, got 99 -> 2"),
+    "c2-g-last": (2, "g", [5, 99],
+                  "component 2: b must map 8 -> 99, got 8 -> 2"),
+    "c2-b-first": (2, "b", [99, 2],
+                   "component 2: b must map 8 -> 2, got 99 -> 2"),
+    "c2-b-last": (2, "b", [8, 99],
+                  "component 2: b must map 8 -> 2, got 8 -> 99"),
+    "c2-h-first": (2, "h", [99, 5],
+                   "component 2: h must map 2 -> 5, got 99 -> 5"),
+    "c2-h-last": (2, "h", [2, 99],
+                  "component 2: h must map 2 -> 5, got 2 -> 99"),
+    "c1-f-empty": (1, "f", [],
+                   "component 1: f chain needs >= 2 widths, got []"),
+    "c2-f-one": (2, "f", [6],
+                 "component 2: f chain needs >= 2 widths, got [6]"),
+    "c2-g-one": (2, "g", [5],
+                 "component 2: g chain needs >= 2 widths, got [5]"),
+    "c2-b-one": (2, "b", [8],
+                 "component 2: b chain needs >= 2 widths, got [8]"),
+    "c2-h-one": (2, "h", [2],
+                 "component 2: h chain needs >= 2 widths, got [2]"),
+    "no-components": (None, None, None, "plan 'two' has no components"),
+}
+
+
+@pytest.mark.parametrize("component,block,chain,message",
+                         PLAN_FAULTS.values(), ids=PLAN_FAULTS.keys())
+def test_plan_validation_names_component_block_and_widths(component, block,
+                                                          chain, message):
+    plan = two_component_plan()
+    if component is None:
+        plan.components = []
+    else:
+        setattr(plan.components[component - 1], block, chain)
+    with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
+        plan.validate()
 
 
 def test_plan_roundtrip_through_dict():
@@ -430,20 +526,23 @@ def test_plan_roundtrip_through_dict():
 
 
 def test_component_rejects_bad_bridge_naming_its_index():
-    with pytest.raises(PlanError, match="component 3: bridge input 4"):
+    with pytest.raises(PlanError,
+                       match="^component 3: b must map 3 -> 3, got 4 -> 4$"):
         Component(3, identity_block(3), identity_block(3),
                   identity_block(4), identity_block(3))
 
 
 def test_network_rejects_input_dim_mismatch():
-    with pytest.raises(PlanError, match="component 1: f input 3"):
+    with pytest.raises(PlanError,
+                       match="^component 1: f must map 4 -> 3, got 3 -> 3$"):
         ALNetwork([identity_component(3)], 4, 3, "mismatch")
 
 
 def test_network_rejects_nonchaining_components():
     a = identity_component(3, index=1)
     b = identity_component(4, index=2)
-    with pytest.raises(PlanError, match="do not chain"):
+    with pytest.raises(PlanError, match="^components 1 -> 2 do not chain: "
+                       "component 2: f must map 3 -> 4, got 4 -> 4$"):
         ALNetwork([a, b], 3, 3, "nonchaining")
 
 

@@ -483,7 +483,6 @@ def test_run_pipeline_report_counts_completed_batches(n_stages, n_batches,
                           ((i, i) for i in range(1, n_batches + 1)))
     assert report.completed == n_batches
     assert report.time_units == units
-    assert report.speedup is None
     assert len(report.busy_fraction) == n_stages
 
 
@@ -733,6 +732,71 @@ def test_run_pipeline_reraises_the_failing_stages_own_exception(
     assert len(counted_threads) == 2
     assert not any(t.is_alive() for t in counted_threads)
     assert heap_releases == [set(), set()]
+
+
+def _interrupted_run(counted_threads, heap_releases) -> None:
+    """Run a three-stage run_pipeline over 8 batches in a thread of its
+    own, with OpenBLAS on 2 threads there, and check what an interrupt in
+    its shutdown leaves: the caller gets the KeyboardInterrupt once every
+    batch has gone through, every worker has joined, the heap has been
+    released twice with no worker alive, and BLAS is back on 2 threads."""
+    finished, runner, blas_after = [], [], []
+
+    def run():
+        runner.append(threading.current_thread())
+        with blas.pinned_threads(2):
+            caller = blas.threads()
+            try:
+                run_pipeline([lambda v: v] * 2 + [finished.append],
+                             ((m, m) for m in range(1, 9)))
+            finally:
+                blas_after.append((caller, blas.threads()))
+
+    raised = _run_in_thread(run)
+    assert len(raised) == 1 and type(raised[0]) is KeyboardInterrupt
+    assert finished == list(range(1, 9))
+    assert len(counted_threads) == 2
+    assert not any(t.is_alive() for t in counted_threads)
+    assert heap_releases == [set(runner), set(runner)]
+    [(caller, after)] = blas_after
+    assert after == caller
+
+
+def test_an_interrupted_stop_sentinel_still_stops_the_workers(
+        monkeypatch, counted_threads, heap_releases):
+    # Ctrl-C lands in the caller's put of stage 1's stop sentinel, before
+    # it is queued: the put runs again, so stage 2 is not left waiting.
+    interrupted = []
+
+    class StopPutInterrupted(train_mod.Queue):
+        def put(self, item, *args, **kwargs):
+            if (item is train_mod._STOP and not interrupted
+                    and threading.current_thread() not in counted_threads):
+                interrupted.append(item)
+                raise KeyboardInterrupt
+            super().put(item, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "Queue", StopPutInterrupted)
+    _interrupted_run(counted_threads, heap_releases)
+    assert len(interrupted) == 1
+
+
+def test_an_interrupted_join_still_joins_every_worker(
+        monkeypatch, counted_threads, heap_releases):
+    # Ctrl-C lands in the caller's first join: it joins again, joins the
+    # other worker and releases the heap a second time before it raises.
+    joins = []
+
+    class FirstJoinInterrupted(train_mod.Thread):
+        def join(self, *args, **kwargs):
+            joins.append(self)
+            if len(joins) == 1:
+                raise KeyboardInterrupt
+            super().join(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "Thread", FirstJoinInterrupted)
+    _interrupted_run(counted_threads, heap_releases)
+    assert joins[:2] == [counted_threads[0]] * 2
 
 
 @pytest.mark.parametrize("bad_batch", [1, 3], ids="batch{}".format)
@@ -1230,27 +1294,30 @@ def test_fit_mse2_trend_three_epochs():
 # bench ----------------------------------------------------------------
 
 def _bench_runs(n_batches, components, task_cost_ms, runs=5):
-    """The results of `runs` bench_pipeline calls and their median
+    """The reports of `runs` bench_pipeline calls and their median
     speedup. One sleep-timed speedup can land outside a bound when the
     host delays a single sleep; the median judges the scheduler."""
     results = [bench_pipeline(n_batches, components, task_cost_ms)
                for _ in range(runs)]
-    return results, statistics.median(r.report.speedup for r in results)
+    return ([report for _, report in results],
+            statistics.median(seq / report.wall_clock
+                              for seq, report in results))
 
 
 def test_bench_single_component_no_speedup():
-    results, speedup = _bench_runs(n_batches=8, components=1,
+    reports, speedup = _bench_runs(n_batches=8, components=1,
                                    task_cost_ms=1.0)
-    assert all(res.report.time_units == 8 for res in results)
+    assert all(report.time_units == 8 for report in reports)
     assert 0.5 < speedup < 1.5
 
 
 def test_bench_reports_schedule_numbers():
-    results, speedup = _bench_runs(n_batches=6, components=3,
+    reports, speedup = _bench_runs(n_batches=6, components=3,
                                    task_cost_ms=0.5)
-    for res in results:
-        assert res.schedule.sequential_tasks() == 18
-        assert res.report.time_units == 8
+    for report in reports:
+        assert report.completed == 6
+        assert report.time_units == 8
+        assert len(report.busy_fraction) == 3
     assert speedup > 1.0
 
 
