@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, TruncatedFileError
-from .fileio import atomic_open
+from .fileio import atomic_open, read_exact
 from .linalg import make_rng
 from .al_core import NetworkPlan, build_network
 from .bp import BPNetwork
@@ -97,7 +96,8 @@ def load_checkpoint(path):
     """Returns (header dict, list of arrays in header order). The header
     line (at most _HEADER_MAX bytes), its fields and its tensor list,
     against the one its plan implies, are all checked before a tensor
-    byte is read; then exactly the plan's tensors are read."""
+    byte is read; then exactly the plan's tensors are read, each through
+    fileio.read_exact, and then the end of the file."""
     path = Path(path)
     with open(path, "rb") as fh:
         line = fh.readline(_HEADER_MAX)
@@ -137,20 +137,11 @@ def load_checkpoint(path):
                         f"{len(stored)} tensors vs {len(want)}")
             raise DataError(
                 f"{path}: tensor {what} do not match this network ({diff})")
-        arrays = []
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        for name, shape in want:
-            need = 8 * math.prod(shape)     # a Python int: never wraps
-            raw = fh.read(min(need, left))  # never more than the file has
-            if len(raw) != need:
-                raise TruncatedFileError(
-                    f"{path}: tensor {name} needs {need} bytes, "
-                    f"got {len(raw)}")
-            left -= need
-            arrays.append(np.frombuffer(raw, dtype=_DTYPE).reshape(shape)
-                          .astype(np.float64))
-        if fh.read(1):
-            raise DataError(f"{path}: trailing bytes after last tensor")
+        arrays = [np.frombuffer(read_exact(
+            fh, np.dtype(_DTYPE).itemsize * math.prod(shape),
+            f"{path}: tensor {name}"), dtype=_DTYPE).reshape(shape)
+            for name, shape in want]
+        read_exact(fh, 0, path, last=True)
     return header, arrays
 
 

@@ -39,7 +39,7 @@ from .data import Dataset, load_mnist, mnist_subset, one_hot, synth_blobs, synth
 from .metrics import geometry_report, write_json_summary, write_metrics_csv
 from .nn import grad_check_block, make_block
 from .train import (MODES, PIPELINE_BLAS_THREADS, Schedule, bench_pipeline,
-                    check_datasets, check_schedule, fit)
+                    check_datasets, check_ints, check_schedule, fit)
 
 
 def _mnist(cfg, data_rng) -> tuple[Dataset, Dataset]:
@@ -93,10 +93,8 @@ class RunConfig:
             if getattr(self, key) not in choices:
                 raise ConfigError(f"{key} must be one of {choices}, "
                                   f"got {getattr(self, key)!r}")
-        for key, low in (("seed", 0), ("epochs", 0), ("batch_size", 1)):
-            if getattr(self, key) < low:
-                raise ConfigError(
-                    f"{key} must be >= {low}, got {getattr(self, key)}")
+        check_ints(("seed", self.seed, 0), ("epochs", self.epochs, 0),
+                   ("batch_size", self.batch_size, 1))
         check_schedule(self.lr, self.lr_drops, self.lr_factor)
         if self.dataset.startswith("mnist"):
             if not self.data_dir:
@@ -267,10 +265,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    for flag, value, low in (("--seed", args.seed, 0),
-                             ("--batch", args.batch, 1)):
-        if value < low:
-            raise ConfigError(f"{flag} must be >= {low}, got {value}")
+    check_ints(("--seed", args.seed, 0), ("--batch", args.batch, 1))
     rng = make_rng(args.seed)
     plan = get_plan(args.plan)
     net = build_network(plan, rng)

@@ -2,28 +2,25 @@
 
 The IDX reader understands the classic big-endian layout: a uint32 magic
 (0x00000803 for image files, 0x00000801 for label files), uint32 counts
-and dimensions, then raw uint8 payload, which ends the file. Gzipped
-files are detected by their two-byte signature and decompressed
-transparently, CRC-32 and length checked. Pixels are flattened row-major and
-scaled by 1/255 so every feature lands in [0,1].
+and dimensions, then raw uint8 payload, which ends the file; both kinds
+are read by ``_read_idx`` through ``fileio.read_exact``. Gzipped files
+are detected by their two-byte signature and decompressed transparently,
+CRC-32 and length checked. Pixels are flattened row-major and scaled by
+1/255 so every feature lands in [0,1].
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    CountMismatchError,
-    DataError,
-    TruncatedFileError,
-)
+from .errors import BadMagicError, CountMismatchError, DataError
+from .fileio import read_exact
 from .linalg import DTYPE, Matrix, Rng, spawn_rngs
 
 _IMAGE_MAGIC = 0x00000803
@@ -70,28 +67,15 @@ def _open_data(path: Path):
     return open(path, "rb")
 
 
-def _read_exact(fh, count: int, path: Path, last: bool = False) -> bytearray:
-    """count bytes, read in chunks of at most 16 MiB: a header that
-    declares more than the file holds never allocates the declared size.
-    With last, the file must end there: a byte after it raises DataError,
-    and reading on to the end makes gzip check its CRC-32 and length. A
-    gzip stream that is cut short or corrupt, or fails that check, raises
-    DataError."""
-    data, want = bytearray(), count + 1 if last else count
-    while len(data) < want:
-        try:
-            part = fh.read(min(want - len(data), 1 << 24))
-        except (EOFError, zlib.error, gzip.BadGzipFile) as e:
-            raise DataError(f"{path}: corrupt gzip stream: {e}") from e
-        if not part:
-            break
-        data += part
-    if len(data) < count:
-        raise TruncatedFileError(f"{path}: needed {count} bytes, "
-                                 f"file ended after {len(data)}")
-    if len(data) > count:
-        raise DataError(f"{path}: bytes after the declared payload")
-    return data
+def _read_idx(path: Path, magic: int, n_dims: int):
+    """(dims, payload) of an IDX file whose header is magic, n_dims sizes."""
+    with _open_data(path) as fh:
+        found, *dims = struct.unpack(f">{1 + n_dims}I",
+                                     read_exact(fh, 4 + 4 * n_dims, path))
+        if found != magic:
+            raise BadMagicError(
+                f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
+        return dims, read_exact(fh, math.prod(dims), path, last=True)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -101,28 +85,14 @@ def load_idx(images_path, labels_path) -> Dataset:
         if not p.exists():
             raise DataError(f"no such file: {p}")
 
-    with _open_data(images_path) as fh:
-        magic, n, rows, cols = struct.unpack(
-            ">IIII", _read_exact(fh, 16, images_path))
-        if magic != _IMAGE_MAGIC:
-            raise BadMagicError(
-                f"{images_path}: magic 0x{magic:08x}, "
-                f"expected 0x{_IMAGE_MAGIC:08x}")
-        raw = _read_exact(fh, n * rows * cols, images_path, last=True)
+    (n, rows, cols), raw = _read_idx(images_path, _IMAGE_MAGIC, 3)
     X = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
     X = np.divide(X, 255.0, dtype=DTYPE)    # one float64 array, exact cast
-
-    with _open_data(labels_path) as fh:
-        magic, m = struct.unpack(">II", _read_exact(fh, 8, labels_path))
-        if magic != _LABEL_MAGIC:
-            raise BadMagicError(
-                f"{labels_path}: magic 0x{magic:08x}, "
-                f"expected 0x{_LABEL_MAGIC:08x}")
-        raw = _read_exact(fh, m, labels_path, last=True)
+    (m,), raw = _read_idx(labels_path, _LABEL_MAGIC, 1)
     y = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
     if n != m:
-        raise CountMismatchError(f"{n} images but {m} labels")
+        raise CountMismatchError(f"{n} images but {m} labels ({labels_path})")
     n_classes = int(y.max()) + 1 if y.size else 0
     return Dataset(X=X, y=y, n_classes=max(n_classes, 1))
 

@@ -28,7 +28,7 @@ class BadMagicError(DataError):
 
 
 class TruncatedFileError(DataError):
-    """An IDX file ended before the declared payload was read."""
+    """An input file (IDX or checkpoint) ended before what it declares."""
 
 
 class CountMismatchError(DataError):

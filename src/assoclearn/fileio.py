@@ -1,11 +1,16 @@
-"""Atomic file replacement for run artifacts."""
+"""Atomic replacement of the files the program writes, and the one
+bounded reader of the bytes of every file it reads."""
 
 from __future__ import annotations
 
 import contextlib
+import gzip
 import os
 import threading
+import zlib
 from pathlib import Path
+
+from .errors import DataError, TruncatedFileError
 
 
 @contextlib.contextmanager
@@ -37,3 +42,27 @@ def atomic_open(path, mode: str = "w", **kwargs):
             os.fsync(fd)
         finally:
             os.close(fd)
+
+
+def read_exact(fh, count: int, what, last: bool = False) -> bytearray:
+    """count bytes of fh, read in chunks of at most 1 MiB: CPython
+    allocates the size each read asks for, so a file that declares more
+    than it holds costs one chunk. A short file raises TruncatedFileError.
+    With last, the file must end there: a byte after it raises DataError,
+    and reading on to the end makes gzip check its CRC-32 and length. A
+    corrupt gzip stream raises DataError. Every message starts with what."""
+    data, want = bytearray(), count + 1 if last else count
+    while len(data) < want:
+        try:
+            part = fh.read(min(want - len(data), 1 << 20))
+        except (EOFError, zlib.error, gzip.BadGzipFile) as e:
+            raise DataError(f"{what}: corrupt gzip stream: {e}") from e
+        if not part:
+            break
+        data += part
+    if len(data) < count:
+        raise TruncatedFileError(f"{what}: needed {count} bytes, "
+                                 f"file ended after {len(data)}")
+    if len(data) > count:
+        raise DataError(f"{what}: bytes after the declared payload")
+    return data

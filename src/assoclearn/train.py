@@ -356,6 +356,13 @@ def lr_at_epoch(base_lr: float, drops, factor: float, epoch: int) -> float:
     return base_lr * factor ** sum(1 for d in drops if epoch > d)
 
 
+def check_ints(*checks) -> None:
+    """ConfigError unless each (key, value, low) has a non-bool int >= low."""
+    for key, value, low in checks:
+        if type(value) is not int or value < low:
+            raise ConfigError(f"{key} must be an int >= {low}, got {value!r}")
+
+
 def check_schedule(lr, lr_drops, lr_factor) -> None:
     """ConfigError unless lr and lr_factor are finite positive floats or
     ints and lr_drops is a list or tuple of ints (neither takes bools)."""
@@ -417,12 +424,8 @@ def fit(model, train_ds: Dataset, test_ds: Dataset, *, mode: str,
     directory; anything else raises ConfigError before any work.
     """
     _check_mode(model, mode)
-    for key, value, low in (("epochs", epochs, 0),
-                            ("batch_size", batch_size, 1),
-                            ("eval_chunk", eval_chunk, 1),
-                            ("seed", seed, 0)):
-        if type(value) is not int or value < low:
-            raise ConfigError(f"{key} must be an int >= {low}, got {value!r}")
+    check_ints(("epochs", epochs, 0), ("batch_size", batch_size, 1),
+               ("eval_chunk", eval_chunk, 1), ("seed", seed, 0))
     check_schedule(lr, lr_drops, lr_factor)
     check_datasets(model, train_ds, test_ds)
     if out_dir and not Path(out_dir).is_dir():
@@ -471,9 +474,7 @@ def bench_pipeline(n_batches: int, components: int,
                    task_cost_ms: float) -> tuple[float, ThroughputReport]:
     """(sequential wall-clock, pipelined report) of a synthetic workload
     whose every task sleeps task_cost_ms: their ratio times the scheduler."""
-    for key, value in (("n_batches", n_batches), ("components", components)):
-        if type(value) is not int or value < 1:
-            raise ConfigError(f"{key} must be an int >= 1, got {value!r}")
+    check_ints(("n_batches", n_batches, 1), ("components", components, 1))
     if not 0 <= task_cost_ms < np.inf:      # NaN fails both comparisons
         raise ConfigError(
             f"task_cost_ms must be finite and >= 0, got {task_cost_ms}")

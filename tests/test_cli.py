@@ -334,9 +334,9 @@ def test_bad_lr_drops_exit_2(capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["train", "--dataset", "xor", "--mode", "al-seq", "--seed", "-1"],
-     "seed must be >= 0, got -1"),
-    (["gradcheck", "--seed", "-1"], "--seed must be >= 0, got -1"),
-    (["gradcheck", "--batch", "0"], "--batch must be >= 1, got 0"),
+     "seed must be an int >= 0, got -1"),
+    (["gradcheck", "--seed", "-1"], "--seed must be an int >= 0, got -1"),
+    (["gradcheck", "--batch", "0"], "--batch must be an int >= 1, got 0"),
     (["bench-pipeline", "--task-cost-ms", "-1"],
      "task_cost_ms must be finite and >= 0, got -1.0"),
     (["bench-pipeline", "--task-cost-ms", "nan"],
