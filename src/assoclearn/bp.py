@@ -6,13 +6,15 @@ stack whose layer widths are exactly the inference path of that plan
 identical, the trainable parameter count equals the component network's
 effective parameter count with no slack at all.
 
-The default head is softmax + cross-entropy; an MSE head (sigmoid
-output, squared loss) is available so the comparison can be replayed
-with the same loss family the local objectives use.
+The default head is softmax + cross-entropy: the stack ends in an affine
+layer, ``forward`` applies the softmax, and the gradient enters at the
+logits as (p - y) / B. The MSE head (sigmoid output, squared loss)
+replays the comparison in the loss family of the local objectives.
 
 ``BPNetwork.train_batch`` trains on one batch and returns its loss; it is
 the one stage of a ``bp`` epoch in ``train.train_epoch``, the loop and
-the evaluation the component network's epochs run as well.
+the evaluation the component network's epochs run as well. A diverged
+batch raises NumericError before its backward pass and steps no tensor.
 
 ``BPNetwork`` has ``ALNetwork``'s model contract (see ``al_core``); its
 features are the activation after ``feature_layer`` layers.
@@ -20,9 +22,10 @@ features are the activation after ``feature_layer`` layers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .linalg import Matrix, Rng, row_argmax
 from .al_core import NetworkPlan
 from .nn import (
@@ -34,6 +37,7 @@ from .nn import (
     make_block,
     mse_loss,
     mse_loss_grad,
+    softmax,
 )
 
 HEADS = ("softmax", "mse")
@@ -78,7 +82,7 @@ class BPNetwork:
                  name: str = "bp"):
         if head not in HEADS:
             raise ConfigError(f"head must be one of {HEADS}, got {head!r}")
-        out_act = "softmax" if head == "softmax" else "sigmoid"
+        out_act = "identity" if head == "softmax" else "sigmoid"
         self.stack = make_block(list(widths), "elu", rng, out_activation=out_act)
         self.opt = BlockAdam(self.stack)
         self.lr = lr
@@ -96,17 +100,21 @@ class BPNetwork:
                 f"{n_layers} layers")
 
     def forward(self, x: Matrix, train: bool = False) -> Matrix:
-        return self.stack.forward(x, train=train)
+        """The stack's output, or with the softmax head its softmax, taken in
+        place: an identity layer's backward reads neither z nor its output."""
+        out = self.stack.forward(x, train=train)
+        return softmax(out, out=out) if self.head == "softmax" else out
 
     def loss_and_grad(self, out: Matrix, y_onehot: Matrix):
-        if self.head == "softmax":
-            return (cross_entropy_loss(out, y_onehot),
-                    cross_entropy_grad(out, y_onehot))
-        return mse_loss(out, y_onehot), mse_loss_grad(out, y_onehot)
+        loss, grad = ((cross_entropy_loss, cross_entropy_grad)
+                      if self.head == "softmax" else (mse_loss, mse_loss_grad))
+        return loss(out, y_onehot), grad(out, y_onehot)
 
     def train_batch(self, x: Matrix, y_onehot: Matrix) -> float:
         out = self.forward(x, train=True)
         loss, grad = self.loss_and_grad(out, y_onehot)
+        if not math.isfinite(loss):
+            raise NumericError("loss diverged")
         self.stack.backward(grad, input_grad=False)
         self.opt.step(self.lr)
         return loss

@@ -58,7 +58,7 @@ def save(path, model, seed: int, epoch: int,
             fh.write(np.ascontiguousarray(a, dtype=_DTYPE))
 
 
-# Benchmark shims: perfbench traces these until ROADMAP item 1 traces save.
+# Benchmark shims: perfbench traces these until ROADMAP item 15 traces save.
 save_al = save
 save_bp = save
 

@@ -94,7 +94,7 @@ def evaluate(model, ds: Dataset, chunk: int = 2048) -> float:
     return accuracy(np.concatenate(labels) if labels else [], ds.y)
 
 
-# Benchmark shims: perfbench traces these until ROADMAP item 1 traces evaluate.
+# Benchmark shims: perfbench traces these until ROADMAP item 15 traces evaluate.
 infer = ALNetwork.predict
 evaluate_al = evaluate
 evaluate_bp = evaluate

@@ -24,10 +24,9 @@ The memory-bound elementwise passes run in row blocks of at most
 ``BLOCK_ELEMS`` elements (``row_blocks``), so their operands and
 temporaries stay in a core's L2 cache between operations: Adam's
 operations, and each dense layer's bias add and activation. The work is
-elementwise, or row-wise for softmax, so the bits do not depend on the
-block size. The matrix products are never split by rows: OpenBLAS picks
-its threading by the row count, and a product of fewer rows can round
-differently.
+elementwise, so the bits do not depend on the block size. The matrix
+products are never split by rows: OpenBLAS picks its threading by the
+row count, and a product of fewer rows can round differently.
 
 The activations select no elements by mask: ELU, its derivative and the
 sigmoid's numerator are written with minimum, maximum and exp in forms
@@ -62,7 +61,7 @@ import math
 import numpy as np
 
 from .errors import ShapeError, StateError
-from .linalg import Matrix, Rng, he_normal_init, matmul, sliced_matmul
+from .linalg import Matrix, Rng, he_normal_init, matmul
 
 
 # Rows per block are chosen so that a block holds at most this many
@@ -167,20 +166,7 @@ class _Sigmoid:
         return np.multiply(grad_out, d, out=d)
 
 
-class _Softmax:
-    # Row-wise softmax; backward is the exact Jacobian-vector product.
-    name = "softmax"
-    needs_z = False
-
-    def value(self, z, out):
-        softmax(z, out=out)
-
-    def backward(self, grad_out, z, out):
-        inner = (grad_out * out).sum(axis=1, keepdims=True)
-        return out * (grad_out - inner)
-
-
-ACTIVATIONS = {a.name: a for a in (_Identity(), _Elu(), _Sigmoid(), _Softmax())}
+ACTIVATIONS = {a.name: a for a in (_Identity(), _Elu(), _Sigmoid())}
 
 
 class DenseLayer:
@@ -198,8 +184,8 @@ class DenseLayer:
     it, except that a training-mode ELU keeps its pre-activation for its
     backward pass; every other layer's cached pre-activation is its
     output. Forward never writes into its input. Every product of
-    training (forward, grad_W and input gradient) is sliced_matmul's, so
-    training gives the same bits at any BLAS thread count;
+    training (forward, grad_W and input gradient) is matmul's sliced one,
+    so training gives the same bits at any BLAS thread count;
     evaluation-mode forward keeps the plain product, which is faster.
     """
 
@@ -240,9 +226,9 @@ class DenseLayer:
             raise ShapeError(
                 f"upstream gradient shape {grad_out.shape} != {out.shape}")
         dz = ACTIVATIONS[self.activation].backward(grad_out, z, out)
-        self.grad_W = sliced_matmul(x.T, dz)
+        self.grad_W = matmul(x.T, dz, sliced=True)
         self.grad_b = dz.sum(axis=0, keepdims=True)
-        return sliced_matmul(dz, self.W.T) if input_grad else None
+        return matmul(dz, self.W.T, sliced=True) if input_grad else None
 
     def param_count(self) -> int:
         return self.W.size + self.bias.size
@@ -377,8 +363,8 @@ def cross_entropy_loss(probs: Matrix, onehot: Matrix) -> float:
 
 
 def cross_entropy_grad(probs: Matrix, onehot: Matrix) -> Matrix:
-    p = np.clip(probs, _CE_EPS, None)
-    return -(onehot / p) / probs.shape[0]
+    """Gradient of cross_entropy_loss at the logits z, probs = softmax(z)."""
+    return (probs - onehot) / probs.shape[0]
 
 
 # Adam -----------------------------------------------------------------

@@ -1,5 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
+
+from assoclearn import nn
 
 from assoclearn.al_core import (
     ComponentPlan,
@@ -18,7 +22,7 @@ from assoclearn.bp import (
 )
 from assoclearn.data import one_hot, synth_blobs
 from assoclearn.errors import ConfigError, NumericError, ShapeError
-from assoclearn.linalg import make_rng
+from assoclearn.linalg import make_rng, matmul
 from assoclearn.metrics import evaluate
 from assoclearn.nn import set_params
 from assoclearn.train import train_epoch
@@ -121,6 +125,56 @@ def test_divergence_reports_epoch_and_batch():
     y = one_hot(np.zeros(8, dtype=int), 2)
     with pytest.raises(NumericError, match=r"epoch 3, batch 1"):
         train_epoch(net, X, y, 4, make_rng(12), 3, "bp")
+
+
+@pytest.mark.parametrize("head", ["softmax", "mse"])
+def test_a_diverged_batch_steps_no_tensor_moment_or_count(head):
+    net = BPNetwork([3, 5, 2], make_rng(23), lr=1e-3, head=head)
+    rng = make_rng(24)
+    X, y = rng.uniform(size=(4, 3)), np.eye(2)[[0, 1, 1, 0]]
+    net.train_batch(X, y)                       # moments and t exist
+    before = copy.deepcopy((net.stack.param_arrays(), net.opt.m, net.opt.v))
+    X[2, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match="epoch 0, batch 1: loss "
+                                               "diverged"):
+            train_epoch(net, X, y, 4, make_rng(25), 0, "bp")
+    after = (net.stack.param_arrays(), net.opt.m, net.opt.v)
+    assert net.opt.t == 1
+    assert [[a.tobytes() for a in arrays] for arrays in after] == [
+        [a.tobytes() for a in arrays] for arrays in before]
+
+
+def test_softmax_head_gradient_at_the_logits_is_closed_form():
+    # Logits [30, 0] with true class 1, batch of 2: the gradient entering
+    # the affine last layer is (p - y) / B, about +-0.5 per logit however
+    # small p[1] is, and that layer passes it to its bias unchanged.
+    net = BPNetwork([2, 2], make_rng(26))
+    set_params(net.named_layers(), [np.eye(2), np.zeros(2)])
+    x, y = np.array([[30.0, 0.0], [30.0, 0.0]]), np.eye(2)[[1, 1]]
+    probs = net.forward(x, train=True)
+    grad = net.loss_and_grad(probs, y)[1]
+    assert np.array_equal(grad, (probs - y) / 2)
+    assert np.allclose(grad, [[0.5, -0.5]] * 2, rtol=0, atol=1e-12)
+    net.stack.backward(grad)
+    assert np.array_equal(net.stack.layers[0].grad_b,
+                          grad.sum(axis=0, keepdims=True))
+
+
+def test_predict_is_the_row_blocked_softmax_of_the_affine_output():
+    # The softmax a softmax layer took block by block, taken once over the
+    # whole output: 7000 rows of 10 span three row blocks.
+    rng = make_rng(27)
+    net = BPNetwork([6, 8, 10], rng)
+    x = rng.normal(size=(7000, 6))
+    first, last = net.stack.layers
+    z = matmul(first.forward(x), last.W)
+    for rows in nn.row_blocks(z):
+        z[rows] += last.bias
+        nn.softmax(z[rows], out=z[rows])
+    scores, labels = net.predict(x)
+    assert scores.tobytes() == z.tobytes()
+    assert np.array_equal(labels, z.argmax(axis=1))
 
 
 def test_mse_head_trains():

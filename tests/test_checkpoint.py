@@ -350,11 +350,17 @@ def test_save_refuses_a_net_its_plan_cannot_rebuild(tmp_path):
     ("al", lambda h: h["plan"]["components"][0].update(f=[8, -16]),
      "malformed plan"),
     ("bp", lambda h: h["plan"].update(head="tanh"), "malformed plan"),
+    ("bp", lambda h: h["arrays"].__setitem__(0, "stack.0.W"),
+     "tensor shapes do not match this network "
+     "(('stack.0.W', None) vs ('stack.0.W', [4, 3]))"),
+    ("bp", lambda h: h.update(arrays="stack.0.W"),
+     "tensor names do not match this network (1 tensors vs 4)"),
 ], ids=["al-empty-plan", "al-plan-not-a-dict", "al-no-plan",
         "al-seed-not-an-int",
         "bp-plan-without-widths", "al-dtype-f4", "al-dtype-i8",
         "al-dtype-not-a-string", "bp-zero-width", "bp-boolean-width",
-        "bp-widths-a-string", "al-negative-width", "bp-head-it-cannot-build"])
+        "bp-widths-a-string", "al-negative-width", "bp-head-it-cannot-build",
+        "bp-tensor-entry-not-a-dict", "bp-tensor-list-not-a-list"])
 def test_malformed_plan_or_seed_raises_data_error(tmp_path, loader, edit,
                                                   says):
     path = tmp_path / "model.bin"

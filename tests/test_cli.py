@@ -4,10 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import assoclearn
+from assoclearn import cli
 from assoclearn.cli import main, resolve_train_config, build_parser
+from assoclearn.data import Dataset
 from assoclearn.metrics import csv_header
 
 
@@ -42,6 +45,25 @@ def test_all_artifacts_present(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["checkpoint"] == str(out / "checkpoint.bin")
     assert set(summary["geometry"]) == {"raw", "al"}
+
+
+def test_geometry_that_cannot_be_measured_is_reported_not_fatal(
+        tmp_path, monkeypatch):
+    # A test set of one class has no interclass distance: the run still
+    # completes and summary.json says why there is no geometry.
+    plan, defaults, load = cli._DATASETS["blobs"]
+
+    def one_class_test_set(cfg, data_rng):
+        train, test = load(cfg, data_rng)
+        return train, Dataset(test.X, np.zeros_like(test.y), test.n_classes)
+
+    monkeypatch.setitem(cli._DATASETS, "blobs",
+                        (plan, defaults, one_class_test_set))
+    out = tmp_path / "run"
+    assert run_cli(["train", "--dataset", "blobs", "--mode", "bp",
+                    "--epochs", "1", "--seed", "3", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["geometry"] == {"error": "need at least 2 classes"}
 
 
 def test_missing_data_dir_exit_2(monkeypatch, capsys):

@@ -199,6 +199,35 @@ def test_load_idx_missing_file(tmp_path):
         load_idx(tmp_path / "nope", tmp_path / "also-nope")
 
 
+def _idx_name(base, variant):
+    name = base.replace("-idx", ".idx") if "dotted" in variant else base
+    return name + (".gz" if variant.endswith("gz") else "")
+
+
+@pytest.mark.parametrize("variant", ["plain", "gz", "dotted", "dotted-gz"])
+def test_load_mnist_finds_each_naming_of_the_files(tmp_path, variant):
+    # Tiny hand-written IDX files under the official names: a test of
+    # the file lookup, not of the dataset.
+    for split, n in (("train", 3), ("t10k", 2)):
+        pair = write_idx_pair(
+            tmp_path, np.arange(n * 4).reshape(n, 2, 2), np.arange(n),
+            gzipped=variant.endswith("gz"))
+        for path, kind in zip(pair, ("images-idx3", "labels-idx1")):
+            path.rename(tmp_path / _idx_name(f"{split}-{kind}-ubyte", variant))
+    train, test = load_mnist(tmp_path)
+    assert (train.n, test.n, train.dim, train.n_classes) == (3, 2, 4, 10)
+    assert np.array_equal(train.X[2], np.arange(8, 12) / 255.0)
+    assert np.array_equal(test.y, [0, 1])
+
+
+def test_load_mnist_names_every_file_it_looked_for(tmp_path):
+    with pytest.raises(DataError, match=(
+            "none of train-images-idx3-ubyte, train-images-idx3-ubyte.gz, "
+            "train-images.idx3-ubyte, train-images.idx3-ubyte.gz found "
+            f"under {tmp_path}")):
+        load_mnist(tmp_path)
+
+
 @requires_mnist
 def test_mnist_official_shapes():
     train, test = load_mnist(MNIST_DIR)

@@ -36,6 +36,16 @@ def test_matmul_shape_error_names_both_shapes():
     assert "(2, 3)" in str(exc.value)
 
 
+@pytest.mark.parametrize("call, says", [
+    (lambda: matmul(np.zeros(3), np.zeros((3, 2))), "a must be a 2-D matrix"),
+    (lambda: matmul(np.zeros((2, 3)), [[1.0]] * 3), "b must be a 2-D matrix"),
+    (lambda: row_argmax(np.zeros((2, 3, 1))), "a must be a 2-D matrix"),
+], ids=["matmul-1d-a", "matmul-list-b", "row_argmax-3d"])
+def test_non_matrix_operands_rejected(call, says):
+    with pytest.raises(ShapeError, match=says):
+        call()
+
+
 def test_matmul_associativity():
     rng = make_rng(42)
     for _ in range(10):

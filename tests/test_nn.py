@@ -167,14 +167,8 @@ def test_dense_forward_activation_path(monkeypatch, activation, train):
         assert layer._cache[0] is x and layer._cache[2] is out
 
 
-def _unblocked_softmax(z):
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 # Each activation over a whole array at once, into a new array.
-_UNBLOCKED = {"identity": lambda z: z, "elu": elu, "sigmoid": sigmoid,
-              "softmax": _unblocked_softmax}
+_UNBLOCKED = {"identity": lambda z: z, "elu": elu, "sigmoid": sigmoid}
 # Row counts on both sides of a 64-row block of width 512; pairs above
 # 4M output elements are left out to bound the test's memory.
 _FORWARD_SHAPES = [(rows, width) for rows in (1, 63, 64, 65, 2048, 6000)
@@ -258,16 +252,42 @@ def test_mse_shape_mismatch():
         mse_loss(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
+def _upstream_of_another_shape():
+    layer = DenseLayer(3, 2, "elu", rng=make_rng(0))
+    layer.forward(np.ones((4, 3)), train=True)
+    layer.backward(np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("call, says", [
+    (lambda: mse_loss_grad(np.zeros((2, 3)), np.zeros((2, 4))),
+     r"mse_loss: shapes differ, \(2, 3\) vs \(2, 4\)"),
+    (lambda: cross_entropy_loss(np.zeros((2, 3)), np.zeros((2, 4))),
+     r"cross_entropy: shapes differ, \(2, 3\) vs \(2, 4\)"),
+    (_upstream_of_another_shape,
+     r"upstream gradient shape \(4, 3\) != \(4, 2\)"),
+    (lambda: MLPBlock([]), "a block needs at least one layer"),
+    (lambda: make_block([3], "elu", make_rng(0)),
+     "width chain needs at least input and output"),
+], ids=["mse_loss_grad", "cross_entropy_loss",
+        "dense-backward-upstream", "empty-block", "one-width-chain"])
+def test_shape_refusals_say_what_does_not_fit(call, says):
+    with pytest.raises(ShapeError, match=says):
+        call()
+
+
 def test_cross_entropy_perfect_prediction():
     onehot = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert cross_entropy_loss(onehot, onehot) < 1e-9
 
 
 def test_cross_entropy_grad_direction():
+    # The gradient at the logits: a descent step raises the true class's
+    # logit and lowers the others', and the row sums to zero, since the
+    # softmax ignores a shift of the logits.
     probs = np.array([[0.25, 0.75]])
     onehot = np.array([[1.0, 0.0]])
     g = cross_entropy_grad(probs, onehot)
-    assert g[0, 0] < 0 and g[0, 1] == 0.0
+    assert g[0, 0] < 0 < g[0, 1] and g.sum() == 0.0
 
 
 # dense layers and blocks ----------------------------------------------

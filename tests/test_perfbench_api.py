@@ -15,9 +15,9 @@ import pytest
 import assoclearn
 from assoclearn.al_core import build_network, get_plan
 from assoclearn.bp import build_bp_network, match_effective_params
-from assoclearn.data import synth_blobs
+from assoclearn.data import one_hot, synth_blobs
 from assoclearn.linalg import make_rng
-from assoclearn.train import fit
+from assoclearn.train import fit, train_epoch
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -81,3 +81,34 @@ def test_fit_calls_the_sites_perfbench_traces_per_batch(perfbench_modules,
     assert traced == expected
     assert calls.get("train.run_pipeline", 0) == (2 if mode == "al-pipe"
                                                   else 0)
+
+
+@pytest.mark.parametrize("mode", ["al-seq", "bp"])
+def test_traced_matmul_sees_every_product_of_a_batch(perfbench_modules,
+                                                     mode):
+    # perfbench counts products and their flops by wrapping nn.matmul, so
+    # a training batch must make every product through it: one per layer
+    # forward, one per grad_W and one per input gradient, but for the
+    # block inputs an update discards (f's and g's per component, the
+    # stack's in bp).
+    tracing = perfbench_modules["tracing"]
+    plan = get_plan("blobs")
+    if mode == "bp":
+        model = build_bp_network(match_effective_params(plan), make_rng(2))
+        blocks, discarded = [model.stack], 1
+    else:
+        model = build_network(plan, make_rng(2))
+        blocks = [b for c in model.components for b in c.blocks().values()]
+        discarded = 2 * len(model.components)
+    layers = sum(len(b.layers) for b in blocks)
+    ds = synth_blobs(8, plan.input_dim, plan.target_dim, separation=6.0,
+                     rng=make_rng(1))
+    rec = tracing.SpanRecorder()
+    installed = tracing.install(rec)
+    try:
+        train_epoch(model, ds.X, one_hot(ds.y, ds.n_classes), 8,
+                    make_rng(3), 0, mode)
+    finally:
+        tracing.uninstall(installed)
+    calls = tracing.summarize(rec.spans())["linalg.matmul"]["calls"]
+    assert calls == 3 * layers - discarded

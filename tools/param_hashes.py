@@ -45,7 +45,7 @@ KINDS = ("params", "metrics", "checkpoint")
 EXPECTED = {
     "al-seq": ("e989df2a", "aafc7b6a", "20aada29"),
     "al-pipe": ("e989df2a", "094405be", "20aada29"),
-    "bp": ("36c48016", "d474074a", "32058729"),
+    "bp": ("e71d1b28", "d474074a", "06237c4a"),
 }
 
 
