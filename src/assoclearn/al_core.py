@@ -52,8 +52,7 @@ from .nn import (
     finite_diff_loss_grads,
     gradcheck,
     make_block,
-    mse_loss,
-    mse_loss_grad,
+    mse,
     param_items,
 )
 
@@ -258,11 +257,10 @@ def _flow(enc: MLPBlock, dec: MLPBlock, x: Matrix, target: Matrix,
     which belongs to the previous component. Returns (code, loss)."""
     code = enc.forward(x, train=train)
     ensure_finite(code, where)
-    out = dec.forward(code, train=train)
+    loss, grad = mse(dec.forward(code, train=train), target)
     if train:
-        enc.backward(dec.backward(mse_loss_grad(out, target)),
-                     input_grad=False)
-    return code, mse_loss(out, target)
+        enc.backward(dec.backward(grad), input_grad=False)
+    return code, loss
 
 
 def _flows(c: Component, s_prev: Matrix, t_prev: Matrix, train: bool):

@@ -7,9 +7,12 @@ identical, the trainable parameter count equals the component network's
 effective parameter count with no slack at all.
 
 The default head is softmax + cross-entropy: the stack ends in an affine
-layer, ``forward`` applies the softmax, and the gradient enters at the
-logits as (p - y) / B. The MSE head (sigmoid output, squared loss)
+layer whose output, the logits, goes straight to
+``nn.softmax_cross_entropy``, and ``predict`` is the one place the
+softmax itself is taken. The MSE head (sigmoid output, ``nn.mse``)
 replays the comparison in the loss family of the local objectives.
+Either head's loss is one call that returns the batch's loss and the
+gradient its backward pass starts from.
 
 ``BPNetwork.train_batch`` trains on one batch and returns its loss; it is
 the one stage of a ``bp`` epoch in ``train.train_epoch``, the loop and
@@ -31,13 +34,11 @@ from .al_core import NetworkPlan
 from .nn import (
     BlockAdam,
     DenseLayer,
-    cross_entropy_grad,
-    cross_entropy_loss,
     gradcheck,
     make_block,
-    mse_loss,
-    mse_loss_grad,
+    mse,
     softmax,
+    softmax_cross_entropy,
 )
 
 HEADS = ("softmax", "mse")
@@ -83,6 +84,7 @@ class BPNetwork:
         if head not in HEADS:
             raise ConfigError(f"head must be one of {HEADS}, got {head!r}")
         out_act = "identity" if head == "softmax" else "sigmoid"
+        self.loss = softmax_cross_entropy if head == "softmax" else mse
         self.stack = make_block(list(widths), "elu", rng, out_activation=out_act)
         self.opt = BlockAdam(self.stack)
         self.lr = lr
@@ -99,20 +101,8 @@ class BPNetwork:
                 f"feature_layer {self.feature_layer} out of range for "
                 f"{n_layers} layers")
 
-    def forward(self, x: Matrix, train: bool = False) -> Matrix:
-        """The stack's output, or with the softmax head its softmax, taken in
-        place: an identity layer's backward reads neither z nor its output."""
-        out = self.stack.forward(x, train=train)
-        return softmax(out, out=out) if self.head == "softmax" else out
-
-    def loss_and_grad(self, out: Matrix, y_onehot: Matrix):
-        loss, grad = ((cross_entropy_loss, cross_entropy_grad)
-                      if self.head == "softmax" else (mse_loss, mse_loss_grad))
-        return loss(out, y_onehot), grad(out, y_onehot)
-
     def train_batch(self, x: Matrix, y_onehot: Matrix) -> float:
-        out = self.forward(x, train=True)
-        loss, grad = self.loss_and_grad(out, y_onehot)
+        loss, grad = self.loss(self.stack.forward(x, train=True), y_onehot)
         if not math.isfinite(loss):
             raise NumericError("loss diverged")
         self.stack.backward(grad, input_grad=False)
@@ -120,7 +110,10 @@ class BPNetwork:
         return loss
 
     def predict(self, x: Matrix):
-        out = self.forward(x, train=False)
+        """(scores, labels); the softmax head's scores are its softmax."""
+        out = self.stack.forward(x)
+        if self.head == "softmax":
+            softmax(out, out=out)
         return out, row_argmax(out)
 
     def named_layers(self) -> list[tuple[str, DenseLayer]]:
@@ -150,7 +143,6 @@ def build_bp_network(plan: BPPlan, rng: Rng, lr: float = 1e-4,
 
 def gradcheck_bp(net: BPNetwork, x: Matrix, y_onehot: Matrix) -> float:
     """gradcheck of the full-stack analytic gradient."""
-    out = net.forward(x, train=True)
-    net.stack.backward(net.loss_and_grad(out, y_onehot)[1])
-    return gradcheck(lambda: net.loss_and_grad(net.forward(x), y_onehot)[0],
+    net.stack.backward(net.loss(net.stack.forward(x, train=True), y_onehot)[1])
+    return gradcheck(lambda: net.loss(net.stack.forward(x), y_onehot)[0],
                      net.stack.param_arrays(), net.stack.grad_arrays())

@@ -181,10 +181,10 @@ def resolve_train_config(args) -> RunConfig:
 
 def cmd_train(cfg: RunConfig) -> int:
     init_rng, shuffle_rng, data_rng = spawn_rngs(cfg.seed, 3)
+    al_plan = get_plan(cfg.plan)            # refused before any data is read
     *_, load = _DATASETS[cfg.dataset]
     train_ds, test_ds = load(cfg, data_rng)
 
-    al_plan = get_plan(cfg.plan)
     if cfg.mode == "bp":
         model = build_bp_network(match_effective_params(al_plan), init_rng,
                                  head=cfg.head)

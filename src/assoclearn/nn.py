@@ -7,12 +7,14 @@ those caches, leaves parameter gradients on each layer, and skips the
 block's input gradient when the caller discards it. ``BlockAdam`` then
 applies Adam with bias correction per parameter tensor, in place, and
 consumes the gradients. So a gradient lives from the backward that makes
-it to the step that applies it, a training cache from the forward that
-fills it to the backward that reads it, and a model holds neither between
-batches. The step overwrites the layer's tensors, the moments and the
-gradients it consumes, and the result is bit-identical to the textbook
-formula evaluated with fresh arrays, because every operation runs in
-the same order. Layers therefore own their tensors: a layer draws its
+it to the step that applies it, and a training cache from the forward
+that fills it to the backward that reads it. A batch that fails part way
+can leave either behind, but no step reads it: the next batch's forward
+and backward replace every cache and gradient before its step. The step
+overwrites the layer's tensors, the moments and the gradients it
+consumes, and the result is bit-identical to the textbook formula
+evaluated with fresh arrays, because every operation runs in the same
+order. Layers therefore own their tensors: a layer draws its
 own when it is built, and ``set_params`` is the one way to give it
 others, as copies. Adam state is a block's: one moment pair m, v per
 tensor and one step count t for them all, on its ``BlockAdam``; beta1,
@@ -40,6 +42,10 @@ No code here decides a dtype. The activations, each layer's products,
 gradients and caches, the Adam moments and the work array all take the
 dtype of the tensors they work on; a tensor gets its dtype where it is
 born (``linalg.he_normal_init``, or the data).
+
+Each loss returns (loss, gradient) from one pass, so a training step
+makes one loss call; ``softmax_cross_entropy`` takes the logits, so its
+loss is exact with no clip, however wrong a row is.
 
 ``param_items`` / ``set_params`` name and assign the tensors of a list of
 named layers; the component network and the baseline both go through them.
@@ -333,38 +339,35 @@ def set_params(named_layers: list, arrays: list[Matrix]) -> None:
 
 # losses ---------------------------------------------------------------
 
-def mse_loss(a: Matrix, b: Matrix) -> float:
-    """Squared L2 distance per sample, averaged over the batch."""
+def mse(a: Matrix, b: Matrix) -> tuple[float, Matrix]:
+    """Squared L2 distance per sample, averaged over the batch, and its
+    gradient with respect to a, 2 (a - b) / B, from one difference."""
     if a.shape != b.shape:
-        raise ShapeError(f"mse_loss: shapes differ, {a.shape} vs {b.shape}")
+        raise ShapeError(f"mse: shapes differ, {a.shape} vs {b.shape}")
     d = a - b
-    return float((d * d).sum(axis=1).mean())
-
-
-def mse_loss_grad(a: Matrix, b: Matrix) -> Matrix:
-    """Gradient of mse_loss with respect to a."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mse_loss: shapes differ, {a.shape} vs {b.shape}")
-    d = a - b
+    loss = float((d * d).sum(axis=1).mean())
     d *= 2.0
     d /= a.shape[0]
-    return d
+    return loss, d
 
 
-_CE_EPS = 1e-12
-
-
-def cross_entropy_loss(probs: Matrix, onehot: Matrix) -> float:
-    if probs.shape != onehot.shape:
+def softmax_cross_entropy(z: Matrix, onehot: Matrix) -> tuple[float, Matrix]:
+    """Mean cross-entropy of softmax(z) against one-hot rows, a row's
+    log(sum(exp(s))) - s[true] for s = z - max(z), and its gradient at the
+    logits, (softmax(z) - onehot) / B, with softmax's operations in order.
+    No exp overflows and no log sees 0: s <= 0, so a row sums to >= 1."""
+    if z.shape != onehot.shape:
         raise ShapeError(
-            f"cross_entropy: shapes differ, {probs.shape} vs {onehot.shape}")
-    p = np.clip(probs, _CE_EPS, None)
-    return float(-(onehot * np.log(p)).sum(axis=1).mean())
-
-
-def cross_entropy_grad(probs: Matrix, onehot: Matrix) -> Matrix:
-    """Gradient of cross_entropy_loss at the logits z, probs = softmax(z)."""
-    return (probs - onehot) / probs.shape[0]
+            f"cross_entropy: shapes differ, {z.shape} vs {onehot.shape}")
+    s = np.subtract(z, z.max(axis=1, keepdims=True))
+    s_true = (onehot * s).sum(axis=1)
+    p = np.exp(s, out=s)
+    total = p.sum(axis=1, keepdims=True)
+    loss = float((np.log(total[:, 0]) - s_true).mean())
+    np.divide(p, total, out=p)
+    p -= onehot
+    p /= z.shape[0]
+    return loss, p
 
 
 # Adam -----------------------------------------------------------------
@@ -507,9 +510,9 @@ def gradcheck(loss_fn, params: list[Matrix], analytic: list[Matrix]) -> float:
 def grad_check_block(block: MLPBlock, x: Matrix, target: Matrix,
                      inject_fault: bool = False) -> float:
     """gradcheck of the MSE loss of block(x) against target."""
-    block.backward(mse_loss_grad(block.forward(x, train=True), target))
+    block.backward(mse(block.forward(x, train=True), target)[1])
     analytic = [g.copy() for g in block.grad_arrays()]
     if inject_fault:
         analytic[0].reshape(-1)[0] += 0.1
-    return gradcheck(lambda: mse_loss(block.forward(x), target),
+    return gradcheck(lambda: mse(block.forward(x), target)[0],
                      block.param_arrays(), analytic)

@@ -23,8 +23,7 @@ from assoclearn.al_core import (
 )
 from assoclearn.errors import NumericError, PlanError, ShapeError
 from assoclearn.linalg import make_rng
-from assoclearn.nn import (DenseLayer, MLPBlock, mse_loss, mse_loss_grad,
-                           set_params)
+from assoclearn.nn import DenseLayer, MLPBlock, mse, set_params
 from conftest import given_layer, params
 
 
@@ -223,11 +222,13 @@ def two_pass_update(c, s_prev, t_prev, lr):
     t_i = c.g.forward(t_prev, train=True)
     bridged = c.b.forward(s_i, train=True)
     recon = c.h.forward(t_i, train=True)
-    c.f.backward(c.b.backward(mse_loss_grad(bridged, t_i)), input_grad=False)
-    c.g.backward(c.h.backward(mse_loss_grad(recon, t_prev)), input_grad=False)
+    mse1, grad1 = mse(bridged, t_i)
+    mse2, grad2 = mse(recon, t_prev)
+    c.f.backward(c.b.backward(grad1), input_grad=False)
+    c.g.backward(c.h.backward(grad2), input_grad=False)
     for opt in (c.opt_f, c.opt_b, c.opt_g, c.opt_h):
         opt.step(lr)
-    return s_i, t_i, mse_loss(bridged, t_i), mse_loss(recon, t_prev)
+    return s_i, t_i, mse1, mse2
 
 
 def param_bytes(net):

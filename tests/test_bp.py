@@ -110,11 +110,9 @@ def test_first_batch_loss_decreases():
     net = BPNetwork([5, 8, 2], rng, lr=1e-4)
     x = rng.uniform(size=(16, 5))
     y = one_hot(rng.integers(0, 2, size=16), 2)
-    out = net.forward(x)
-    before, _ = net.loss_and_grad(out, y)
+    before, _ = net.loss(net.stack.forward(x), y)
     net.train_batch(x, y)
-    out = net.forward(x)
-    after, _ = net.loss_and_grad(out, y)
+    after, _ = net.loss(net.stack.forward(x), y)
     assert after < before
 
 
@@ -146,19 +144,33 @@ def test_a_diverged_batch_steps_no_tensor_moment_or_count(head):
 
 
 def test_softmax_head_gradient_at_the_logits_is_closed_form():
-    # Logits [30, 0] with true class 1, batch of 2: the gradient entering
-    # the affine last layer is (p - y) / B, about +-0.5 per logit however
-    # small p[1] is, and that layer passes it to its bias unchanged.
+    # Logits [30, 0] with true class 1, batch of 2: the head's loss takes
+    # the affine last layer's output and returns (p - y) / B, about +-0.5
+    # per logit however small p[1] is, and the exact loss 30 + log(1 +
+    # e^-30); the layer passes the gradient to its bias unchanged.
     net = BPNetwork([2, 2], make_rng(26))
     set_params(net.named_layers(), [np.eye(2), np.zeros(2)])
     x, y = np.array([[30.0, 0.0], [30.0, 0.0]]), np.eye(2)[[1, 1]]
-    probs = net.forward(x, train=True)
-    grad = net.loss_and_grad(probs, y)[1]
-    assert np.array_equal(grad, (probs - y) / 2)
+    logits = net.stack.forward(x, train=True)
+    loss, grad = net.loss(logits, y)
+    assert np.array_equal(grad, (nn.softmax(logits) - y) / 2)
     assert np.allclose(grad, [[0.5, -0.5]] * 2, rtol=0, atol=1e-12)
+    assert loss == pytest.approx(30.0 + np.log1p(np.exp(-30.0)), rel=1e-15)
     net.stack.backward(grad)
     assert np.array_equal(net.stack.layers[0].grad_b,
                           grad.sum(axis=0, keepdims=True))
+
+
+def test_gradcheck_holds_where_the_softmax_saturates():
+    # Every W scaled by 30 puts the logits tens of units apart, so one row
+    # is confidently wrong: the finite differences of the exact loss match
+    # the gradient (p - y) / B; a loss clipped at any probability reads
+    # flat there against a gradient of about 1/B.
+    net = BPNetwork([3, 4, 2], make_rng(0))
+    for layer in net.stack.layers:
+        layer.W *= 30.0
+    x = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]])
+    assert gradcheck_bp(net, x, np.eye(2)[[0, 1]]) < 1e-6
 
 
 def test_predict_is_the_row_blocked_softmax_of_the_affine_output():

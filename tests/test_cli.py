@@ -95,6 +95,17 @@ def test_plan_dataset_mismatch_exit_2(tmp_path, capsys):
     assert "expects" in capsys.readouterr().err
 
 
+def test_unknown_plan_is_refused_before_any_data_is_read(tmp_path, capsys):
+    # The data dir holds no IDX file, so reading the data would fail on
+    # the missing files: the plan has to be checked first.
+    code = run_cli(["train", "--dataset", "mnist", "--mode", "al-seq",
+                    "--seed", "0", "--data-dir", str(tmp_path),
+                    "--plan", "bogus", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "unknown plan 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_numeric_failure_maps_to_exit_3(monkeypatch, capsys):
     import assoclearn.cli as cli
     from assoclearn.errors import NumericError
@@ -578,12 +589,12 @@ def test_only_flow_differentiates_in_al_core():
     def grad_calls(node):
         return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
                 and (getattr(n.func, "attr", None) == "backward"
-                     or getattr(n.func, "id", None) == "mse_loss_grad")]
+                     or getattr(n.func, "id", None) == "mse")]
 
     inside = [line for fn in tree.body if isinstance(fn, ast.FunctionDef)
               and fn.name == "_flow" for line in grad_calls(fn)]
     assert sorted(grad_calls(tree)) == sorted(inside)
-    assert len(inside) == 3     # dec.backward, enc.backward, mse_loss_grad
+    assert len(inside) == 3     # mse, dec.backward, enc.backward
 
 
 def test_a_batch_leaves_the_pipeline_at_one_place():

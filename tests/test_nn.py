@@ -9,8 +9,6 @@ from assoclearn.nn import (
     DenseLayer,
     MLPBlock,
     adam_update,
-    cross_entropy_grad,
-    cross_entropy_loss,
     elu,
     elu_grad,
     finite_diff_loss_grads,
@@ -18,11 +16,11 @@ from assoclearn.nn import (
     gradcheck,
     make_block,
     max_rel_error,
-    mse_loss,
-    mse_loss_grad,
+    mse,
     sigmoid,
     sigmoid_grad_from_output,
     softmax,
+    softmax_cross_entropy,
 )
 from conftest import given_layer
 
@@ -214,24 +212,25 @@ def test_softmax_shift_invariance():
 
 def test_mse_equal_inputs():
     a = np.array([[1.0, 2.0, 3.0]])
-    assert mse_loss(a, a.copy()) == 0.0
+    loss, grad = mse(a, a.copy())
+    assert loss == 0.0 and not grad.any()
 
 
 def test_mse_single_row_oracle():
-    assert mse_loss(np.array([[1.0, 2.0]]), np.array([[0.0, 0.0]])) == 5.0
+    assert mse(np.array([[1.0, 2.0]]), np.array([[0.0, 0.0]]))[0] == 5.0
 
 
 def test_mse_batch_mean_oracle():
     # per-row losses 5 and 1 average to 3
     a = np.array([[1.0, 2.0], [1.0, 0.0]])
     b = np.array([[0.0, 0.0], [0.0, 0.0]])
-    assert mse_loss(a, b) == 3.0
+    assert mse(a, b)[0] == 3.0
 
 
 def test_mse_grad_formula():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([[0.0, 1.0], [1.0, 1.0]])
-    assert np.allclose(mse_loss_grad(a, b), 2.0 * (a - b) / 2.0)
+    assert np.allclose(mse(a, b)[1], 2.0 * (a - b) / 2.0)
 
 
 def test_mse_nonnegative_zero_iff_equal():
@@ -239,7 +238,7 @@ def test_mse_nonnegative_zero_iff_equal():
     for _ in range(20):
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(3, 4))
-        val = mse_loss(a, b)
+        val = mse(a, b)[0]
         assert val >= 0.0
         if val < 1e-12:
             assert np.allclose(a, b)
@@ -249,7 +248,7 @@ def test_mse_nonnegative_zero_iff_equal():
 
 def test_mse_shape_mismatch():
     with pytest.raises(ShapeError):
-        mse_loss(np.zeros((2, 3)), np.zeros((2, 4)))
+        mse(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 def _upstream_of_another_shape():
@@ -259,16 +258,16 @@ def _upstream_of_another_shape():
 
 
 @pytest.mark.parametrize("call, says", [
-    (lambda: mse_loss_grad(np.zeros((2, 3)), np.zeros((2, 4))),
-     r"mse_loss: shapes differ, \(2, 3\) vs \(2, 4\)"),
-    (lambda: cross_entropy_loss(np.zeros((2, 3)), np.zeros((2, 4))),
+    (lambda: mse(np.zeros((2, 3)), np.zeros((2, 4))),
+     r"mse: shapes differ, \(2, 3\) vs \(2, 4\)"),
+    (lambda: softmax_cross_entropy(np.zeros((2, 3)), np.zeros((2, 4))),
      r"cross_entropy: shapes differ, \(2, 3\) vs \(2, 4\)"),
     (_upstream_of_another_shape,
      r"upstream gradient shape \(4, 3\) != \(4, 2\)"),
     (lambda: MLPBlock([]), "a block needs at least one layer"),
     (lambda: make_block([3], "elu", make_rng(0)),
      "width chain needs at least input and output"),
-], ids=["mse_loss_grad", "cross_entropy_loss",
+], ids=["mse", "softmax_cross_entropy",
         "dense-backward-upstream", "empty-block", "one-width-chain"])
 def test_shape_refusals_say_what_does_not_fit(call, says):
     with pytest.raises(ShapeError, match=says):
@@ -277,17 +276,37 @@ def test_shape_refusals_say_what_does_not_fit(call, says):
 
 def test_cross_entropy_perfect_prediction():
     onehot = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert cross_entropy_loss(onehot, onehot) < 1e-9
+    assert softmax_cross_entropy(50.0 * onehot, onehot)[0] < 1e-9
 
 
 def test_cross_entropy_grad_direction():
     # The gradient at the logits: a descent step raises the true class's
     # logit and lowers the others', and the row sums to zero, since the
     # softmax ignores a shift of the logits.
-    probs = np.array([[0.25, 0.75]])
+    z = np.log(np.array([[0.25, 0.75]]))
     onehot = np.array([[1.0, 0.0]])
-    g = cross_entropy_grad(probs, onehot)
-    assert g[0, 0] < 0 < g[0, 1] and g.sum() == 0.0
+    g = softmax_cross_entropy(z, onehot)[1]
+    assert g[0, 0] < 0 < g[0, 1] and abs(g.sum()) < 1e-15
+
+
+@pytest.mark.parametrize("g", [20.0, 27.0, 30.0, 40.0, 800.0])
+def test_cross_entropy_is_exact_however_wrong_the_row(g):
+    # Logits [g, 0] with true class 1 cost g + log(1 + e^-g): no clip
+    # stops the loss, and at g = 800 no exp overflows (every warning is
+    # an error in the test suite).
+    loss, _ = softmax_cross_entropy(np.array([[g, 0.0]]),
+                                    np.array([[0.0, 1.0]]))
+    assert loss == pytest.approx(g + np.log1p(np.exp(-g)), rel=1e-15)
+
+
+def test_cross_entropy_gradient_has_the_bits_of_softmax():
+    rng = make_rng(3)
+    z = rng.normal(size=(7, 5)) * 4.0
+    onehot = np.eye(5)[rng.integers(0, 5, size=7)]
+    loss, grad = softmax_cross_entropy(z, onehot)
+    assert grad.tobytes() == ((softmax(z) - onehot) / 7).tobytes()
+    assert loss == pytest.approx(-(onehot * np.log(softmax(z))).sum(1).mean(),
+                                 rel=1e-14)
 
 
 # dense layers and blocks ----------------------------------------------
@@ -586,7 +605,7 @@ def test_block_adam_requires_gradients():
 def _backward(block, rng, dtype=np.float64):
     x = rng.normal(size=(5, block.fan_in)).astype(dtype)
     out = block.forward(x, train=True)
-    block.backward(mse_loss_grad(out, np.zeros_like(out)))
+    block.backward(mse(out, np.zeros_like(out))[1])
 
 
 def _stepped_block(rng):
@@ -671,7 +690,7 @@ def test_block_adam_updates_change_params():
     block = make_block([3, 4, 2], "elu", rng)
     before = [p.copy() for p in block.param_arrays()]
     out = block.forward(rng.normal(size=(4, 3)), train=True)
-    block.backward(mse_loss_grad(out, np.zeros_like(out)))
+    block.backward(mse(out, np.zeros_like(out))[1])
     BlockAdam(block).step(1e-3)
     after = block.param_arrays()
     assert any(not np.array_equal(a, b) for a, b in zip(before, after))

@@ -142,6 +142,32 @@ def test_sequential_divergence_names_batch():
         assert said == [said[0]] * 3
 
 
+@pytest.mark.parametrize("mode", ["al-seq", "bp"])
+def test_a_failed_batch_leaves_nothing_the_next_batch_reads(mode):
+    # A NaN batch fails part way, after some forwards (and in al-seq flow
+    # 2's backward) have run; the next batch's forward and backward replace
+    # whatever it left, so A, the failure, then B trains the bits of A
+    # then B.
+    def model():
+        if mode == "bp":
+            return BPNetwork([8, 16, 4], make_rng(40), lr=1e-3)
+        return build_network(get_plan("blobs"), make_rng(40), lr=1e-3)
+
+    A, B, bad = make_rng(41).normal(size=(3, 6, 8))
+    y = np.eye(4)[[0, 1, 2, 3, 0, 1]]
+    bad[2, 1] = np.nan
+    failed, twin = model(), model()
+    train_epoch(failed, A, y, 6, make_rng(42), 0, mode)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match="epoch 1, batch 1"):
+            train_epoch(failed, bad, y, 6, make_rng(43), 1, mode)
+    train_epoch(failed, B, y, 6, make_rng(44), 2, mode)
+    train_epoch(twin, A, y, 6, make_rng(42), 0, mode)
+    train_epoch(twin, B, y, 6, make_rng(44), 2, mode)
+    assert [(n, p.tobytes()) for n, p in params(failed)] == [
+        (n, p.tobytes()) for n, p in params(twin)]
+
+
 def test_xor_single_component_reaches_full_accuracy():
     ds = synth_xor()
     net = build_network(get_plan("xor"), make_rng(10), lr=1e-3)
