@@ -18,9 +18,10 @@ so no update of component i can depend on parameters of component j != i.
 ``gradcheck_network`` checks it: each component's objective, differenced
 over every parameter of the network, must match both flows' analytic
 gradients on its own tensors and vanish on every other component's.
-Only after both flows succeed does ``component_update`` step each block's
-Adam optimizer, in g, h, f, b order, at the network's one rate
-(``ALNetwork.lr``).
+Each flow has one Adam optimizer over its two blocks, and ``_flow``
+returns the flow's gradients as values. Only after both flows succeed
+does ``component_update`` hand them to the optimizers, flow 2's (g, h)
+and then flow 1's (f, b), at the network's one rate (``ALNetwork.lr``).
 
 Prediction never touches the encoders or the inner bridges: it composes
 all f blocks upward, the last bridge, then all h blocks downward,
@@ -210,7 +211,8 @@ BLOCK_ACTIVATIONS = {"f": "elu", "g": "sigmoid", "b": "sigmoid", "h": "sigmoid"}
 
 
 class Component:
-    """One fold unit: the four blocks plus one Adam optimizer per block."""
+    """One fold unit: the four blocks plus one Adam optimizer per flow,
+    opt2 over (g, h) and opt1 over (f, b)."""
 
     def __init__(self, index: int, f: MLPBlock, g: MLPBlock, b: MLPBlock,
                  h: MLPBlock):
@@ -221,10 +223,8 @@ class Component:
         self.h = h
         NetworkPlan(f"component {index}", f.fan_in, g.fan_in,
                     [self.plan]).validate(first=index)
-        self.opt_f = BlockAdam(f)
-        self.opt_g = BlockAdam(g)
-        self.opt_b = BlockAdam(b)
-        self.opt_h = BlockAdam(h)
+        self.opt2 = BlockAdam(g, h)
+        self.opt1 = BlockAdam(f, b)
 
     @property
     def plan(self) -> ComponentPlan:
@@ -251,26 +251,31 @@ def _check_component_inputs(c: Component, s_prev: Matrix, t_prev: Matrix) -> Non
 
 
 def _flow(enc: MLPBlock, dec: MLPBlock, x: Matrix, target: Matrix,
-          train: bool, where: str) -> tuple[Matrix, float]:
+          train: bool, where: str):
     """One local flow: code = enc(x), loss = MSE(dec(code), target).
-    Training mode leaves the loss's gradients on dec and enc, never on x,
-    which belongs to the previous component. Returns (code, loss)."""
+    Returns (code, loss, the loss's gradients on enc's then dec's
+    tensors), the gradients None in evaluation mode. No gradient is taken
+    with respect to x, which belongs to the previous component."""
     code = enc.forward(x, train=train)
     ensure_finite(code, where)
     loss, grad = mse(dec.forward(code, train=train), target)
-    if train:
-        enc.backward(dec.backward(grad), input_grad=False)
-    return code, loss
+    if not train:
+        return code, loss, None
+    grad, dec_grads = dec.backward(grad)
+    return code, loss, enc.backward(grad, input_grad=False)[1] + dec_grads
 
 
 def _flows(c: Component, s_prev: Matrix, t_prev: Matrix, train: bool):
     """Flow 2 through (g, h), then flow 1 through (f, b) towards flow 2's
-    code t_i, held constant. Returns (s_i, t_i, LossRecord)."""
+    code t_i, held constant. Returns (s_i, t_i, LossRecord, (flow 2's
+    gradients, flow 1's)), the gradients None in evaluation mode."""
     _check_component_inputs(c, s_prev, t_prev)
     where = f"component {c.index}"
-    t_i, mse2 = _flow(c.g, c.h, t_prev, t_prev, train, f"{where} g output")
-    s_i, mse1 = _flow(c.f, c.b, s_prev, t_i, train, f"{where} f output")
-    return s_i, t_i, LossRecord(mse1=mse1, mse2=mse2)
+    t_i, mse2, grads2 = _flow(c.g, c.h, t_prev, t_prev, train,
+                              f"{where} g output")
+    s_i, mse1, grads1 = _flow(c.f, c.b, s_prev, t_i, train,
+                              f"{where} f output")
+    return s_i, t_i, LossRecord(mse1=mse1, mse2=mse2), (grads2, grads1)
 
 
 def component_forward(c: Component, s_prev: Matrix, t_prev: Matrix):
@@ -279,7 +284,7 @@ def component_forward(c: Component, s_prev: Matrix, t_prev: Matrix):
     The outputs are plain arrays: passing them to the next component
     creates no gradient linkage back to this one.
     """
-    return _flows(c, s_prev, t_prev, train=False)
+    return _flows(c, s_prev, t_prev, train=False)[:3]
 
 
 def component_update(c: Component, s_prev: Matrix, t_prev: Matrix,
@@ -287,10 +292,11 @@ def component_update(c: Component, s_prev: Matrix, t_prev: Matrix,
     """One local training step at rate lr. Returns (s_i, t_i, LossRecord)
     where the outputs were computed with the parameters BEFORE this
     update, exactly what gets handed to the next component. No block
-    steps unless both flows succeed."""
-    s_i, t_i, rec = _flows(c, s_prev, t_prev, train=True)
-    for opt in (c.opt_g, c.opt_h, c.opt_f, c.opt_b):
-        opt.step(lr)
+    steps unless both flows succeed; then flow 2's optimizer steps g and
+    h, and flow 1's f and b."""
+    s_i, t_i, rec, (grads2, grads1) = _flows(c, s_prev, t_prev, train=True)
+    c.opt2.step(grads2, lr)
+    c.opt1.step(grads1, lr)
     return s_i, t_i, rec
 
 
@@ -393,7 +399,7 @@ def gradcheck_network(net: ALNetwork, x: Matrix,
     s, t = x, y_onehot
     for c in net.components:
         s_prev, t_prev = s, t
-        _flows(c, s_prev, t_prev, train=True)
+        grads2, grads1 = _flows(c, s_prev, t_prev, train=True)[3]
         s, t, _ = component_forward(c, s_prev, t_prev)
         where = f"component {c.index} gradient check"
 
@@ -401,10 +407,10 @@ def gradcheck_network(net: ALNetwork, x: Matrix,
             return (_flow(c.f, c.b, s_prev, t, False, where)[1]
                     + _flow(c.g, c.h, t_prev, t_prev, False, where)[1])
 
-        for flow, blocks in (("flow1", (c.f, c.b)), ("flow2", (c.g, c.h))):
+        for flow, blocks, grads in (("flow1", (c.f, c.b), grads1),
+                                    ("flow2", (c.g, c.h), grads2)):
             res[f"c{c.index}.{flow}"] = gradcheck(
-                obj, [p for blk in blocks for p in blk.param_arrays()],
-                [g for blk in blocks for g in blk.grad_arrays()])
+                obj, [p for blk in blocks for p in blk.param_arrays()], grads)
         foreign = [p for cj in net.components if cj is not c
                    for blk in cj.blocks().values() for p in blk.param_arrays()]
         for n in finite_diff_loss_grads(obj, foreign):

@@ -105,8 +105,7 @@ class BPNetwork:
         loss, grad = self.loss(self.stack.forward(x, train=True), y_onehot)
         if not math.isfinite(loss):
             raise NumericError("loss diverged")
-        self.stack.backward(grad, input_grad=False)
-        self.opt.step(self.lr)
+        self.opt.step(self.stack.backward(grad, input_grad=False)[1], self.lr)
         return loss
 
     def predict(self, x: Matrix):
@@ -143,6 +142,7 @@ def build_bp_network(plan: BPPlan, rng: Rng, lr: float = 1e-4,
 
 def gradcheck_bp(net: BPNetwork, x: Matrix, y_onehot: Matrix) -> float:
     """gradcheck of the full-stack analytic gradient."""
-    net.stack.backward(net.loss(net.stack.forward(x, train=True), y_onehot)[1])
+    _, grads = net.stack.backward(
+        net.loss(net.stack.forward(x, train=True), y_onehot)[1])
     return gradcheck(lambda: net.loss(net.stack.forward(x), y_onehot)[0],
-                     net.stack.param_arrays(), net.stack.grad_arrays())
+                     net.stack.param_arrays(), grads)

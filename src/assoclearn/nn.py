@@ -3,24 +3,24 @@
 The building block is ``DenseLayer`` (affine + activation) and ``MLPBlock``
 (a chain of dense layers). Blocks cache forward intermediates only in
 training mode; ``backward`` replays the chain rule exactly, consumes
-those caches, leaves parameter gradients on each layer, and skips the
-block's input gradient when the caller discards it. ``BlockAdam`` then
-applies Adam with bias correction per parameter tensor, in place, and
-consumes the gradients. So a gradient lives from the backward that makes
-it to the step that applies it, and a training cache from the forward
-that fills it to the backward that reads it. A batch that fails part way
-can leave either behind, but no step reads it: the next batch's forward
-and backward replace every cache and gradient before its step. The step
+those caches, returns the parameter gradients as values, and skips the
+block's input gradient when the caller discards it. ``BlockAdam.step``
+takes those gradients and applies Adam with bias correction per
+parameter tensor, in place. So a gradient goes from the backward that
+makes it straight to the step that consumes it and is held by no layer,
+and a training cache lives from the forward that fills it to the
+backward that reads it. A batch that fails part way can leave only
+caches behind, and the next batch's forward replaces them. The step
 overwrites the layer's tensors, the moments and the gradients it
 consumes, and the result is bit-identical to the textbook formula
 evaluated with fresh arrays, because every operation runs in the same
-order. Layers therefore own their tensors: a layer draws its
-own when it is built, and ``set_params`` is the one way to give it
-others, as copies. Adam state is a block's: one moment pair m, v per
-tensor and one step count t for them all, on its ``BlockAdam``; beta1,
-beta2 and eps are module constants, and the learning rate is not state
-at all: the model holds it, and ``BlockAdam.step(lr)`` takes it on
-every call.
+order. Layers therefore own their tensors and nothing more: a layer
+draws its own when it is built, and ``set_params`` is the one way to
+give it others, as copies. Adam state is an optimizer's: one moment
+pair m, v per tensor of its blocks and one step count t for them all,
+on its ``BlockAdam``; beta1, beta2 and eps are module constants, and
+the learning rate is not state at all: the model holds it, and
+``BlockAdam.step(grads, lr)`` takes it on every call.
 
 The memory-bound elementwise passes run in row blocks of at most
 ``BLOCK_ELEMS`` elements (``row_blocks``), so their operands and
@@ -184,14 +184,13 @@ class DenseLayer:
     them, because the optimizer updates the layer's tensors in place.
     Forward in training mode caches (input, pre-activation, output) for the
     backward pass, which drops it; evaluation-mode forward clears it.
-    grad_W and grad_b hold the last backward's gradients until
-    BlockAdam.step applies them and sets them to None. The bias add
+    Backward returns the gradients and keeps none of them. The bias add
     and the activation run over row_blocks of the product, writing into
     it, except that a training-mode ELU keeps its pre-activation for its
     backward pass; every other layer's cached pre-activation is its
     output. Forward never writes into its input. Every product of
-    training (forward, grad_W and input gradient) is matmul's sliced one,
-    so training gives the same bits at any BLAS thread count;
+    training (forward, W's gradient and input gradient) is matmul's
+    sliced one, so training gives the same bits at any BLAS thread count;
     evaluation-mode forward keeps the plain product, which is faster.
     """
 
@@ -204,8 +203,6 @@ class DenseLayer:
         self.activation = activation
         self.W = he_normal_init(fan_in, fan_out, rng)
         self.bias = np.zeros((1, fan_out), dtype=self.W.dtype)
-        self.grad_W: Matrix | None = None
-        self.grad_b: Matrix | None = None
         self._cache: tuple[Matrix, Matrix, Matrix] | None = None
 
     def forward(self, x: Matrix, train: bool = False) -> Matrix:
@@ -219,10 +216,10 @@ class DenseLayer:
         self._cache = (x, z, out) if train else None
         return out
 
-    def backward(self, grad_out: Matrix, input_grad: bool = True) -> Matrix | None:
-        """Leave grad_W / grad_b on the layer, drop the training cache and
-        return the gradient with respect to the input, or None when
-        input_grad is False. A second backward needs a new training-mode
+    def backward(self, grad_out: Matrix, input_grad: bool = True):
+        """Drop the training cache and return (the gradient with respect
+        to the input, or None when input_grad is False, [W's gradient,
+        bias's gradient]). A second backward needs a new training-mode
         forward."""
         if self._cache is None:
             raise StateError("backward without a prior training-mode forward")
@@ -232,9 +229,9 @@ class DenseLayer:
             raise ShapeError(
                 f"upstream gradient shape {grad_out.shape} != {out.shape}")
         dz = ACTIVATIONS[self.activation].backward(grad_out, z, out)
-        self.grad_W = matmul(x.T, dz, sliced=True)
-        self.grad_b = dz.sum(axis=0, keepdims=True)
-        return matmul(dz, self.W.T, sliced=True) if input_grad else None
+        grads = [matmul(x.T, dz, sliced=True), dz.sum(axis=0, keepdims=True)]
+        grad_in = matmul(dz, self.W.T, sliced=True) if input_grad else None
+        return grad_in, grads
 
     def param_count(self) -> int:
         return self.W.size + self.bias.size
@@ -265,14 +262,17 @@ class MLPBlock:
             x = layer.forward(x, train=train)
         return x
 
-    def backward(self, grad_out: Matrix, input_grad: bool = True) -> Matrix | None:
-        """Chain rule through every layer, leaving each layer's gradients
-        for BlockAdam.step and dropping its training cache; with
-        input_grad=False the first layer skips the product that only the
-        block's input gradient needs, and None is returned."""
+    def backward(self, grad_out: Matrix, input_grad: bool = True):
+        """Chain rule through every layer, dropping each training cache.
+        Returns (input gradient, gradients aligned with param_arrays());
+        with input_grad=False the first layer skips the product that only
+        the input gradient needs, and None is returned in its place."""
+        grads = []
         for layer in reversed(self.layers[1:]):
-            grad_out = layer.backward(grad_out)
-        return self.layers[0].backward(grad_out, input_grad)
+            grad_out, g = layer.backward(grad_out)
+            grads = g + grads
+        grad_in, g = self.layers[0].backward(grad_out, input_grad)
+        return grad_in, g + grads
 
     def param_count(self) -> int:
         return sum(layer.param_count() for layer in self.layers)
@@ -282,13 +282,6 @@ class MLPBlock:
         for layer in self.layers:
             out.append(layer.W)
             out.append(layer.bias)
-        return out
-
-    def grad_arrays(self) -> list[Matrix | None]:
-        out = []
-        for layer in self.layers:
-            out.append(layer.grad_W)
-            out.append(layer.grad_b)
         return out
 
 
@@ -420,40 +413,42 @@ def adam_update(param: Matrix, grad: Matrix, m: Matrix, v: Matrix, t: int,
 
 
 class BlockAdam:
-    """Adam over every parameter tensor of one MLPBlock, at the rate each
-    step is given.
+    """Adam over every parameter tensor of one or more MLPBlocks, at the
+    rate each step is given.
 
-    The state is the block's: moments m and v, lists aligned with
-    block.param_arrays(), and one step count t, which every tensor shares
-    since a step updates them all. The moments are created on the first
-    step, so freshly built networks stay cheap until training starts.
-    The tensors are updated in place through one work array of this
-    optimizer's own, sized to the largest row block of the block's
+    The state is the optimizer's: moments m and v, lists aligned with
+    the blocks' tensors in order, and one step count t, which every
+    tensor shares since a step updates them all. The moments are created
+    on the first step, so freshly built networks stay cheap until
+    training starts. The tensors are updated in place through one work
+    array of this optimizer's own, sized to the largest row block of its
     tensors; two optimizers never share it, since pipeline stages step
     concurrently.
     """
 
-    def __init__(self, block: MLPBlock):
-        self.block = block
+    def __init__(self, *blocks: MLPBlock):
+        self.blocks = blocks
         self.m: list[Matrix] = []
         self.v: list[Matrix] = []
         self.t = 0
         self._work: Matrix | None = None
 
-    def step(self, lr: float) -> None:
-        """Apply every layer's gradients at rate lr, then set them to None.
+    def step(self, grads: list[Matrix], lr: float) -> None:
+        """Apply grads, aligned with the blocks' param_arrays() in order,
+        at rate lr; the step overwrites them.
 
-        Every gradient is checked before any tensor is updated: StateError
-        when one is missing (no backward since the last step), ShapeError
-        when one does not have its tensor's shape. A step that raises
-        changes no parameter, no moment and no step count.
+        ShapeError unless there is exactly one gradient per tensor, each
+        with its tensor's shape, raised before any tensor is updated: a
+        step that raises changes no parameter, moment, step count or
+        work array.
         """
-        params, grads = self.block.param_arrays(), self.block.grad_arrays()
+        params = [p for block in self.blocks for p in block.param_arrays()]
+        if len(grads) != len(params):
+            raise ShapeError(
+                f"{len(grads)} gradients for {len(params)} tensors")
         for p, g in zip(params, grads):
-            if g is None:
-                raise StateError("step without gradients; run backward first")
-            if g.shape != p.shape:
-                raise ShapeError(f"gradient {g.shape} vs tensor {p.shape}")
+            if np.shape(g) != p.shape:
+                raise ShapeError(f"gradient {np.shape(g)} vs tensor {p.shape}")
         if not self.m:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
@@ -462,8 +457,6 @@ class BlockAdam:
         self.t += 1
         for p, g, m, v in zip(params, grads, self.m, self.v):
             adam_update(p, g, m, v, self.t, lr, self._work)
-        for layer in self.block.layers:
-            layer.grad_W = layer.grad_b = None
 
 
 # finite differences ---------------------------------------------------
@@ -510,8 +503,7 @@ def gradcheck(loss_fn, params: list[Matrix], analytic: list[Matrix]) -> float:
 def grad_check_block(block: MLPBlock, x: Matrix, target: Matrix,
                      inject_fault: bool = False) -> float:
     """gradcheck of the MSE loss of block(x) against target."""
-    block.backward(mse(block.forward(x, train=True), target)[1])
-    analytic = [g.copy() for g in block.grad_arrays()]
+    _, analytic = block.backward(mse(block.forward(x, train=True), target)[1])
     if inject_fault:
         analytic[0].reshape(-1)[0] += 0.1
     return gradcheck(lambda: mse(block.forward(x), target)[0],

@@ -217,17 +217,20 @@ def test_update_decreases_local_obj():
 
 def two_pass_update(c, s_prev, t_prev, lr):
     """component_update written out as two passes: forward f, g, b, h;
-    backward b -> f and h -> g; then step f, b, g, h."""
+    backward b -> f and h -> g; then step flow 2's g, h and flow 1's f, b
+    with the gradients collected here."""
     s_i = c.f.forward(s_prev, train=True)
     t_i = c.g.forward(t_prev, train=True)
     bridged = c.b.forward(s_i, train=True)
     recon = c.h.forward(t_i, train=True)
     mse1, grad1 = mse(bridged, t_i)
     mse2, grad2 = mse(recon, t_prev)
-    c.f.backward(c.b.backward(grad1), input_grad=False)
-    c.g.backward(c.h.backward(grad2), input_grad=False)
-    for opt in (c.opt_f, c.opt_b, c.opt_g, c.opt_h):
-        opt.step(lr)
+    grad1, b_grads = c.b.backward(grad1)
+    _, f_grads = c.f.backward(grad1, input_grad=False)
+    grad2, h_grads = c.h.backward(grad2)
+    _, g_grads = c.g.backward(grad2, input_grad=False)
+    c.opt2.step(g_grads + h_grads, lr)
+    c.opt1.step(f_grads + b_grads, lr)
     return s_i, t_i, mse1, mse2
 
 

@@ -35,8 +35,9 @@ def layer_products(fan_in, fan_out, batch=128):
     layer = DenseLayer(fan_in, fan_out, rng=rng)
     x = rng.standard_normal((batch, fan_in))
     out = layer.forward(x, train=True)
-    grad_in = layer.backward(rng.standard_normal((batch, fan_out)))
-    return out, layer.grad_W, grad_in
+    upstream = rng.standard_normal((batch, fan_out))
+    grad_in, (grad_W, _) = layer.backward(upstream)
+    return out, grad_W, grad_in
 
 
 @requires_openblas

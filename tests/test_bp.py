@@ -156,9 +156,8 @@ def test_softmax_head_gradient_at_the_logits_is_closed_form():
     assert np.array_equal(grad, (nn.softmax(logits) - y) / 2)
     assert np.allclose(grad, [[0.5, -0.5]] * 2, rtol=0, atol=1e-12)
     assert loss == pytest.approx(30.0 + np.log1p(np.exp(-30.0)), rel=1e-15)
-    net.stack.backward(grad)
-    assert np.array_equal(net.stack.layers[0].grad_b,
-                          grad.sum(axis=0, keepdims=True))
+    _, (_, grad_b) = net.stack.backward(grad)
+    assert np.array_equal(grad_b, grad.sum(axis=0, keepdims=True))
 
 
 def test_gradcheck_holds_where_the_softmax_saturates():

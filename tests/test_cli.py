@@ -597,6 +597,26 @@ def test_only_flow_differentiates_in_al_core():
     assert len(inside) == 3     # mse, dec.backward, enc.backward
 
 
+def test_gradients_reach_a_step_at_three_calls():
+    # backward returns the gradients and a step takes them, at one call
+    # per optimizer: flow 2's and flow 1's in component_update and the
+    # stack's in BPNetwork.train_batch.
+    sites = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "attr", None) == "step"):
+                sites.append(owner)
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{owner}.{child.name}" if named else owner)
+
+    for path, tree in _src_modules():
+        visit(tree, path.stem)
+    assert sorted(sites) == ["al_core.component_update"] * 2 + [
+        "bp.BPNetwork.train_batch"]
+
+
 def test_a_batch_leaves_the_pipeline_at_one_place():
     # run_pipeline hands a batch's in-flight token back at one line, for a
     # batch the last stage finished, one that failed and one dropped.

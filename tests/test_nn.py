@@ -190,9 +190,9 @@ def test_dense_forward_row_blocks_bit_identical_to_unblocked(
         assert _same_bits(x, x_before)
     g = rng.normal(size=(rows, width))
     dz = nn.ACTIVATIONS[activation].backward(g, z, expected)
-    dx = layer.backward(g)
-    assert _same_bits(layer.grad_W, sliced_matmul(x.T, dz))
-    assert _same_bits(layer.grad_b, dz.sum(axis=0, keepdims=True))
+    dx, (grad_W, grad_b) = layer.backward(g)
+    assert _same_bits(grad_W, sliced_matmul(x.T, dz))
+    assert _same_bits(grad_b, dz.sum(axis=0, keepdims=True))
     assert _same_bits(dx, sliced_matmul(dz, layer.W.T))
 
 
@@ -339,9 +339,10 @@ def test_backward_zero_upstream_gives_zero_grads():
     rng = make_rng(17)
     block = make_block([4, 6, 2], "sigmoid", rng)
     out = block.forward(rng.normal(size=(3, 4)), train=True)
-    block.backward(np.zeros_like(out))
-    for g in block.grad_arrays():
-        assert np.array_equal(g, np.zeros_like(g))
+    _, grads = block.backward(np.zeros_like(out))
+    assert len(grads) == len(block.param_arrays())
+    for g, p in zip(grads, block.param_arrays()):
+        assert np.array_equal(g, np.zeros_like(p))
 
 
 def test_backward_identity_input_grad():
@@ -350,7 +351,8 @@ def test_backward_identity_input_grad():
     x = make_rng(23).normal(size=(5, 3))
     layer.forward(x, train=True)
     upstream = make_rng(29).normal(size=(5, 2))
-    assert np.allclose(layer.backward(upstream), upstream @ W.T, atol=1e-12)
+    assert np.allclose(layer.backward(upstream)[0], upstream @ W.T,
+                       atol=1e-12)
 
 
 @pytest.mark.parametrize("widths", [[5, 3], [5, 7, 4, 3]])
@@ -360,11 +362,12 @@ def test_backward_without_input_grad_same_param_grads(widths):
     x = rng.normal(size=(6, widths[0]))
     upstream = rng.normal(size=(6, widths[-1]))
     block.forward(x, train=True)
-    assert block.backward(upstream).shape == x.shape
-    full = [g.copy() for g in block.grad_arrays()]
+    grad_in, full = block.backward(upstream)
+    assert grad_in.shape == x.shape
     block.forward(x, train=True)
-    assert block.backward(upstream, input_grad=False) is None
-    for a, b in zip(full, block.grad_arrays()):
+    grad_in, grads = block.backward(upstream, input_grad=False)
+    assert grad_in is None and len(grads) == len(full)
+    for a, b in zip(full, grads):
         assert _same_bits(a, b)
 
 
@@ -499,13 +502,10 @@ def _check_adam_against_textbook(dtype):
         assert _same_bits(m_in, m) and _same_bits(v_in, v)
 
 
-def _set_grads(block, rng):
-    """Random gradients on every layer; returns copies of them, which the
-    step that consumes them leaves intact."""
-    for layer in block.layers:
-        layer.grad_W = rng.normal(size=layer.W.shape)
-        layer.grad_b = rng.normal(size=layer.bias.shape)
-    return [g.copy() for g in block.grad_arrays()]
+def _random_grads(*blocks, rng):
+    """Random gradients aligned with the blocks' param_arrays()."""
+    return [rng.normal(size=p.shape)
+            for block in blocks for p in block.param_arrays()]
 
 
 def test_block_adam_bit_identical_to_textbook():
@@ -518,8 +518,8 @@ def test_block_adam_bit_identical_to_textbook():
     refs = [[p.copy(), np.zeros_like(p), np.zeros_like(p)]
             for p in block.param_arrays()]
     for t in range(1, 11):
-        grads = _set_grads(block, rng)
-        opt.step(0.3)
+        grads = _random_grads(block, rng=rng)
+        opt.step([g.copy() for g in grads], 0.3)
         assert opt.t == t
         for ref, p, g, m_opt, v_opt in zip(
                 refs, block.param_arrays(), grads, opt.m, opt.v):
@@ -565,9 +565,8 @@ def test_adam_row_blocks_bit_identical_to_textbook(case):
 def test_block_adam_work_arrays_hold_one_block(widths):
     rng = make_rng(47)
     block = make_block(widths, "elu", rng)
-    _set_grads(block, rng)
     opt = BlockAdam(block)
-    opt.step(1e-3)
+    opt.step(_random_grads(block, rng=rng), 1e-3)
     widest_row = max(widths[1:])
     assert opt._work.ndim == 1
     assert opt._work.size <= nn.BLOCK_ELEMS + widest_row
@@ -585,8 +584,7 @@ def test_block_adam_state_follows_the_tensors(dtype):
     opt = BlockAdam(block)
     assert (opt.m, opt.v, opt.t) == ([], [], 0)
     for _ in range(2):
-        _backward(block, rng, dtype)
-        opt.step(1e-2)
+        opt.step(_backward(block, rng, dtype), 1e-2)
     params = block.param_arrays()
     assert opt.t == 2 and len(opt.m) == len(opt.v) == len(params)
     for p, m, v in zip(params, opt.m, opt.v):
@@ -594,50 +592,40 @@ def test_block_adam_state_follows_the_tensors(dtype):
         assert m.dtype == v.dtype == opt._work.dtype == np.dtype(dtype)
 
 
-def test_block_adam_requires_gradients():
-    block = make_block([2, 2], "identity", make_rng(0))
-    opt = BlockAdam(block)
-    with pytest.raises(StateError):
-        opt.step(1e-4)
-    assert (opt.m, opt.v, opt.t, opt._work) == ([], [], 0, None)
-
-
 def _backward(block, rng, dtype=np.float64):
+    """The gradients of one training-mode forward and backward."""
     x = rng.normal(size=(5, block.fan_in)).astype(dtype)
     out = block.forward(x, train=True)
-    block.backward(mse(out, np.zeros_like(out))[1])
+    return block.backward(mse(out, np.zeros_like(out))[1])[1]
 
 
-def _stepped_block(rng):
-    """A two-layer block and its optimizer after one step, with the
-    gradients of a second backward on the block."""
-    block = make_block([3, 4, 2], "elu", rng)
-    opt = BlockAdam(block)
-    _backward(block, rng)
-    opt.step(1e-2)
-    _backward(block, rng)
-    return block, opt
+def _adam_bits(opt):
+    """The bytes of every parameter, moment and work array, and the step
+    count."""
+    return ([p.tobytes() for block in opt.blocks
+             for p in block.param_arrays()],
+            [a.tobytes() for a in opt.m + opt.v],
+            None if opt._work is None else opt._work.tobytes(), opt.t)
 
 
-def _adam_bits(block, opt):
-    """The bytes of every parameter and moment, and the step count."""
-    return ([p.tobytes() for p in block.param_arrays()],
-            [a.tobytes() for a in opt.m + opt.v], opt.t)
-
-
-@pytest.mark.parametrize("fault,error", [
-    ("missing", StateError), ("misshapen", ShapeError)])
-def test_block_adam_checks_every_gradient_before_any_update(fault, error):
-    # Only the last layer's bias gradient is bad, so the first layer,
-    # which is updated first, must not move either.
-    block, opt = _stepped_block(make_rng(55))
-    last = block.layers[-1]
-    last.grad_b = None if fault == "missing" else np.ones((2, 2))
-    before = _adam_bits(block, opt)
-    with pytest.raises(error):
-        opt.step(1e-2)
-    assert _adam_bits(block, opt) == before
-    assert block.layers[0].grad_W is not None
+@pytest.mark.parametrize("fault", ["too_few", "misshapen"])
+def test_block_adam_checks_every_gradient_before_any_update(fault):
+    # An optimizer over two blocks, as each local flow has, after one
+    # step. Only the last gradient is at fault, so the first block's
+    # tensors, which are updated first, must not move either.
+    rng = make_rng(55)
+    blocks = make_block([3, 4, 2], "elu", rng), make_block([2, 3], "elu", rng)
+    opt = BlockAdam(*blocks)
+    opt.step(_random_grads(*blocks, rng=rng), 1e-2)
+    grads = _random_grads(*blocks, rng=rng)
+    if fault == "too_few":
+        grads.pop()
+    else:
+        grads[-1] = np.ones((3, 1))
+    before = _adam_bits(opt)
+    with pytest.raises(ShapeError):
+        opt.step(grads, 1e-2)
+    assert _adam_bits(opt) == before
 
 
 def test_block_adam_first_step_that_raises_makes_no_state():
@@ -645,25 +633,12 @@ def test_block_adam_first_step_that_raises_makes_no_state():
     rng = make_rng(57)
     block = make_block([3, 4, 2], "elu", rng)
     opt = BlockAdam(block)
-    _backward(block, rng)
-    block.layers[-1].grad_b = np.ones((2, 2))
-    before = _adam_bits(block, opt)
+    grads = _backward(block, rng)
+    grads[-1] = np.ones((2, 2))
+    before = _adam_bits(opt)
     with pytest.raises(ShapeError):
-        opt.step(1e-2)
-    assert _adam_bits(block, opt) == before == (before[0], [], 0)
-    assert opt._work is None
-
-
-def test_block_adam_second_step_without_backward_raises():
-    # The step consumes the gradients, so a stale one is never applied
-    # twice.
-    block, opt = _stepped_block(make_rng(56))
-    opt.step(1e-2)
-    assert all(g is None for g in block.grad_arrays())
-    before = _adam_bits(block, opt)
-    with pytest.raises(StateError):
-        opt.step(1e-2)
-    assert _adam_bits(block, opt) == before
+        opt.step(grads, 1e-2)
+    assert _adam_bits(opt) == before == (before[0], [], None, 0)
 
 
 def test_block_adam_step_applies_its_rate_to_the_states():
@@ -676,9 +651,8 @@ def test_block_adam_step_applies_its_rate_to_the_states():
             for p in block.param_arrays()]
     for t, lr in enumerate((1e-3, 1e-3, 1e-3, 0.25), start=1):
         out = block.forward(rng.normal(size=(2, 2)), train=True)
-        block.backward(np.ones_like(out))
-        grads = [g.copy() for g in block.grad_arrays()]
-        opt.step(lr)
+        _, grads = block.backward(np.ones_like(out))
+        opt.step([g.copy() for g in grads], lr)
         for ref, p, g in zip(refs, block.param_arrays(), grads):
             param, m, v = ref
             ref[:] = _textbook_adam(param, g, m, v, t, lr=lr)[:3]
@@ -690,8 +664,8 @@ def test_block_adam_updates_change_params():
     block = make_block([3, 4, 2], "elu", rng)
     before = [p.copy() for p in block.param_arrays()]
     out = block.forward(rng.normal(size=(4, 3)), train=True)
-    block.backward(mse(out, np.zeros_like(out))[1])
-    BlockAdam(block).step(1e-3)
+    BlockAdam(block).step(block.backward(mse(out, np.zeros_like(out))[1])[1],
+                          1e-3)
     after = block.param_arrays()
     assert any(not np.array_equal(a, b) for a, b in zip(before, after))
 

@@ -56,6 +56,8 @@ def test_fit_calls_the_sites_perfbench_traces_per_batch(perfbench_modules,
     # it installs on train.component_update and BPNetwork.train_batch, so
     # every mode must train through those two names: C component updates
     # per batch in al-seq and al-pipe, one train_batch per batch in bp.
+    # Its nn.adam_step wraps BlockAdam.step, one call per optimizer: two
+    # per component (one per local flow), or bp's one.
     tracing = perfbench_modules["tracing"]
     plan = get_plan("blobs")
     ds = synth_blobs(40, plan.input_dim, plan.target_dim, separation=6.0,
@@ -71,12 +73,14 @@ def test_fit_calls_the_sites_perfbench_traces_per_batch(perfbench_modules,
         tracing.uninstall(installed)
     calls = {name: row["calls"]
              for name, row in tracing.summarize(rec.spans()).items()}
-    batches = 2 * 5
-    expected = ({"bp.train_batch": batches} if mode == "bp" else
+    batches, n_comps = 2 * 5, len(plan.components)
+    expected = ({"bp.train_batch": batches, "nn.adam_step": batches}
+                if mode == "bp" else
                 {f"al_core.component_update.c{k}": batches
-                 for k in range(1, len(plan.components) + 1)})
+                 for k in range(1, n_comps + 1)}
+                | {"nn.adam_step": 2 * n_comps * batches})
     traced = {name: n for name, n in calls.items()
-              if name.startswith(("bp.train_batch",
+              if name.startswith(("bp.train_batch", "nn.adam_step",
                                   "al_core.component_update"))}
     assert traced == expected
     assert calls.get("train.run_pipeline", 0) == (2 if mode == "al-pipe"
@@ -88,7 +92,7 @@ def test_traced_matmul_sees_every_product_of_a_batch(perfbench_modules,
                                                      mode):
     # perfbench counts products and their flops by wrapping nn.matmul, so
     # a training batch must make every product through it: one per layer
-    # forward, one per grad_W and one per input gradient, but for the
+    # forward, one per W gradient and one per input gradient, but for the
     # block inputs an update discards (f's and g's per component, the
     # stack's in bp).
     tracing = perfbench_modules["tracing"]

@@ -42,6 +42,11 @@ def blob_setup(seed=0, n=40):
     return ds, one_hot(ds.y, 4)
 
 
+# What a dense layer holds between calls: its tensors, widths, activation
+# and training cache. A gradient goes from backward to the step as a value.
+LAYER_STATE = {"W", "bias", "fan_in", "fan_out", "activation", "_cache"}
+
+
 # schedule -------------------------------------------------------------
 
 def test_schedule_five_batches_three_components():
@@ -166,6 +171,20 @@ def test_a_failed_batch_leaves_nothing_the_next_batch_reads(mode):
     train_epoch(twin, B, y, 6, make_rng(44), 2, mode)
     assert [(n, p.tobytes()) for n, p in params(failed)] == [
         (n, p.tobytes()) for n, p in params(twin)]
+
+
+def test_a_failed_batch_leaves_no_gradient_on_any_layer():
+    # A NaN in s fails flow 1 of component 1 after flow 2 has run its
+    # backward through g and h: the gradients it made die with the batch.
+    net = build_network(get_plan("blobs"), make_rng(45), lr=1e-3)
+    X = make_rng(46).normal(size=(6, 8))
+    X[2, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match="component 1"):
+            train_epoch(net, X, np.eye(4)[[0, 1, 2, 3, 0, 1]], 6,
+                        make_rng(47), 1, "al-seq")
+    for name, layer in net.named_layers():
+        assert set(vars(layer)) == LAYER_STATE, name
 
 
 def test_xor_single_component_reaches_full_accuracy():
@@ -973,16 +992,16 @@ def test_fit_bp_evaluation_memory_does_not_grow_with_rows():
 
 @pytest.mark.parametrize("mode", ["al-seq", "al-pipe", "bp"])
 def test_fit_leaves_no_gradient_and_no_training_cache(mode):
-    # Each step consumes its gradients and each backward its cache, so
-    # neither outlives the batch that made it.
+    # Each backward hands its gradients to the step and consumes its
+    # cache, so neither outlives the batch that made it.
     ds, _ = blob_setup(seed=76, n=48)
     model = (BPNetwork([8, 16, 4], make_rng(77)) if mode == "bp"
              else build_network(get_plan("blobs"), make_rng(77)))
     fit(model, ds, ds, mode=mode, epochs=1, batch_size=16,
         rng=make_rng(78), seed=77, lr_drops=())
     for name, layer in model.named_layers():
-        assert all(a is None for a in
-                   (layer.grad_W, layer.grad_b, layer._cache)), name
+        assert set(vars(layer)) == LAYER_STATE, name
+        assert layer._cache is None, name
 
 
 def test_fit_retains_parameters_and_adam_state_only():
@@ -1191,20 +1210,22 @@ def test_fit_rejects_mismatched_datasets_before_training(mode, case):
 def _optimizers(model):
     if isinstance(model, BPNetwork):
         return [model.opt]
-    return [opt for c in model.components
-            for opt in (c.opt_f, c.opt_g, c.opt_b, c.opt_h)]
+    return [opt for c in model.components for opt in (c.opt2, c.opt1)]
+
+
+def _opt_params(opt):
+    return [p for block in opt.blocks for p in block.param_arrays()]
 
 
 @pytest.fixture
 def step_grads(monkeypatch) -> list:
-    """Every gradient each BlockAdam.step is given, read before the step
-    consumes it."""
+    """Every gradient each BlockAdam.step is given."""
     seen = []
     step = nn.BlockAdam.step
 
-    def reading(opt, lr):
-        seen.extend(opt.block.grad_arrays())
-        return step(opt, lr)
+    def reading(opt, grads, lr):
+        seen.extend(grads)
+        return step(opt, grads, lr)
 
     monkeypatch.setattr(nn.BlockAdam, "step", reading)
     return seen
@@ -1235,9 +1256,10 @@ def test_float32_tensors_train_in_float32(plan_name, step_grads):
 def _cast_float32(*models):
     for model in models:
         for opt in _optimizers(model):
-            for layer in opt.block.layers:
-                layer.W = layer.W.astype(np.float32)
-                layer.bias = layer.bias.astype(np.float32)
+            for block in opt.blocks:
+                for layer in block.layers:
+                    layer.W = layer.W.astype(np.float32)
+                    layer.bias = layer.bias.astype(np.float32)
 
 
 def _assert_all_float32(grads, *models):
@@ -1246,9 +1268,8 @@ def _assert_all_float32(grads, *models):
     assert grads and {g.dtype for g in grads} == {np.dtype(np.float32)}
     for model in models:
         for opt in _optimizers(model):
-            arrays = (opt.block.param_arrays() + opt.m + opt.v
-                      + [opt._work])
-            assert len(opt.m) == len(opt.v) == len(opt.block.param_arrays())
+            arrays = _opt_params(opt) + opt.m + opt.v + [opt._work]
+            assert len(opt.m) == len(opt.v) == len(_opt_params(opt))
             assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 
 
@@ -1299,7 +1320,7 @@ def test_fit_bits_do_not_depend_on_the_block_size(mode, tmp_path,
     assert small_params == params and small_csv == csv
     works = [opt._work for opt in _optimizers(model)]
     for opt in _optimizers(model):
-        widest_row = max(p.shape[-1] for p in opt.block.param_arrays())
+        widest_row = max(p.shape[-1] for p in _opt_params(opt))
         assert opt._work.size <= 7 + widest_row
     assert not any(np.shares_memory(a, b)
                    for i, a in enumerate(works) for b in works[i + 1:])
